@@ -10,6 +10,7 @@ structure's coefficients.
 __version__ = "0.1.0"
 
 from .padic_core import (  # noqa: F401
+    BadPrime,
     CongruenceSolution,
     CongruenceSystem,
     InconsistentSystem,
@@ -60,6 +61,7 @@ from .frobenius import (  # noqa: F401
     analytic_bound,
     check_analytic,
     check_integrality,
+    integrality_digits,
     nonuniqueness_witness,
     recover_alpha,
     solve_A_series,

@@ -46,6 +46,7 @@ from .frobenius import (
     InconsistentSystem,
     PrecisionExhausted,
     check_integrality,
+    integrality_digits,
     nonuniqueness_witness,
     recover_alpha,
     solve_A_series,
@@ -63,7 +64,7 @@ from .mum import (
     period_series_simplicial,
     simplicial_operator,
 )
-from .padic_core import PadicNum
+from .padic_core import PadicNum, is_prime
 from .qseries import PowerSeries
 from .zeta_gamma import (
     alpha_hyperoctahedral,
@@ -91,21 +92,8 @@ class UsageError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _check_family_prime(family: str, n: int, p: int):
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise UsageError("p = %d is not an odd prime" % p)
     bound = n + 1 if family == "simplicial" else n
     if p <= bound:
@@ -254,7 +242,8 @@ def _parse_perturb(text: str, count: int):
     return j, value
 
 
-def _solve_family(args):
+def _family_job(args):
+    """family, n, p, M, N and the operator of a verify or recover job."""
     family = _family(args)
     if args.n is None:
         raise UsageError("--n is required")
@@ -269,13 +258,22 @@ def _solve_family(args):
         raise UsageError("need t-order >= 1")
     if N < 1:
         raise UsageError("need precision >= 1")
-    L = _operator_for(family, n)
-    dec = solve_A_series(L, p, M)
-    return family, n, p, M, N, dec
+    return family, n, p, M, N, _operator_for(family, n)
+
+
+def _decide(consume, L, p: int, M: int, digits: int):
+    """consume(dec) on the fixed-precision solve at ``digits``.  Where
+    those digits fall short of the exact answer (PrecisionExhausted),
+    on the exact solve, which answers or raises as it always did."""
+    dec = solve_A_series(L, p, M, digits=digits)
+    try:
+        return consume(dec)
+    except PrecisionExhausted:
+        return consume(solve_A_series(L, p, M, basis=dec.basis))
 
 
 def cmd_verify(args) -> int:
-    family, n, p, M, N, dec = _solve_family(args)
+    family, n, p, M, N, L = _family_job(args)
     alphas = [evaluate_zeta_poly(poly, p, N)
               for poly in _alpha_polys(family, n)]
     note = "closed-form constants"
@@ -287,7 +285,8 @@ def cmd_verify(args) -> int:
         else:
             alphas[j - 1] = PadicNum.from_exact(value, p)
             note = "alpha_%d set to %s" % (j, value)
-    report = check_integrality(dec, alphas, p, M)
+    report = _decide(lambda dec: check_integrality(dec, alphas, p, M),
+                     L, p, M, integrality_digits(alphas, N))
     if args.format == "json":
         print(report.to_json())
     else:
@@ -309,8 +308,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    family, n, p, M, N, dec = _solve_family(args)
-    sol = recover_alpha(dec, p, M)
+    family, n, p, M, N, L = _family_job(args)
+    # the congruence rows read slot values mod Z_p; N digits also tell
+    # every slot coefficient of valuation below N from zero
+    sol = _decide(lambda dec: recover_alpha(dec, p, M), L, p, M, N)
     polys = _alpha_polys(family, n)
     Nc = max(N, sol.modulus_exponent + 2)
     closed = [evaluate_zeta_poly(poly, p, Nc) for poly in polys]
@@ -551,9 +552,9 @@ def _check_frobenius_integral(quick: bool):
         [("simplicial", 4, 7, 70, 12), ("hyperoctahedral", 4, 7, 70, 12)]
     for family, n, p, M, N in jobs:
         L = _operator_for(family, n)
-        dec = solve_A_series(L, p, M)
         alphas = [evaluate_zeta_poly(poly, p, N)
                   for poly in _alpha_polys(family, n)]
+        dec = solve_A_series(L, p, M, digits=integrality_digits(alphas, N))
         report = check_integrality(dec, alphas, p, M)
         if report.verdict != "integral":
             return False, "%s n=%d verdict %s" % (family, n, report.verdict)
@@ -576,9 +577,9 @@ def _check_frobenius_identity(quick: bool):
 def _check_integrality_negative(quick: bool):
     L = simplicial_operator(4)
     p, M, N = 7, 40, 10
-    dec = solve_A_series(L, p, M)
     alphas = [evaluate_zeta_poly(poly, p, N) for poly in alpha_simplicial(4)]
     alphas[0] = alphas[0] + 1
+    dec = solve_A_series(L, p, M, digits=integrality_digits(alphas, N))
     report = check_integrality(dec, alphas, p, M)
     if report.verdict != "non-integral":
         return False, "corrupted alpha_1 went undetected"

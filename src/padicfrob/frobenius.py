@@ -3,13 +3,23 @@
 The defining property is A(y_i(t^p)) = p^i sum_k alpha_k y_{i-k}(t) on
 the standard basis, alpha_0 = 1.  Taking the log-free part of each
 equation yields an n x n system over power series whose t = 0 matrix is
-diag(p^i); it is solved order by order, exactly over Q, once per
-alpha-slot so that A_j depends on the alpha constants linearly:
+diag(p^i); it is solved order by order, for every alpha-slot in one
+pass, so that A_j depends on the alpha constants linearly:
 
     A_j = A_j^(0) + sum_{k>=1} alpha_k A_j^(k).
 
-Numeric alpha values enter only at assembly time, so no p-adic
-precision is spent inside the recursion.
+Numeric alpha values enter only at assembly time.  The slot series are
+solved in one of two modes (solve_A_series):
+
+- exact, over Q: the oracle, and the mode the defining identity
+  (verify_frobenius_property) and nonuniqueness_witness need;
+- fixed precision, over Z/p^R: every coefficient known mod p^digits.
+  A static min-plus pass over the valuations of the matrix bounds how
+  many digits the recursion can lose and fixes R before any arithmetic,
+  and coefficients no term reaches stay exact zeros.  Consumers read
+  both modes through FrobeniusDecomposition.slot() and raise
+  PrecisionExhausted, never other digits, when the slot digits fall
+  short of what the exact mode would report.
 
 Two conditions on the constants are checked against these series:
 integrality of the coefficients (check_integrality), which leaves the
@@ -23,14 +33,20 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import add, mul, or_
 from typing import Sequence
 
 from .mum import MumOperator, StandardBasis, apply_operator, standard_basis
 from .padic_core import (
+    INFINITY,
+    BadPrime,
     CongruenceSolution,
     CongruenceSystem,
     InconsistentSystem,
     PadicNum,
+    is_prime,
     solve_affine_congruences,
     vp,
 )
@@ -43,7 +59,8 @@ class InsufficientOrder(ValueError):
 
 class PrecisionExhausted(ArithmeticError):
     """Integrality of some coefficient, or an analytic row, is
-    undecidable at the supplied alpha precision."""
+    undecidable at the supplied alpha precision or at the digits of a
+    fixed-precision decomposition."""
 
     def __init__(self, j: int, m: int):
         super().__init__("coefficient of theta^%d at t^%d undecidable"
@@ -58,11 +75,17 @@ class NonUnitWronskian(ValueError):
 
 @dataclass
 class FrobeniusDecomposition:
-    """Exact alpha-linear decomposition of the Frobenius coefficients.
+    """Alpha-linear decomposition of the Frobenius coefficients.
 
     slots[0][j] is the alpha-independent part of A_j; slots[k][j] for
-    k >= 1 multiplies alpha_k.  All series are exact rationals mod
-    t^order.
+    k >= 1 multiplies alpha_k.  Every series is known mod t^order.
+
+    With digits None the coefficients are exact rationals.  With digits
+    N the decomposition is fixed-precision: a coefficient c is stored as
+    the integer p^scale c mod p^(scale + N), so it is known mod p^N, and
+    support[k][j][m] says whether any term of the recursion reached it;
+    off the support c is an exact zero.  Read coefficients through
+    slot(), which serves both modes.
     """
 
     p: int
@@ -70,17 +93,43 @@ class FrobeniusDecomposition:
     basis: StandardBasis
     slots: list
     order: int
+    digits: int | None = None
+    scale: int = 0
+    support: list | None = None
 
     @property
     def n(self) -> int:
         return self.operator.order
 
+    def slot(self, k: int, j: int, m: int, weights=((0, 1),)):
+        """sum of c [t^(m-i)] A_j^(k) over (i, c) in weights, c nonzero
+        integers; by default the t^m coefficient itself.
+
+        Exact: a Fraction.  Fixed-precision: the exact 0 when no weighted
+        coefficient is on the support, else a PadicNum known mod
+        p^digits, which is an inexact zero when its residue is 0.
+        """
+        series = self.slots[k][j]
+        total = sum(c * series.known(m - i) for i, c in weights if i <= m)
+        if self.digits is None:
+            return Fraction(total)
+        support = self.support[k][j]
+        if not any(support[m - i] for i, _ in weights if i <= m):
+            return 0
+        p = self.p
+        total %= p ** (self.scale + self.digits)
+        if total == 0:
+            return PadicNum.inexact_zero(p, self.digits)
+        v = vp(total, p)
+        return PadicNum(p, val=v - self.scale, unit=total // p ** v,
+                        prec=self.digits)
+
     def coefficient(self, j: int, m: int, alphas: Sequence):
         """Assembled t^m coefficient of A_j at the given alpha_1.."""
-        acc = self.slots[0][j].known(m)
+        acc = self.slot(0, j, m)
         for k, al in enumerate(alphas, start=1):
-            c = self.slots[k][j].known(m)
-            if not (isinstance(c, (int, Fraction)) and c == 0):
+            c = self.slot(k, j, m)
+            if not _is_exact_zero(c):
                 acc = acc + al * c
         return acc
 
@@ -88,75 +137,205 @@ class FrobeniusDecomposition:
         """A_0..A_{n-1} at the given alpha_1..alpha_{n-1}."""
         if len(alphas) != self.n - 1:
             raise ValueError("need %d alpha values" % (self.n - 1))
-        out = []
-        for j in range(self.n):
-            s = self.slots[0][j]
-            for k, al in enumerate(alphas, start=1):
-                s = s + self.slots[k][j] * al
-            out.append(s)
-        return out
+        return [PowerSeries([self.coefficient(j, m, alphas)
+                             for m in range(self.order)], self.order)
+                for j in range(self.n)]
+
+
+def _is_exact_zero(x) -> bool:
+    return isinstance(x, (int, Fraction)) and x == 0
+
+
+# valuation of an exact zero in the static passes; anything at or past
+# _NONE // 2 counts as +infinity
+_NONE = 1 << 40
+
+
+def _val(x, p: int) -> int:
+    return _NONE if x == 0 else vp(x, p)
+
+
+def _recursion(bmat, rhs, stride: int, step, support) -> list:
+    """sol[s][i][c] for every alpha-slot s in one pass over the matrix:
+
+        a_i[c] = (rhs[s][i][c] - sum_{j, q >= 1} B_ij[q stride]
+                  a_j[c - q stride]) / p^i,
+
+    with bmat[i][j][q-1] = B_ij[q stride] and step(acc, i, c) doing the
+    division.  Coefficients off the support are exact zeros."""
+    n = len(bmat)
+    sol = [[[] for _ in range(n)] for _ in range(n)]
+    for c in range(len(rhs[0][0])):
+        start = c - stride
+        for i in range(n):
+            brow = bmat[i]
+            for s in range(n):
+                xs = sol[s]
+                if not support[s][i][c]:
+                    xs[i].append(0)
+                    continue
+                acc = rhs[s][i][c]
+                if start >= 0:
+                    for j in range(n):
+                        acc -= sum(map(mul, brow[j], xs[j][start::-stride]))
+                xs[i].append(step(acc, i, c))
+    return sol
+
+
+def _reach(nonzero, first, stride: int) -> list:
+    """mask[i][c], bit s set when a term of slot s reaches a_i[c]: its
+    right-hand side (bit s of first[i][c]) or a nonzero B_ij[q stride]
+    times a reached a_j[c - q stride].  The structural shadow of
+    _recursion, all slots at once."""
+    n = len(nonzero)
+    out = [[] for _ in range(n)]
+    for c in range(len(first[0])):
+        start = c - stride
+        for i in range(n):
+            mask = first[i][c]
+            if start >= 0:
+                row = nonzero[i]
+                for j in range(n):
+                    mask |= reduce(or_, compress(out[j][start::-stride],
+                                                 row[j]), 0)
+            out[i].append(mask)
+    return out
+
+
+def _min_plus(vmat, init, shift, stride: int, live) -> list:
+    """x_i[c] = min(init[i][c], min_{j, q >= 1} vmat[i][j][q-1] +
+    x_j[c - q stride]) - shift[i] where live[i][c], else _NONE (for
+    +infinity): the valuation shadow of _recursion."""
+    n = len(vmat)
+    out = [[] for _ in range(n)]
+    for c in range(len(init[0])):
+        start = c - stride
+        for i in range(n):
+            if not live[i][c]:
+                out[i].append(_NONE)
+                continue
+            best = init[i][c]
+            if start >= 0:
+                row = vmat[i]
+                for j in range(n):
+                    best = min(best, min(map(add, row[j],
+                                             out[j][start::-stride]),
+                                         default=_NONE))
+            out[i].append(best - shift[i])
+    return out
+
+
+def _residue(q, p: int, shift: int, mod: int) -> int:
+    """q p^shift mod ``mod``, a power of p; q p^shift is p-integral."""
+    if not q:
+        return 0
+    num, den = q.numerator, q.denominator
+    while den % p == 0:
+        den //= p
+        shift -= 1
+    num = num * p ** shift if shift >= 0 else num // p ** -shift
+    return num * pow(den, -1, mod) % mod
 
 
 def solve_A_series(L: MumOperator, p: int, M: int,
-                   basis: StandardBasis | None = None
-                   ) -> FrobeniusDecomposition:
+                   basis: StandardBasis | None = None,
+                   digits: int | None = None) -> FrobeniusDecomposition:
     """Solve the log-free part of A(y_i(t^p)) = p^i sum alpha_k y_{i-k}
-    for every alpha-slot, exactly over Q, mod t^M.
+    for every alpha-slot mod t^M: exactly over Q when digits is None,
+    else with every coefficient known mod p^digits.
 
     The matrix entry multiplying A_j in equation i is
     B_ij = p^j sum_m C(j,m) (theta^(j-m) F_{i-m})(t^p), which reduces
     to p^i delta_ij at t = 0, so each t-order is fixed by dividing by
     p^i.
+
+    Both modes skip the coefficients that no term of the recursion
+    reaches (_reach); they are exact zeros.  Fixed precision runs the
+    same recursion over Z/p^R.  B is scaled by p^w, w = -min vp(B), so
+    it is p-integral, and each unknown a is carried as X = p^S a.  A
+    step is then integer multiply-adds, one reduction mod p^R and an
+    exact division by p^(i+w).  Two min-plus passes over the valuations
+    of B fix S and R before any arithmetic: one bounds every
+    coefficient's valuation from below, which gives S; the other bounds
+    from above the digits each X loses, through p^(v(B) + w) X_j and the
+    division, which gives R = S + (largest loss) + digits.
     """
+    if not is_prime(p):
+        raise BadPrime("p = %d is not a prime" % p)
     if M < 1:
         raise InsufficientOrder("need t-order at least 1")
+    if digits is not None and digits < 1:
+        raise ValueError("need digits >= 1")
     n = L.order
     if basis is None:
         basis = standard_basis(L, M)
     elif basis.order < M:
         raise InsufficientOrder("basis known mod t^%d, need t^%d"
                                 % (basis.order, M))
-    th = []
-    for k in range(n):
-        row = [basis.fs[k].truncate(M)]
-        for _ in range(n - 1):
-            row.append(row[-1].theta())
-        th.append(row)
-    bmat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = PowerSeries.zero(M)
-            for m in range(min(i, j) + 1):
-                acc = acc + math.comb(j, m) * \
-                    th[i - m][j - m].substitute_tp(p).truncate(M)
-            row.append(acc * p ** j)
-        bmat.append([[s.known(c) for c in range(M)] for s in row])
+    fs = basis.fs
+    # B_ij lives in degrees divisible by p: (theta^r F)[q] = q^r F[q]
+    bmat = [[[p ** j * sum(math.comb(j, m) * q ** (j - m) * fs[i - m].known(q)
+                           for m in range(min(i, j) + 1))
+              for q in range(1, (M - 1) // p + 1)]
+             for j in range(n)] for i in range(n)]
+    # and, for operators in t^g (g = n + 1 simplicial, 2 hyperoctahedral),
+    # in degrees divisible by g p
+    g = math.gcd(*(q for row in bmat for col in row
+                   for q, b in enumerate(col, start=1) if b)) or 1
+    bmat = [[col[g - 1::g] for col in row] for row in bmat]
+    stride = g * p
+    fvals = [[f.known(c) for c in range(M)] for f in fs[:n]]
 
-    slots = []
-    for s in range(n):
-        rhs = []
-        for i in range(n):
-            if i - s < 0:
-                rhs.append(PowerSeries.zero(M))
-            else:
-                rhs.append(th[i - s][0] * p ** i)
-        sol = [[] for _ in range(n)]
-        for c in range(M):
-            for i in range(n):
-                acc = Fraction(rhs[i].known(c))
-                for j in range(n):
-                    col = bmat[i][j]
-                    a_j = sol[j]
-                    # matrix entries live in degrees p, 2p, ... past 0
-                    for d in range(p, c + 1, p):
-                        b = col[d]
-                        if b and a_j[c - d]:
-                            acc -= b * a_j[c - d]
-                sol[i].append(acc / p ** i)
-        slots.append([PowerSeries(a, M) for a in sol])
-    return FrobeniusDecomposition(p=p, operator=L, basis=basis,
-                                  slots=slots, order=M)
+    def rhs(fv):
+        # slot s, equation i: p^i F_{i-s}
+        return [[[p ** i * x for x in fv[i - s]] if i >= s else [0] * M
+                 for i in range(n)] for s in range(n)]
+
+    # a coefficient no term reaches is an exact zero in either mode
+    reach = _reach([[[bool(b) for b in col] for col in row] for row in bmat],
+                   [[sum(1 << s for s in range(i + 1) if fvals[i - s][c])
+                     for c in range(M)] for i in range(n)], stride)
+    support = [[bytes(mask >> s & 1 for mask in row) for row in reach]
+               for s in range(n)]
+    if digits is None:
+        sol = _recursion(bmat, rhs(fvals), stride,
+                         lambda acc, i, c: Fraction(acc, p ** i), support)
+        return FrobeniusDecomposition(
+            p=p, operator=L, basis=basis, order=M,
+            slots=[[PowerSeries(a, M) for a in s] for s in sol])
+
+    vb = [[[_val(b, p) for b in col] for col in row] for row in bmat]
+    vf = [[_val(x, p) for x in f] for f in fvals]
+    w = max([0] + [-v for row in vb for col in row for v in col])
+    # lower bound on the valuations of every slot; the right-hand side
+    # of a_i in slot s is p^i F_{i-s}
+    floors = _min_plus(vb, [[i + min(vf[k][c] for k in range(i + 1))
+                             for c in range(M)] for i in range(n)],
+                       range(n), stride, reach)
+    # precision of each X minus R, the digits it can lose negated; an
+    # exact zero loses none
+    kept = _min_plus([[[v + w for v in col] for col in row] for row in vb],
+                     [[0] * M] * n, [i + w for i in range(n)], stride, reach)
+    scale = max([0] + [-v for row in floors for v in row])
+    mod = p ** (scale - min(min(row) for row in kept) + digits)
+    div = [p ** (i + w) for i in range(n)]
+
+    def step(acc, i, c):
+        q, r = divmod(acc % mod, div[i])
+        if r:   # the valuation floor was unsound
+            raise PrecisionExhausted(i, c)
+        return q
+
+    sol = _recursion([[[_residue(b, p, w, mod) for b in col] for col in row]
+                      for row in bmat],
+                     rhs([[_residue(x, p, scale + w, mod) for x in f]
+                          for f in fvals]), stride, step, support)
+    keep = p ** (scale + digits)
+    return FrobeniusDecomposition(
+        p=p, operator=L, basis=basis, order=M, digits=digits, scale=scale,
+        slots=[[PowerSeries([x % keep for x in a], M) for a in s]
+               for s in sol],
+        support=support)
 
 
 def _scaled_rhs(dec: FrobeniusDecomposition, i: int,
@@ -176,6 +355,9 @@ def _verify_frobenius_detail(dec: FrobeniusDecomposition,
     (basis index, log power, t degree)."""
     if M > dec.order:
         raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
+    if dec.digits is not None:
+        raise ValueError("the defining identity needs an exact "
+                         "decomposition (digits=None)")
     L = dec.operator
     a_series = dec.assemble(alphas)
     for i in range(dec.n):
@@ -238,7 +420,9 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     >= 0 (exact value, nonzero residue, or an inexact zero with at
     least one digit of precision) and as non-integral when the
     valuation is provably negative; anything else raises
-    PrecisionExhausted.
+    PrecisionExhausted.  A fixed-precision decomposition gives the
+    report the exact slots give, or PrecisionExhausted where its digits
+    fall short (integrality_digits says how many suffice).
 
     Integrality is a weak test of the constants.  The slot series
     A_j^(k) for k >= n-2 are themselves p-integral at the built-in
@@ -246,35 +430,19 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     no change of alpha_{n-2} or alpha_{n-1} inside Z_p alters the
     verdict at any t-order.  The rows of check_analytic pin those.
     """
-    if p != dec.p:
-        raise ValueError("decomposition was solved at p=%d" % dec.p)
-    if M > dec.order:
-        raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
+    _check_prime_order(dec, p, M)
     entries = []
     min_val = None
     first_bad = None
     for j in range(dec.n):
         for m in range(M):
-            value = dec.coefficient(j, m, alphas)
-            if isinstance(value, PadicNum):
-                if value.is_exact:
-                    if value.is_exact_zero:
-                        continue
-                    val, prec = vp(value.exact, p), None
-                elif value.is_zero():
-                    if value.abs_precision < 1:
-                        raise PrecisionExhausted(j, m)
-                    entries.append({"j": j, "m": m, "val": None,
-                                    "prec": int(value.abs_precision)})
-                    continue
-                else:
-                    val, prec = int(value.valuation), \
-                        int(value.abs_precision)
-            else:
-                if value == 0:
-                    continue
-                val, prec = vp(Fraction(value), p), None
+            entry = _integrality_entry(dec, j, m, alphas)
+            if entry is None:
+                continue
+            val, prec = entry
             entries.append({"j": j, "m": m, "val": val, "prec": prec})
+            if val is None:
+                continue
             if min_val is None or val < min_val:
                 min_val = val
             if val < 0 and first_bad is None:
@@ -283,6 +451,70 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     return IntegralityReport(p=p, M=M, verdict=verdict,
                              min_valuation=min_val, entries=entries,
                              first_failing=first_bad)
+
+
+def integrality_digits(alphas: Sequence, headroom: int) -> int:
+    """Slot digits that let check_integrality at these alphas report
+    what exact slots give.  An inexact alpha_k reaching a slot
+    coefficient c of valuation v sets the entry's precision to
+    prec(alpha_k) + v, so c is needed mod p^(rel(alpha_k) + v);
+    ``headroom`` digits cover every v < headroom, and a larger v raises
+    PrecisionExhausted instead."""
+    return headroom + max([int(a.rel_precision) for a in alphas
+                           if isinstance(a, PadicNum) and not a.is_exact],
+                          default=0)
+
+
+def _check_prime_order(dec: FrobeniusDecomposition, p: int, M: int):
+    if p != dec.p:
+        raise ValueError("decomposition was solved at p=%d" % dec.p)
+    if M > dec.order:
+        raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
+
+
+def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,
+                       alphas: Sequence):
+    """(val, prec) of the assembled t^m coefficient of A_j as exact slots
+    give it, or None for an exact zero.  prec is None when no inexact
+    alpha reaches the coefficient, whose valuation is then exact; val
+    is None for an inexact zero.
+
+    An inexact alpha_k reaching slot coefficient c gives the entry
+    precision prec(alpha_k) + v(c).  A fixed-precision slot must support
+    that, and must tell its valuation; otherwise, as for an entry whose
+    value the slot digits alone leave at zero, this raises
+    PrecisionExhausted rather than report other digits.
+    """
+    p = dec.p
+    value = dec.slot(0, j, m)
+    target = INFINITY
+    for k, al in enumerate(alphas, start=1):
+        c = dec.slot(k, j, m)
+        if _is_exact_zero(c):
+            continue
+        if isinstance(al, PadicNum) and not al.is_exact:
+            if isinstance(c, PadicNum):
+                if c.is_zero():
+                    raise PrecisionExhausted(j, m)
+                v = c.valuation
+            else:
+                v = vp(c, p)
+            target = min(target, al.abs_precision + v)
+        value = value + al * c
+    if not isinstance(value, PadicNum) or value.is_exact:
+        q = value.exact if isinstance(value, PadicNum) else value
+        return None if q == 0 else (vp(q, p), None)
+    if target == INFINITY:
+        if value.is_zero():
+            raise PrecisionExhausted(j, m)
+        return int(value.valuation), None
+    if value.abs_precision < target:
+        raise PrecisionExhausted(j, m)
+    if value.is_zero():
+        if value.abs_precision < 1:
+            raise PrecisionExhausted(j, m)
+        return None, int(value.abs_precision)
+    return int(value.valuation), int(value.abs_precision)
 
 
 def _divisors(x: int) -> list:
@@ -375,20 +607,14 @@ def _analytic_rows(dec: FrobeniusDecomposition, p: int, M: int,
     """Yield (s, j, m, c0, coeffs) with [t^m] D^e(s) A_j = c0 + sum_k
     alpha_k coeffs[k-1], for s = 1..digits, j < n and deg(s) < m < M;
     each must vanish mod p^s."""
-    if p != dec.p:
-        raise ValueError("decomposition was solved at p=%d" % dec.p)
-    if M > dec.order:
-        raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
+    _check_prime_order(dec, p, M)
     for s in range(1, digits + 1):
         e, deg = analytic_bound(dec.operator, p, s)
         d_pow = PowerSeries(dec.operator.leading(), M) ** e
         terms = [(i, c) for i, c in enumerate(d_pow.coeffs) if c]
         for j in range(dec.n):
-            series = [dec.slots[k][j] for k in range(dec.n)]
             for m in range(deg + 1, M):
-                vals = [Fraction(sum(c * f.known(m - i)
-                                     for i, c in terms if i <= m))
-                        for f in series]
+                vals = [dec.slot(k, j, m, terms) for k in range(dec.n)]
                 yield s, j, m, vals[0], vals[1:]
 
 
@@ -410,8 +636,8 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
 
     Stops at the first violated row and reports it as (s, j, m,
     valuation); ``rows`` counts the rows decided.  A row whose value is
-    an inexact zero known to fewer than s digits raises
-    PrecisionExhausted.
+    an inexact zero known to fewer than s digits, for want of alpha
+    digits or of slot digits, raises PrecisionExhausted.
     """
     if len(alphas) != dec.n - 1:
         raise ValueError("need %d alpha values" % (dec.n - 1))
@@ -419,7 +645,7 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
     for s, j, m, c0, coeffs in _analytic_rows(dec, p, M, digits):
         value = c0
         for al, c in zip(alphas, coeffs):
-            if c != 0:
+            if not _is_exact_zero(c):
                 value = value + al * c
         if isinstance(value, PadicNum) and not value.is_exact:
             if value.is_zero():
@@ -440,6 +666,31 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
                           rows=rows)
 
 
+def _congruence_row(values: list, s: int, p: int, j: int, m: int):
+    """(c0, coeffs) = values / p^s as rationals for CongruenceSystem, or
+    None for a row that cannot bind: no alpha term and c0 / p^s in Z_p.
+
+    The condition vp(c0 + sum alpha_k c_k) >= 0 on alpha in Z_p sees the
+    values only modulo Z_p, so a fixed-precision value known mod p^s
+    enters as its residue.  PrecisionExhausted when it is known to
+    less, or when residues 0 leave open whether an alpha term exists.
+    """
+    out = []
+    for x in values:
+        if isinstance(x, PadicNum):
+            if x.abs_precision < s:
+                raise PrecisionExhausted(j, m)
+            x = 0 if x.is_zero() else Fraction(x.unit) * Fraction(p) ** x.val
+        out.append(Fraction(x, p ** s))
+    c0, coeffs = out[0], out[1:]
+    if any(coeffs) or (c0 != 0 and vp(c0, p) < 0):
+        return c0, coeffs
+    # every alpha coefficient reads 0; a fixed-precision one may not be
+    if any(isinstance(x, PadicNum) for x in values[1:]):
+        raise PrecisionExhausted(j, m)
+    return None
+
+
 def recover_alpha(dec: FrobeniusDecomposition, p: int, M: int,
                   analytic_digits: int = 0):
     """Impose vp(assembled A_j coefficient) >= 0 for every j and every
@@ -453,30 +704,24 @@ def recover_alpha(dec: FrobeniusDecomposition, p: int, M: int,
     once M exceeds the deg(s) of analytic_bound.
 
     Returns the full solution coset; its per-coordinate exponents grow
-    with M at an empirical rate, with no a-priori guarantee.
+    with M at an empirical rate, with no a-priori guarantee.  A
+    fixed-precision decomposition gives the same coset, or raises
+    PrecisionExhausted (see _congruence_row).
     """
-    if M > dec.order:
-        raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
-
-    def needed(c0, coeffs):
-        # a row with no alpha term matters only if it is violated
-        return any(x != 0 for x in coeffs) or (c0 != 0 and vp(c0, p) < 0)
-
+    _check_prime_order(dec, p, M)
     rows = []
     for j in range(dec.n):
         for m in range(M):
-            c0 = Fraction(dec.slots[0][j].known(m))
-            coeffs = [Fraction(dec.slots[k][j].known(m))
-                      for k in range(1, dec.n)]
-            if needed(c0, coeffs):
-                rows.append((c0, coeffs))
+            row = _congruence_row([dec.slot(k, j, m) for k in range(dec.n)],
+                                  0, p, j, m)
+            if row is not None:
+                rows.append(row)
     if analytic_digits:
-        for s, _, _, c0, coeffs in _analytic_rows(dec, p, M,
+        for s, j, m, c0, coeffs in _analytic_rows(dec, p, M,
                                                   analytic_digits):
-            scale = Fraction(1, p ** s)
-            c0, coeffs = c0 * scale, [c * scale for c in coeffs]
-            if needed(c0, coeffs):
-                rows.append((c0, coeffs))
+            row = _congruence_row([c0] + coeffs, s, p, j, m)
+            if row is not None:
+                rows.append(row)
     if not rows:
         return CongruenceSolution(prime=p, representative=[],
                                   exponents=[], modulus_exponent=0,

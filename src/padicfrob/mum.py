@@ -213,34 +213,14 @@ class StandardBasis:
         return LogSeries(slots)
 
 
-def _theta_shift(L: MumOperator, r: int) -> list:
-    """Coefficient polynomials of L^(r) = sum_j a_j C(j,r) theta^(j-r)."""
-    n = L.order
-    out = []
-    for i in range(n - r + 1):
-        c = math.comb(i + r, r)
-        out.append([c * x for x in L.a(i + r)])
-    return out
-
-
-def _apply_poly_op(op_coeffs: list, f: PowerSeries) -> PowerSeries:
-    """sum_i op_coeffs[i](t) theta^i f, at f's truncation order."""
-    order = f.order
-    acc = PowerSeries.zero(order)
-    cur = f
-    for poly in op_coeffs:
-        if poly:
-            acc = acc + PowerSeries(poly, order) * cur
-        cur = cur.theta()
-    return acc
-
-
 def standard_basis(L: MumOperator, M: int) -> StandardBasis:
-    """Solve L(F_m) = -sum_{r=1..m} L^(r)(F_{m-r}) order by order.
+    """Solve L(F_m) = -sum_{r=1..m} L^(r)(F_{m-r}) order by order, with
+    L^(r) = sum_j C(j,r) a_j theta^(j-r).
 
-    The t^c coefficient of L(F) is D(0) c^n f_c plus terms in lower
-    f's, so each coefficient is fixed by dividing by the indicial value
-    D(0) c^n, nonzero for c >= 1.
+    The t^c coefficient of L^(r)(F) is sum_d P_rd(c - d) F[c - d] with
+    P_rd(x) = sum_i C(i+r, r) [t^d]a_{i+r} x^i.  Its r = d = 0 term in
+    L(F_m) is D(0) c^n f_c, nonzero for c >= 1, so each coefficient is
+    fixed by dividing by that indicial value.
     """
     if M < 1:
         raise ValueError("M must be positive")
@@ -248,34 +228,38 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
     if not L.is_mum_normalized():
         raise NotMUM("need a_i(0) = 0 for i < n and a_n(0) != 0")
     d0 = L.coeffs[n][0]
-
-    # weights[c][i] = t^c coefficient of a_i, for convolution below
-    maxdeg = L.degree
+    # terms[r]: (d, P_rd low power first) for every nonzero P_rd but P_00
+    terms = []
+    for r in range(n):
+        row = []
+        for d in range(L.degree + 1):
+            poly = [math.comb(i + r, r) * (a[d] if d < len(a) else 0)
+                    for i, a in enumerate(L.coeffs[r:])]
+            if any(poly) and (r, d) != (0, 0):
+                row.append((d, poly))
+        terms.append(row)
     fs = []
     for m in range(n):
-        if m == 0:
-            rhs = PowerSeries.zero(M)
-        else:
-            rhs = PowerSeries.zero(M)
-            for r in range(1, m + 1):
-                rhs = rhs - _apply_poly_op(_theta_shift(L, r), fs[m - r])
         f = [Fraction(1 if m == 0 else 0)]
         for c in range(1, M):
-            acc = Fraction(rhs.known(c))
-            for d in range(1, min(c, maxdeg) + 1):
-                base = c - d
-                power = 1
-                inner = 0
-                for i in range(n + 1):
-                    coef = L.a(i)[d] if d < len(L.a(i)) else 0
-                    if coef:
-                        inner += coef * power
-                    power *= base
-                if inner:
-                    acc -= inner * f[base]
+            acc = Fraction(0)
+            for r in range(m + 1):
+                g = fs[m - r] if r else f
+                for d, poly in terms[r]:
+                    if d <= c and g[c - d]:
+                        x = c - d
+                        acc -= _horner(poly, x) * g[x]
             f.append(acc / (d0 * c ** n))
-        fs.append(PowerSeries(f, M))
-    return StandardBasis(operator=L, fs=fs, order=M)
+        fs.append(f)
+    return StandardBasis(operator=L, fs=[PowerSeries(f, M) for f in fs],
+                         order=M)
+
+
+def _horner(poly: list, x: int) -> int:
+    out = 0
+    for c in reversed(poly):
+        out = out * x + c
+    return out
 
 
 def apply_operator(L: MumOperator, s):

@@ -48,6 +48,17 @@ def vp(x: RationalLike, p: int) -> int | float:
     return v
 
 
+def is_prime(p: int) -> bool:
+    """Trial division; False for p < 2."""
+    if p < 2:
+        return False
+    return all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+class BadPrime(ValueError):
+    """p is not a prime the computation can work at."""
+
+
 def _residue_of_rational(q: RationalLike, p: int, modulus: int) -> int:
     # q must be p-integral; the denominator is then a unit mod p^k.
     q = Fraction(q)

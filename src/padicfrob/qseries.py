@@ -15,7 +15,7 @@ theta(s) l^k + k s l^(k-1).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 _SCALARS = (int, Fraction)
 
@@ -237,9 +237,6 @@ class PowerSeries:
 
     def truncate(self, order: int) -> "PowerSeries":
         return PowerSeries(self.coeffs[:order], min(self.order, order))
-
-    def map_coefficients(self, fn: Callable) -> "PowerSeries":
-        return PowerSeries([fn(c) for c in self.coeffs], self.order)
 
     def eq_mod(self, other: "PowerSeries", order: int) -> bool:
         for k in range(order):

@@ -102,6 +102,22 @@ def test_verify_precision_exhausted_exit(capsys, monkeypatch):
     assert "precision exhausted" in err
 
 
+def test_low_precision_answers_as_exact(capsys, monkeypatch):
+    # 3 digits on the alphas leave the fixed-precision slots short of
+    # what the report prints, so the CLI decides on the exact slots
+    argv = ("--family", "simplicial", "--n", "4", "--precision", "3")
+    got = [run(capsys, cmd, *argv) for cmd in ("verify", "recover")]
+    exact = cli.solve_A_series
+
+    def exact_only(L, p, M, basis=None, digits=None):
+        return exact(L, p, M, basis=basis)
+
+    monkeypatch.setattr(cli, "solve_A_series", exact_only)
+    want = [run(capsys, cmd, *argv) for cmd in ("verify", "recover")]
+    assert got == want
+    assert [code for code, _, _ in got] == [0, 0]
+
+
 def test_recover_simplicial(capsys):
     code, out, _ = run(capsys, "recover", "--family", "simplicial",
                        "--n", "4", "--format", "json")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from padicfrob.frobenius import (
+    BadPrime,
     FrobeniusDecomposition,
     InsufficientOrder,
     NonUnitWronskian,
@@ -12,6 +13,7 @@ from padicfrob.frobenius import (
     analytic_bound,
     check_analytic,
     check_integrality,
+    integrality_digits,
     nonuniqueness_witness,
     recover_alpha,
     solve_A_series,
@@ -358,3 +360,128 @@ def test_coefficient_accessor_matches_series():
     for j in range(3):
         for m in range(15):
             assert dec.coefficient(j, m, alphas) == series[j].known(m)
+
+
+# -- fixed precision against the exact oracle ---------------------------
+
+N_CLI = 12   # the CLI's default --precision
+
+# the six sweep jobs of the benchmark at desk scale: (L, p, M, shift
+# alpha_1 by +1)
+SWEEP_CASES = [
+    (simplicial_operator(4), 31, 120, False),
+    (simplicial_operator(5), 13, 120, False),
+    (KNOWN_HYPEROCT_OPERATORS[5], 11, 120, False),
+    (simplicial_operator(4), 7, 120, True),
+    (simplicial_operator(3), 5, 120, False),
+    (KNOWN_HYPEROCT_OPERATORS[4], 7, 120, False),
+]
+DEEP_CASES = [
+    (simplicial_operator(4), 7, 140, False),
+    (KNOWN_HYPEROCT_OPERATORS[4], 7, 140, False),
+]
+
+
+def _closed_forms(L, p, N):
+    polys = alpha_hyperoctahedral(L.order - 1) \
+        if L in KNOWN_HYPEROCT_OPERATORS.values() \
+        else alpha_simplicial(L.order)
+    return [evaluate_zeta_poly(q, p, N) for q in polys]
+
+
+@pytest.mark.parametrize("L,p,M,shift", DEEP_CASES + SWEEP_CASES)
+def test_fixed_precision_matches_exact(L, p, M, shift):
+    sb = standard_basis(L, M)
+    exact = solve_A_series(L, p, M, basis=sb)
+    alphas = _closed_forms(L, p, N_CLI)
+    if shift:
+        alphas[0] = alphas[0] + 1
+    fixed = solve_A_series(L, p, M, basis=sb,
+                           digits=integrality_digits(alphas, N_CLI))
+    assert check_integrality(fixed, alphas, p, M).to_json() == \
+        check_integrality(exact, alphas, p, M).to_json()
+    coarse = solve_A_series(L, p, M, basis=sb, digits=N_CLI)
+    assert recover_alpha(coarse, p, M) == recover_alpha(exact, p, M)
+
+
+def test_fixed_precision_coefficients_and_zeros():
+    # every slot coefficient agrees with the exact one mod p^digits,
+    # and exactly the exact zeros are off the support
+    for L, p, M, _ in DEEP_CASES:
+        exact = solve_A_series(L, p, M)
+        fixed = solve_A_series(L, p, M, basis=exact.basis, digits=5)
+        for k in range(L.order):
+            for j in range(L.order):
+                for m in range(M):
+                    want = exact.slot(k, j, m)
+                    got = fixed.slot(k, j, m)
+                    assert fixed.support[k][j][m] == (want != 0)
+                    if want == 0:
+                        assert got == 0 and not isinstance(got, PadicNum)
+                    else:
+                        assert got.abs_precision == 5
+                        assert got.agrees(want, 5)
+
+
+@pytest.mark.parametrize("L,p,M,shift", DEEP_CASES)
+def test_fixed_precision_analytic_verdicts(L, p, M, shift):
+    sb = standard_basis(L, M)
+    exact = solve_A_series(L, p, M, basis=sb)
+    fixed = solve_A_series(L, p, M, basis=sb, digits=3)
+    alphas = _closed_forms(L, p, N_CLI)
+    bad = alphas[:2] + [alphas[2] + 1]
+    for al in (alphas, bad):
+        assert check_analytic(fixed, al, p, M, 3) == \
+            check_analytic(exact, al, p, M, 3)
+    assert check_analytic(fixed, bad, p, M, 1).verdict == "non-analytic"
+    # a row enters the congruence system only when an alpha term is
+    # nonzero, which 3 digits cannot tell for every coefficient
+    coarse = solve_A_series(L, p, M, basis=sb, digits=N_CLI)
+    assert recover_alpha(coarse, p, M, analytic_digits=3) == \
+        recover_alpha(exact, p, M, analytic_digits=3)
+
+
+def test_fixed_precision_short_digits_raise():
+    L, p, M = KNOWN_HYPEROCT_OPERATORS[4], 7, 140
+    alphas = _closed_forms(L, p, N_CLI)
+    fixed = solve_A_series(L, p, M, digits=N_CLI)
+    # entries reached by alpha_3 need its 14 digits on top of the slot
+    # valuation; 12 slot digits cannot supply them
+    with pytest.raises(PrecisionExhausted):
+        check_integrality(fixed, alphas, p, M)
+    with pytest.raises(PrecisionExhausted):
+        check_analytic(solve_A_series(L, p, M, basis=fixed.basis, digits=2),
+                       alphas, p, M, 3)
+    blunt = solve_A_series(L, p, M, basis=fixed.basis, digits=2)
+    # rows mod p^3 need 3 digits; and whether a row has an alpha term at
+    # all needs every slot coefficient told from zero
+    with pytest.raises(PrecisionExhausted):
+        recover_alpha(blunt, p, M, analytic_digits=3)
+    with pytest.raises(PrecisionExhausted):
+        recover_alpha(blunt, p, M)
+    with pytest.raises(ValueError):
+        verify_frobenius_property(fixed, alphas, M)
+    with pytest.raises(ValueError):
+        solve_A_series(L, p, M, basis=fixed.basis, digits=0)
+
+
+def test_integrality_digits():
+    p = 7
+    alphas = _closed_forms(KNOWN_HYPEROCT_OPERATORS[4], p, N_CLI)
+    rel = max(a.rel_precision for a in alphas if not a.is_exact)
+    assert integrality_digits(alphas, N_CLI) == N_CLI + rel
+    assert integrality_digits([Fraction(1), PadicNum.from_exact(2, p)],
+                              N_CLI) == N_CLI
+
+
+def test_solve_rejects_bad_prime():
+    for p in (-3, 0, 1, 4, 9, 25):
+        with pytest.raises(BadPrime):
+            solve_A_series(simplicial_operator(4), p, 30)
+    assert issubclass(BadPrime, ValueError)
+
+
+def test_recover_alpha_prime_mismatch_rejected():
+    dec = solve_A_series(simplicial_operator(2), 5, 20)
+    with pytest.raises(ValueError):
+        recover_alpha(dec, 7, 20)
