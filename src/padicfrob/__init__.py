@@ -28,7 +28,6 @@ from .padic_core import (  # noqa: F401
 from .qseries import (  # noqa: F401
     LogSeries,
     PowerSeries,
-    substitute_tp,
 )
 from .zeta_gamma import (  # noqa: F401
     ZetaPoly,

@@ -34,6 +34,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 from .expansion import (
     alternating_identity_check,
@@ -121,10 +122,20 @@ def _operator_for(family: str, n: int) -> MumOperator:
         return simplicial_operator(n)
     if n in KNOWN_HYPEROCT_OPERATORS:
         return KNOWN_HYPEROCT_OPERATORS[n]
+    return _guess_family(family, n)[0]
+
+
+def _period_series(family: str, n: int, M: int) -> PowerSeries:
+    if family == "simplicial":
+        return period_series_simplicial(n, M)
+    return period_series_hyperoctahedral(n, M)
+
+
+def _guess_family(family: str, n: int):
+    """(operator, degree) guessed from the family's period series."""
     dmax = 2 * n + 2
     need = (n + 1) * (dmax + 1) + GUESS_GUARD
-    op, _ = _guess_sweep(period_series_hyperoctahedral(n, need), n, dmax)
-    return op
+    return _guess_sweep(_period_series(family, n, need), n, dmax)
 
 
 def _guess_sweep(f: PowerSeries, n: int, dmax: int):
@@ -357,11 +368,15 @@ def _series_from_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
+        if not isinstance(payload["series"], list):
+            raise TypeError("not a list")
         coeffs = [Fraction(str(x)) for x in payload["series"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError("operator file needs a 'series' list of "
                          "rationals: %s" % exc)
     n = payload.get("n")
+    if n is not None and type(n) is not int:
+        raise UsageError("operator file's 'n' must be an integer")
     return PowerSeries(coeffs, len(coeffs)), n
 
 
@@ -374,7 +389,9 @@ def cmd_guess(args) -> int:
         n = args.n if args.n is not None else n_file
         if n is None:
             raise UsageError("operator file lacks 'n'; pass --n")
-        dmax = max(0, f.order // (n + 1) - 1)
+        if n < 1:
+            raise UsageError("need n >= 1")
+        op, d = _guess_sweep(f, n, max(0, f.order // (n + 1) - 1))
         source = "file:%s" % args.operator_file
     else:
         if args.n is None:
@@ -382,17 +399,9 @@ def cmd_guess(args) -> int:
         n = args.n
         if n < 2:
             raise UsageError("need n >= 2")
-        dmax = 2 * n + 2
-        need = (n + 1) * (dmax + 1) + GUESS_GUARD
-        if family == "simplicial":
-            f = period_series_simplicial(n, need)
-        else:
-            f = period_series_hyperoctahedral(n, need)
+        op, d = _guess_family(family, n)
         source = "%s period series" % family
-    if n < 1:
-        raise UsageError("need n >= 1")
 
-    op, d = _guess_sweep(f, n, dmax)
     printed = KNOWN_HYPEROCT_OPERATORS.get(n) \
         if family == "hyperoctahedral" else None
     matches = (op == printed) if printed is not None else None
@@ -419,13 +428,13 @@ def cmd_guess(args) -> int:
 # -- selftest -----------------------------------------------------------
 
 
-def _check_zeta_even(quick: bool):
-    primes = (5,) if quick else (5, 7)
+def _check_zeta_even(primes):
     for p in primes:
         for m in (2, 4):
             b = zetap_bernoulli(m, p, 2)
-            if not b.is_zero():
-                return False, "zeta_%d(%d) bernoulli route nonzero" % (p, m)
+            if not b.is_zero() or b.abs_precision < 3:
+                return False, "zeta_%d(%d) bernoulli route not 0 mod %d^3" \
+                    % (p, m, p)
             i = zetap_interpolated(m, p, 3)
             if not i.is_exact_zero:
                 return False, "zeta_%d(%d) interpolation not exact zero" \
@@ -433,9 +442,7 @@ def _check_zeta_even(quick: bool):
     return True, ""
 
 
-def _check_zeta_dual_route(quick: bool):
-    pairs = [(5, 3), (7, 3)] if quick else \
-        [(5, 3), (7, 3), (7, 5), (11, 3), (11, 5)]
+def _check_zeta_dual_route(pairs):
     for p, m in pairs:
         a = zetap_bernoulli(m, p, 2)
         b = zetap_interpolated(m, p, 3)
@@ -445,18 +452,11 @@ def _check_zeta_dual_route(quick: bool):
 
 
 def _all_v(length: int, total: int):
-    if length == 1:
-        for v in range(total + 1):
-            yield (v,)
-        return
-    for first in range(total + 1):
-        for rest in _all_v(length - 1, total - first):
-            yield (first,) + rest
+    return [v for v in product(range(total + 1), repeat=length)
+            if sum(v) <= total]
 
 
-def _check_gamma_ratio(quick: bool):
-    grid = [(2, 5, 1)] if quick else \
-        [(n, p, s) for n in (2, 3) for p in (5, 7) for s in (1, 2)]
+def _check_gamma_ratio(grid):
     for n, p, s in grid:
         for V in _all_v(n + 1, n):
             if not gamma_ratio_congruence_check(V, s, p, n):
@@ -464,7 +464,7 @@ def _check_gamma_ratio(quick: bool):
     return True, ""
 
 
-def _check_gamma_negative(quick: bool):
+def _check_gamma_negative():
     ok = gamma_ratio_congruence_check((1, 0, 0), 1, 5, 2,
                                       _corrupt=(1, Fraction(1)))
     if ok:
@@ -472,28 +472,25 @@ def _check_gamma_negative(quick: bool):
     return True, ""
 
 
-def _check_expansion_oracle(quick: bool):
-    Us = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-    Vs = [(0, 0, 0), (1, 0, 0), (1, 1, 0)] if quick else \
-        [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (2, 0, 0)]
+def _check_expansion_oracle(Vs, Us=((0, 0, 0), (1, 0, 0), (0, 1, 0)),
+                            Ns=(1, 2), order=18):
     for U in Us:
         for V in Vs:
-            for N in (1, 2):
-                want = simplicial_coeff_series(U, V, N, 18)
+            for N in Ns:
+                want = simplicial_coeff_series(U, V, N, order)
                 wU = sum(U)
                 target = tuple(N * x for x in to_laurent(V))
                 cm = brute_force_expand(
                     "simplicial", wU + 1, (wU, to_laurent(U)),
-                    (target, target), 18)
+                    (target, target), order)
                 got = cm.coefficient(target) * math.factorial(wU)
-                if any(got.known(c) != want.known(c) for c in range(18)):
+                if any(got.known(c) != want.known(c) for c in range(order)):
                     return False, "U=%s V=%s N=%d" % (U, V, N)
     return True, ""
 
 
-def _check_alternating(quick: bool, seed: int):
+def _check_alternating(rounds, seed):
     rng = random.Random(seed)
-    rounds = 10 if quick else 50
     for t in range(rounds):
         n = rng.randint(1, 6)
         coeffs = [Fraction(1)] + [
@@ -504,52 +501,38 @@ def _check_alternating(quick: bool, seed: int):
     return True, ""
 
 
-def _check_mu_values(quick: bool):
-    cases = [
+def _check_mu_values(cases=(
         ((1, 0, 0), 1, 3, Fraction(1, 6)),
         ((1, 1, 0, 0), 2, 4, Fraction(1, 48)),
         ((2, 0, 0), 2, 3, Fraction(0)),
         ((0, 0, 0, 0), 0, 4, Fraction(1)),
         ((1, 1, 1, 0, 0), 3, 5, Fraction(1, 480)),
-        ((1, 1, 0), 1, 3, Fraction(0)),
-    ]
+        ((1, 1, 0), 1, 3, Fraction(0)))):
     for u, j, n, want in cases:
         if mu_at_zero(u, j, n) != want:
             return False, "mu(%s, %d, %d) != %s" % (u, j, n, want)
     return True, ""
 
 
-def _check_operators_annihilate(quick: bool):
-    M = 30 if quick else 60
-    ns = (2, 3) if quick else (2, 3, 4, 5)
-    for n in ns:
-        L = simplicial_operator(n)
-        f = period_series_simplicial(n, M)
-        if not apply_operator(L, f).is_zero():
-            return False, "simplicial n=%d" % n
-    hns = (4,) if quick else (2, 3, 4, 5)
-    for n in hns:
-        L = _operator_for("hyperoctahedral", n)
-        f = period_series_hyperoctahedral(n, M)
-        if not apply_operator(L, f).is_zero():
-            return False, "hyperoctahedral n=%d" % n
+def _check_operators_annihilate(M, ns, hns):
+    for family, orders in (("simplicial", ns), ("hyperoctahedral", hns)):
+        for n in orders:
+            L = _operator_for(family, n)
+            f = _period_series(family, n, M)
+            if not apply_operator(L, f).is_zero():
+                return False, "%s n=%d" % (family, n)
     return True, ""
 
 
-def _check_guess_printed(quick: bool):
-    ns = (4,) if quick else (4, 5)
+def _check_guess_printed(ns):
     for n in ns:
-        dmax = 2 * n + 2
-        need = (n + 1) * (dmax + 1) + GUESS_GUARD
-        op, _ = _guess_sweep(period_series_hyperoctahedral(n, need), n, dmax)
+        op, _ = _guess_family("hyperoctahedral", n)
         if op != KNOWN_HYPEROCT_OPERATORS[n]:
             return False, "guessed operator differs at n=%d" % n
     return True, ""
 
 
-def _check_frobenius_integral(quick: bool):
-    jobs = [("simplicial", 2, 5, 30, 8)] if quick else \
-        [("simplicial", 4, 7, 70, 12), ("hyperoctahedral", 4, 7, 70, 12)]
+def _check_frobenius_integral(jobs):
     for family, n, p, M, N in jobs:
         L = _operator_for(family, n)
         alphas = [evaluate_zeta_poly(poly, p, N)
@@ -561,9 +544,7 @@ def _check_frobenius_integral(quick: bool):
     return True, ""
 
 
-def _check_frobenius_identity(quick: bool):
-    jobs = [("simplicial", 2, 5, 20, 8)] if quick else \
-        [("simplicial", 3, 5, 25, 8), ("hyperoctahedral", 4, 7, 21, 8)]
+def _check_frobenius_identity(jobs):
     for family, n, p, M, N in jobs:
         L = _operator_for(family, n)
         dec = solve_A_series(L, p, M)
@@ -574,7 +555,7 @@ def _check_frobenius_identity(quick: bool):
     return True, ""
 
 
-def _check_integrality_negative(quick: bool):
+def _check_integrality_negative():
     L = simplicial_operator(4)
     p, M, N = 7, 40, 10
     alphas = [evaluate_zeta_poly(poly, p, N) for poly in alpha_simplicial(4)]
@@ -586,45 +567,65 @@ def _check_integrality_negative(quick: bool):
     return True, ""
 
 
-def _check_nonuniqueness(quick: bool):
+def _check_nonuniqueness(lams):
     L = simplicial_operator(2)
-    lams = (1,) if quick else (1, 2)
     for lam in lams:
         if not nonuniqueness_witness(L, lam, 5, 40):
             return False, "witness fails at lambda=%d" % lam
     return True, ""
 
 
+SEED = object()  # stands for the run's --seed in an entry's inputs
+
+# (name, check, quick inputs, full inputs), run in this order; the inputs
+# both modes share are defaults.  check(**inputs) gives (ok, detail).
 SELFTEST_CHECKS = [
-    ("zeta-even-vanishes", _check_zeta_even),
-    ("zeta-dual-route", _check_zeta_dual_route),
-    ("gamma-ratio-congruence", _check_gamma_ratio),
-    ("gamma-ratio-negative-control", _check_gamma_negative),
-    ("expansion-oracle-equivalence", _check_expansion_oracle),
-    ("alternating-identity", _check_alternating),
-    ("mu-constant-table", _check_mu_values),
-    ("operators-annihilate-periods", _check_operators_annihilate),
-    ("guess-matches-printed", _check_guess_printed),
-    ("frobenius-integrality", _check_frobenius_integral),
-    ("frobenius-defining-identity", _check_frobenius_identity),
-    ("integrality-negative-control", _check_integrality_negative),
-    ("nonuniqueness-witness", _check_nonuniqueness),
+    ("zeta-even-vanishes", _check_zeta_even,
+     {"primes": (5,)}, {"primes": (5, 7)}),
+    ("zeta-dual-route", _check_zeta_dual_route,
+     {"pairs": ((5, 3), (7, 3))},
+     {"pairs": ((5, 3), (7, 3), (7, 5), (11, 3), (11, 5))}),
+    ("gamma-ratio-congruence", _check_gamma_ratio,
+     {"grid": ((2, 5, 1),)},
+     {"grid": tuple(product((2, 3), (5, 7), (1, 2)))}),
+    ("gamma-ratio-negative-control", _check_gamma_negative, {}, {}),
+    ("expansion-oracle-equivalence", _check_expansion_oracle,
+     {"Vs": ((0, 0, 0), (1, 0, 0), (1, 1, 0))},
+     {"Vs": ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1), (2, 0, 0))}),
+    ("alternating-identity", _check_alternating,
+     {"rounds": 10, "seed": SEED}, {"rounds": 50, "seed": SEED}),
+    ("mu-constant-table", _check_mu_values, {}, {}),
+    ("operators-annihilate-periods", _check_operators_annihilate,
+     {"M": 30, "ns": (2, 3), "hns": (4,)},
+     {"M": 60, "ns": (2, 3, 4, 5), "hns": (2, 3, 4, 5)}),
+    ("guess-matches-printed", _check_guess_printed,
+     {"ns": (4,)}, {"ns": (4, 5)}),
+    ("frobenius-integrality", _check_frobenius_integral,
+     {"jobs": (("simplicial", 2, 5, 30, 8),)},
+     {"jobs": (("simplicial", 4, 7, 70, 12),
+               ("hyperoctahedral", 4, 7, 70, 12))}),
+    ("frobenius-defining-identity", _check_frobenius_identity,
+     {"jobs": (("simplicial", 2, 5, 20, 8),)},
+     {"jobs": (("simplicial", 3, 5, 25, 8),
+               ("hyperoctahedral", 4, 7, 21, 8))}),
+    ("integrality-negative-control", _check_integrality_negative, {}, {}),
+    ("nonuniqueness-witness", _check_nonuniqueness,
+     {"lams": (1,)}, {"lams": (1, 2)}),
 ]
 
 
 def cmd_selftest(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    quick = bool(args.quick)
+    mode = "quick" if args.quick else "full"
     results = []
     lines = []
     failures = 0
-    for name, fn in SELFTEST_CHECKS:
+    for name, fn, quick_inputs, full_inputs in SELFTEST_CHECKS:
+        inputs = quick_inputs if args.quick else full_inputs
         start = time.monotonic()
         try:
-            if fn is _check_alternating:
-                ok, detail = fn(quick, seed)
-            else:
-                ok, detail = fn(quick)
+            ok, detail = fn(**{k: seed if v is SEED else v
+                               for k, v in inputs.items()})
         except Exception as exc:
             ok, detail = False, "%s: %s" % (type(exc).__name__, exc)
         elapsed = time.monotonic() - start
@@ -636,10 +637,9 @@ def cmd_selftest(args) -> int:
             failures += 1
             lines.append("FAIL %s: %s (%.2fs)" % (name, detail, elapsed))
     lines.append("%d passed, %d failed (seed %d, %s mode)"
-                 % (len(results) - failures, failures, seed,
-                    "quick" if quick else "full"))
+                 % (len(results) - failures, failures, seed, mode))
     payload = {"checks": results, "failures": failures, "seed": seed,
-               "mode": "quick" if quick else "full"}
+               "mode": mode}
     _emit(args, payload, lines)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 

@@ -262,29 +262,6 @@ class PowerSeries:
         return "(%s + O(t^%d))" % (body, self.order)
 
 
-# -- module-level operation names --------------------------------------
-
-
-def series_invert(f: PowerSeries) -> PowerSeries:
-    return f.invert()
-
-
-def series_exp(f: PowerSeries) -> PowerSeries:
-    return f.exp()
-
-
-def series_log(f: PowerSeries) -> PowerSeries:
-    return f.log()
-
-
-def substitute_tp(f: "PowerSeries | LogSeries", p: int):
-    return f.substitute_tp(p)
-
-
-def theta_apply(s: "PowerSeries | LogSeries"):
-    return s.theta()
-
-
 class LogSeries:
     """Polynomial in l = log t with PowerSeries coefficients.
 

@@ -9,32 +9,23 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import product
 
+from padicfrob import cli
 from padicfrob.expansion import (
     alternating_identity_check,
-    brute_force_expand,
     hyperoct_constant_term,
-    mu_at_zero,
-    simplicial_coeff_series,
-    to_laurent,
 )
 from padicfrob.frobenius import (
     analytic_bound,
     check_analytic,
     check_integrality,
-    nonuniqueness_witness,
     recover_alpha,
     solve_A_series,
 )
 from padicfrob.mum import (
     KNOWN_HYPEROCT_OPERATORS,
-    AmbiguousNullspace,
-    NoOperatorFound,
-    apply_operator,
     guess_operator,
     period_series_hyperoctahedral,
-    period_series_simplicial,
     simplicial_operator,
 )
 from padicfrob.padic_core import PadicNum
@@ -44,35 +35,18 @@ from padicfrob.zeta_gamma import (
     alpha_hyperoctahedral,
     alpha_simplicial,
     evaluate_zeta_poly,
-    gamma_ratio_congruence_check,
-    zetap_bernoulli,
-    zetap_interpolated,
 )
 
 F = Fraction
+CHECKS = {name: (fn, full) for name, fn, _, full in cli.SELFTEST_CHECKS}
 
 
-def _all_v(length, total):
-    if length == 1:
-        for v in range(total + 1):
-            yield (v,)
-        return
-    for first in range(total + 1):
-        for rest in _all_v(length - 1, total - first):
-            yield (first,) + rest
-
-
-def _hyperoct_operator(n):
-    if n in KNOWN_HYPEROCT_OPERATORS:
-        return KNOWN_HYPEROCT_OPERATORS[n]
-    for d in range(2 * n + 3):
-        need = (n + 1) * (d + 1) + 10
-        try:
-            return guess_operator(
-                period_series_hyperoctahedral(n, need), n, d)
-        except (NoOperatorFound, AmbiguousNullspace):
-            continue
-    raise NoOperatorFound("n = %d" % n)
+def _run_full(*names):
+    """Run selftest checks on their full inputs."""
+    for name in names:
+        fn, full = CHECKS[name]
+        ok, detail = fn(**full)
+        assert ok, "%s: %s" % (name, detail)
 
 
 def test_criterion_1_symbolic_alpha_exact():
@@ -98,20 +72,11 @@ def test_criterion_1_symbolic_alpha_exact():
 
 
 def test_criterion_2_zetap_values_dual_route():
-    # even zeta values vanish; the Bernoulli-limit and the
-    # interpolation routes agree mod p^3 wherever both apply
+    # even zeta values vanish at p = 5, 7; the Bernoulli-limit and the
+    # interpolation routes agree mod p^3 wherever both apply, at
+    # p = 5, 7, 11 and m = 3, 5 with m < p - 1
     t0 = time.monotonic()
-    for p in (5, 7):
-        for m in (2, 4):
-            b = zetap_bernoulli(m, p, 2)
-            assert b.is_zero() and b.abs_precision >= 3, (p, m)
-            assert zetap_interpolated(m, p, 3).is_exact_zero, (p, m)
-    pairs = [(p, m) for p in (5, 7, 11) for m in (3, 5) if m < p - 1]
-    assert len(pairs) == 5
-    for p, m in pairs:
-        a = zetap_bernoulli(m, p, 2)
-        b = zetap_interpolated(m, p, 3)
-        assert a.agrees(b, 3), "routes differ mod %d^3 at m=%d" % (p, m)
+    _run_full("zeta-even-vanishes", "zeta-dual-route")
     assert time.monotonic() - t0 < 60.0
 
 
@@ -119,10 +84,7 @@ def test_criterion_3_gamma_ratio_congruences():
     # exact Gamma_p products against the zeta-polynomial Taylor route,
     # at modulus p^((s+1) n) across the full (n, p, s, V) grid
     t0 = time.monotonic()
-    for n, p, s in product((2, 3), (5, 7), (1, 2)):
-        for V in _all_v(n + 1, n):
-            assert gamma_ratio_congruence_check(V, s, p, n), \
-                "V=%s s=%d p=%d n=%d" % (V, s, p, n)
+    _run_full("gamma-ratio-congruence")
     assert time.monotonic() - t0 < 120.0
 
 
@@ -230,37 +192,18 @@ def test_criterion_6_alpha_recovery():
 
 def test_criterion_7_operator_guessing_and_annihilation():
     # tabulated operators reproduced integer for integer from their
-    # period series; every family operator annihilates its period
-    # series through t^60
-    for n, d, need in ((4, 4, 35), (5, 6, 55)):
-        g = guess_operator(period_series_hyperoctahedral(n, need), n, d)
-        assert g == KNOWN_HYPEROCT_OPERATORS[n], "n=%d" % n
-    for n in range(2, 6):
-        out = apply_operator(simplicial_operator(n),
-                             period_series_simplicial(n, 60))
-        assert out.is_zero(), "simplicial n=%d" % n
-    for n in range(2, 6):
-        out = apply_operator(_hyperoct_operator(n),
-                             period_series_hyperoctahedral(n, 60))
-        assert out.is_zero(), "hyperoctahedral n=%d" % n
+    # period series (n = 4, 5); every family operator annihilates its
+    # period series through t^60 (n = 2..5)
+    _run_full("guess-matches-printed", "operators-annihilate-periods")
 
 
 def test_criterion_8_oracle_suites():
     # brute-force expansion equivalences
     t0 = time.monotonic()
-    Us = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for U in Us:
-        for V in _all_v(3, 2):
-            for N in (1, 2, 3):
-                want = simplicial_coeff_series(U, V, N, 20)
-                wU = sum(U)
-                target = tuple(N * x for x in to_laurent(V))
-                cm = brute_force_expand(
-                    "simplicial", wU + 1, (wU, to_laurent(U)),
-                    (target, target), 20)
-                got = cm.coefficient(target) * math.factorial(wU)
-                assert all(got.known(c) == want.known(c)
-                           for c in range(20)), (U, V, N)
+    ok, detail = cli._check_expansion_oracle(
+        Vs=cli._all_v(3, 2), Us=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        Ns=(1, 2, 3), order=20)
+    assert ok, detail
     assert time.monotonic() - t0 < 60.0
 
     # alternating identity on 50 seeded random unit series
@@ -285,21 +228,16 @@ def test_criterion_8_oracle_suites():
 
     # mu_{u,j}(0) table: permutations of j ones carry (n-j)!/(2^j n!)
     t0 = time.monotonic()
-    assert mu_at_zero((1, 0, 0), 1, 3) == F(1, 6)
-    assert mu_at_zero((1, 1, 0, 0), 2, 4) == F(1, 48)
-    for n in range(2, 6):
-        for u in _all_v(n, n - 1):
-            for j in range(sum(u) + 1):
-                ones = sum(1 for x in u if x == 1)
-                want = F(math.factorial(n - j), 2 ** j * math.factorial(n)) \
-                    if ones == j and max(u) <= 1 else F(0)
-                assert mu_at_zero(u, j, n) == want, (u, j, n)
+    cases = [(u, j, n, F(math.factorial(n - j), 2 ** j * math.factorial(n))
+              if u.count(1) == j and max(u) <= 1 else F(0))
+             for n in range(2, 6) for u in cli._all_v(n, n - 1)
+             for j in range(sum(u) + 1)]
+    ok, detail = cli._check_mu_values(cases)
+    assert ok, detail
     assert time.monotonic() - t0 < 60.0
 
 
 def test_criterion_9_nonuniqueness_witness():
     # an order-2 operator with unit Wronskian admits a one-parameter
-    # family of solution-preserving twists
-    L = simplicial_operator(2)
-    for lam in (1, 2):
-        assert nonuniqueness_witness(L, lam, 5, 40), "lambda=%d" % lam
+    # family of solution-preserving twists (lambda = 1, 2 at p = 5, M = 40)
+    _run_full("nonuniqueness-witness")

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +182,19 @@ def test_guess_missing_file_args(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", "2"), ("n", 2.5), ("n", True), ("series", "1234567890" * 4)])
+def test_guess_malformed_operator_file(capsys, tmp_path, field, value):
+    payload = {"n": 2, "series": list(range(1, 41))}
+    payload[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "guess", "--family", "file",
+                       "--operator-file", str(path))
+    assert code == 2
+    assert "operator file" in err
+
+
 def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--quick")
     assert code == 0
@@ -198,6 +213,45 @@ def test_selftest_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["seed"] == 7
     assert payload["failures"] == 0
+
+
+def test_selftest_full_matches_frozen_bytes(capsys):
+    # the sha256 the benchmark's correctness gate holds for this job
+    frozen = Path(__file__).resolve().parents[1] / "perfbench" \
+        / "expected_stdout.json"
+    want = json.loads(frozen.read_text())["selftest --format json --seed 0"]
+    code, out, _ = run(capsys, "selftest", "--format", "json", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
+def test_selftest_failure_path(capsys, monkeypatch):
+    def seeded(seed, mode):
+        return seed == 3 and mode == "full", "seed %d, %s" % (seed, mode)
+
+    def fails():
+        return False, "bad value"
+
+    def raises():
+        raise ValueError("boom")
+
+    for fn, detail in ((fails, "bad value"), (raises, "ValueError: boom")):
+        monkeypatch.setattr(cli, "SELFTEST_CHECKS", [
+            ("seeded", seeded, {"seed": cli.SEED, "mode": "quick"},
+             {"seed": cli.SEED, "mode": "full"}),
+            ("broken", fn, {}, {})])
+        code, out, _ = run(capsys, "selftest", "--seed", "3")
+        assert code == 1
+        assert "PASS seeded (" in out
+        assert "FAIL broken: %s (" % detail in out
+        assert "1 passed, 1 failed (seed 3, full mode)" in out
+        code, out, _ = run(capsys, "selftest", "--seed", "3",
+                           "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["failures"] == 1
+        assert payload["checks"][1] == {"name": "broken", "status": "fail",
+                                        "detail": detail}
 
 
 def test_parser_requires_subcommand():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicfrob import cli
 from padicfrob.frobenius import (
     BadPrime,
     FrobeniusDecomposition,
@@ -319,9 +320,8 @@ def test_prime_mismatch_rejected():
 
 
 def test_nonuniqueness_witness_family():
-    L = simplicial_operator(2)
-    for lam in (0, 1, 2):
-        assert nonuniqueness_witness(L, lam, 5, 40)
+    ok, detail = cli._check_nonuniqueness(lams=(0, 1, 2))
+    assert ok, detail
 
 
 def test_nonuniqueness_wrong_wronskian():

@@ -176,13 +176,6 @@ class TestGammaTaylor:
 
 
 class TestZetaInterpolated:
-    def test_cross_route_grid(self):
-        for p, m in [(5, 3), (7, 3), (7, 5), (11, 3), (11, 5)]:
-            zb = zetap_bernoulli(m, p, 2)
-            zi = zetap_interpolated(m, p, 3)
-            assert zi.abs_precision >= 3
-            assert zb.agrees(zi, 3)
-
     def test_high_precision_feasible(self):
         z = zetap_interpolated(3, 7, 12)
         assert z.abs_precision >= 12
