@@ -44,7 +44,6 @@ from .expansion import (
     to_laurent,
 )
 from .frobenius import (
-    InconsistentSystem,
     PrecisionExhausted,
     check_integrality,
     integrality_digits,
@@ -65,7 +64,7 @@ from .mum import (
     period_series_simplicial,
     simplicial_operator,
 )
-from .padic_core import PadicNum, is_prime
+from .padic_core import InconsistentSystem, PadicNum, is_prime
 from .qseries import PowerSeries
 from .zeta_gamma import (
     alpha_hyperoctahedral,

@@ -3,23 +3,25 @@
 The defining property is A(y_i(t^p)) = p^i sum_k alpha_k y_{i-k}(t) on
 the standard basis, alpha_0 = 1.  Taking the log-free part of each
 equation yields an n x n system over power series whose t = 0 matrix is
-diag(p^i); it is solved order by order, for every alpha-slot in one
-pass, so that A_j depends on the alpha constants linearly:
+diag(p^i); it is solved order by order, one alpha-slot at a time, so
+that A_j depends on the alpha constants linearly:
 
     A_j = A_j^(0) + sum_{k>=1} alpha_k A_j^(k).
 
-Numeric alpha values enter only at assembly time.  The slot series are
-solved in one of two modes (solve_A_series):
+Numeric alpha values enter only at assembly time.  One traversal,
+_sweep, walks the recursion, with a ring fold for the solve, a bitmask
+fold for its support and a (min, +) fold for its static bounds.  The
+slot series are solved in one of two modes (solve_A_series):
 
 - exact, over Q: the oracle, and the mode the defining identity
   (verify_frobenius_property) and nonuniqueness_witness need;
 - fixed precision, over Z/p^R: every coefficient known mod p^digits.
-  A static min-plus pass over the valuations of the matrix bounds how
-  many digits the recursion can lose and fixes R before any arithmetic,
-  and coefficients no term reaches stay exact zeros.  Consumers read
-  both modes through FrobeniusDecomposition.slot() and raise
-  PrecisionExhausted, never other digits, when the slot digits fall
-  short of what the exact mode would report.
+  The (min, +) sweeps bound how many digits the recursion can lose and
+  fix R before any arithmetic, and coefficients off the support stay
+  exact zeros.  Consumers read both modes through
+  FrobeniusDecomposition.slot() and raise PrecisionExhausted, never
+  other digits, when the slot digits fall short of what the exact mode
+  would report.
 
 Two conditions on the constants are checked against these series:
 integrality of the coefficients (check_integrality), which leaves the
@@ -44,8 +46,8 @@ from .padic_core import (
     BadPrime,
     CongruenceSolution,
     CongruenceSystem,
-    InconsistentSystem,
     PadicNum,
+    _residue_of_rational,
     is_prime,
     solve_affine_congruences,
     vp,
@@ -146,7 +148,7 @@ def _is_exact_zero(x) -> bool:
     return isinstance(x, (int, Fraction)) and x == 0
 
 
-# valuation of an exact zero in the static passes; anything at or past
+# valuation of an exact zero in the static sweeps; anything at or past
 # _NONE // 2 counts as +infinity
 _NONE = 1 << 40
 
@@ -155,86 +157,43 @@ def _val(x, p: int) -> int:
     return _NONE if x == 0 else vp(x, p)
 
 
-def _recursion(bmat, rhs, stride: int, step, support) -> list:
-    """sol[s][i][c] for every alpha-slot s in one pass over the matrix:
+def _sweep(mat, init, stride: int, live, fold, finish, zero) -> list:
+    """The slot recursion, walked once for every use of it:
 
-        a_i[c] = (rhs[s][i][c] - sum_{j, q >= 1} B_ij[q stride]
-                  a_j[c - q stride]) / p^i,
+        out[i][c] = finish(acc, i, c), acc folded from init[i][c] by
+        acc = fold(acc, mat[i][j], out[j][c - stride::-stride]), j < n,
 
-    with bmat[i][j][q-1] = B_ij[q stride] and step(acc, i, c) doing the
-    division.  Coefficients off the support are exact zeros."""
-    n = len(bmat)
-    sol = [[[] for _ in range(n)] for _ in range(n)]
-    for c in range(len(rhs[0][0])):
-        start = c - stride
-        for i in range(n):
-            brow = bmat[i]
-            for s in range(n):
-                xs = sol[s]
-                if not support[s][i][c]:
-                    xs[i].append(0)
-                    continue
-                acc = rhs[s][i][c]
-                if start >= 0:
-                    for j in range(n):
-                        acc -= sum(map(mul, brow[j], xs[j][start::-stride]))
-                xs[i].append(step(acc, i, c))
-    return sol
-
-
-def _reach(nonzero, first, stride: int) -> list:
-    """mask[i][c], bit s set when a term of slot s reaches a_i[c]: its
-    right-hand side (bit s of first[i][c]) or a nonzero B_ij[q stride]
-    times a reached a_j[c - q stride].  The structural shadow of
-    _recursion, all slots at once."""
-    n = len(nonzero)
-    out = [[] for _ in range(n)]
-    for c in range(len(first[0])):
-        start = c - stride
-        for i in range(n):
-            mask = first[i][c]
-            if start >= 0:
-                row = nonzero[i]
-                for j in range(n):
-                    mask |= reduce(or_, compress(out[j][start::-stride],
-                                                 row[j]), 0)
-            out[i].append(mask)
-    return out
-
-
-def _min_plus(vmat, init, shift, stride: int, live) -> list:
-    """x_i[c] = min(init[i][c], min_{j, q >= 1} vmat[i][j][q-1] +
-    x_j[c - q stride]) - shift[i] where live[i][c], else _NONE (for
-    +infinity): the valuation shadow of _recursion."""
-    n = len(vmat)
+    where live[i][c], else zero; mat[i][j][q-1] belongs to B_ij[q stride].
+    The ring fold (_subtract) solves, the bitmask fold (_reached) marks
+    the support and the (min, +) fold (_lowest) bounds valuations, all
+    over the same dependencies."""
+    n = len(mat)
     out = [[] for _ in range(n)]
     for c in range(len(init[0])):
         start = c - stride
         for i in range(n):
             if not live[i][c]:
-                out[i].append(_NONE)
+                out[i].append(zero)
                 continue
-            best = init[i][c]
+            acc = init[i][c]
             if start >= 0:
-                row = vmat[i]
+                row = mat[i]
                 for j in range(n):
-                    best = min(best, min(map(add, row[j],
-                                             out[j][start::-stride]),
-                                         default=_NONE))
-            out[i].append(best - shift[i])
+                    acc = fold(acc, row[j], out[j][start::-stride])
+            out[i].append(finish(acc, i, c))
     return out
 
 
-def _residue(q, p: int, shift: int, mod: int) -> int:
-    """q p^shift mod ``mod``, a power of p; q p^shift is p-integral."""
-    if not q:
-        return 0
-    num, den = q.numerator, q.denominator
-    while den % p == 0:
-        den //= p
-        shift -= 1
-    num = num * p ** shift if shift >= 0 else num // p ** -shift
-    return num * pow(den, -1, mod) % mod
+def _subtract(acc, b, x):
+    return acc - sum(map(mul, b, x))
+
+
+def _reached(acc, nonzero, x):
+    return acc | reduce(or_, compress(x, nonzero), 0)
+
+
+def _lowest(acc, v, x):
+    return min(acc, min(map(add, v, x), default=_NONE))
 
 
 def solve_A_series(L: MumOperator, p: int, M: int,
@@ -249,16 +208,17 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     to p^i delta_ij at t = 0, so each t-order is fixed by dividing by
     p^i.
 
-    Both modes skip the coefficients that no term of the recursion
-    reaches (_reach); they are exact zeros.  Fixed precision runs the
-    same recursion over Z/p^R.  B is scaled by p^w, w = -min vp(B), so
-    it is p-integral, and each unknown a is carried as X = p^S a.  A
-    step is then integer multiply-adds, one reduction mod p^R and an
-    exact division by p^(i+w).  Two min-plus passes over the valuations
-    of B fix S and R before any arithmetic: one bounds every
-    coefficient's valuation from below, which gives S; the other bounds
-    from above the digits each X loses, through p^(v(B) + w) X_j and the
-    division, which gives R = S + (largest loss) + digits.
+    Every pass is a _sweep over B with its own fold.  A bitmask sweep
+    marks the coefficients a term of each slot reaches; the rest are
+    exact zeros in both modes.  A ring sweep per slot solves, at fixed
+    precision over Z/p^R: B is scaled by p^w, w = -min vp(B), so it is
+    p-integral, and each unknown a is carried as X = p^S a.  A step is
+    then integer multiply-adds, one reduction mod p^R and an exact
+    division by p^(i+w).  Two (min, +) sweeps over the valuations of B
+    fix S and R before any arithmetic: one bounds every coefficient's
+    valuation from below, which gives S; the other bounds from above the
+    digits each X loses, through p^(v(B) + w) X_j and the division,
+    which gives R = S + (largest loss) + digits.
     """
     if not is_prime(p):
         raise BadPrime("p = %d is not a prime" % p)
@@ -286,20 +246,23 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     stride = g * p
     fvals = [[f.known(c) for c in range(M)] for f in fs[:n]]
 
-    def rhs(fv):
+    def solve(mat, fv, finish):
         # slot s, equation i: p^i F_{i-s}
-        return [[[p ** i * x for x in fv[i - s]] if i >= s else [0] * M
-                 for i in range(n)] for s in range(n)]
+        return [_sweep(mat, [[p ** i * x for x in fv[i - s]] if i >= s
+                             else [0] * M for i in range(n)],
+                       stride, support[s], _subtract, finish, 0)
+                for s in range(n)]
 
-    # a coefficient no term reaches is an exact zero in either mode
-    reach = _reach([[[bool(b) for b in col] for col in row] for row in bmat],
+    # bit s of reach[i][c]: a term of slot s reaches a_i[c]
+    reach = _sweep([[[bool(b) for b in col] for col in row] for row in bmat],
                    [[sum(1 << s for s in range(i + 1) if fvals[i - s][c])
-                     for c in range(M)] for i in range(n)], stride)
+                     for c in range(M)] for i in range(n)],
+                   stride, [b"\1" * M] * n, _reached,
+                   lambda acc, i, c: acc, 0)
     support = [[bytes(mask >> s & 1 for mask in row) for row in reach]
                for s in range(n)]
     if digits is None:
-        sol = _recursion(bmat, rhs(fvals), stride,
-                         lambda acc, i, c: Fraction(acc, p ** i), support)
+        sol = solve(bmat, fvals, lambda acc, i, c: Fraction(acc, p ** i))
         return FrobeniusDecomposition(
             p=p, operator=L, basis=basis, order=M,
             slots=[[PowerSeries(a, M) for a in s] for s in sol])
@@ -309,13 +272,14 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     w = max([0] + [-v for row in vb for col in row for v in col])
     # lower bound on the valuations of every slot; the right-hand side
     # of a_i in slot s is p^i F_{i-s}
-    floors = _min_plus(vb, [[i + min(vf[k][c] for k in range(i + 1))
-                             for c in range(M)] for i in range(n)],
-                       range(n), stride, reach)
+    floors = _sweep(vb, [[i + min(vf[k][c] for k in range(i + 1))
+                          for c in range(M)] for i in range(n)],
+                    stride, reach, _lowest, lambda acc, i, c: acc - i, _NONE)
     # precision of each X minus R, the digits it can lose negated; an
     # exact zero loses none
-    kept = _min_plus([[[v + w for v in col] for col in row] for row in vb],
-                     [[0] * M] * n, [i + w for i in range(n)], stride, reach)
+    kept = _sweep([[[v + w for v in col] for col in row] for row in vb],
+                  [[0] * M] * n, stride, reach, _lowest,
+                  lambda acc, i, c: acc - i - w, _NONE)
     scale = max([0] + [-v for row in floors for v in row])
     mod = p ** (scale - min(min(row) for row in kept) + digits)
     div = [p ** (i + w) for i in range(n)]
@@ -326,10 +290,10 @@ def solve_A_series(L: MumOperator, p: int, M: int,
             raise PrecisionExhausted(i, c)
         return q
 
-    sol = _recursion([[[_residue(b, p, w, mod) for b in col] for col in row]
-                      for row in bmat],
-                     rhs([[_residue(x, p, scale + w, mod) for x in f]
-                          for f in fvals]), stride, step, support)
+    sol = solve([[[_residue_of_rational(b, p, mod, w) for b in col]
+                  for col in row] for row in bmat],
+                [[_residue_of_rational(x, p, mod, scale + w) for x in f]
+                 for f in fvals], step)
     keep = p ** (scale + digits)
     return FrobeniusDecomposition(
         p=p, operator=L, basis=basis, order=M, digits=digits, scale=scale,

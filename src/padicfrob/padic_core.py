@@ -59,13 +59,20 @@ class BadPrime(ValueError):
     """p is not a prime the computation can work at."""
 
 
-def _residue_of_rational(q: RationalLike, p: int, modulus: int) -> int:
-    # q must be p-integral; the denominator is then a unit mod p^k.
-    q = Fraction(q)
-    den = q.denominator
-    if den % p == 0:
-        raise ValueError("rational is not p-integral")
-    return (q.numerator % modulus) * pow(den, -1, modulus) % modulus
+def _residue_of_rational(q: RationalLike, p: int, modulus: int,
+                         shift: int = 0) -> int:
+    """q p^shift modulo ``modulus``, a power of p; ValueError unless
+    q p^shift is p-integral."""
+    num, den = q.numerator, q.denominator
+    while den % p == 0:
+        den //= p
+        shift -= 1
+    if shift < 0:
+        num, r = divmod(num, p ** -shift)
+        if r:
+            raise ValueError("rational is not p-integral")
+        shift = 0
+    return num * p ** shift % modulus * pow(den, -1, modulus) % modulus
 
 
 class PrecisionError(ArithmeticError):
@@ -115,8 +122,7 @@ class PadicNum:
         if N <= 0:
             raise ValueError("relative precision must be positive")
         v = vp(q, p)
-        scaled = q / Fraction(p) ** v
-        unit = _residue_of_rational(scaled, p, p ** N)
+        unit = _residue_of_rational(q, p, p ** N, -v)
         return cls(p, val=v, unit=unit, prec=v + N)
 
     @classmethod
@@ -172,10 +178,7 @@ class PadicNum:
         """Residue of self / p^shift modulo p^mod_exp (shift <= val)."""
         m = self.p ** mod_exp
         if self.exact is not None:
-            if self.exact == 0:
-                return 0
-            return _residue_of_rational(self.exact / Fraction(self.p) ** shift,
-                                        self.p, m)
+            return _residue_of_rational(self.exact, self.p, m, -shift)
         if self.unit == 0:
             return 0
         return self.unit * self.p ** (self.val - shift) % m
@@ -662,9 +665,8 @@ def solve_affine_congruences(system: CongruenceSystem) -> CongruenceSolution:
         if e == 0:
             continue
         m = p ** e
-        scale = Fraction(p) ** e
-        a = [_residue_of_rational(c * scale, p, m) for c in coeffs]
-        b = _residue_of_rational(-c0 * scale, p, m)
+        a = [_residue_of_rational(c, p, m, e) for c in coeffs]
+        b = _residue_of_rational(-c0, p, m, e)
         reduced.append((a, b, e, idx))
     if not reduced:
         return CongruenceSolution(p, [0] * k, [0] * k, 0,

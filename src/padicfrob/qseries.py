@@ -84,13 +84,6 @@ class PowerSeries:
     def is_zero(self) -> bool:
         return all(_is_zero_coeff(c) for c in self.coeffs)
 
-    def valuation(self) -> int:
-        """Smallest exponent with nonzero coefficient, or the order."""
-        for k, c in enumerate(self.coeffs):
-            if not _is_zero_coeff(c):
-                return k
-        return self.order
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):

@@ -7,7 +7,6 @@ import pytest
 from padicfrob import cli
 from padicfrob.expansion import (
     BoxTooLarge,
-    CoeffMap,
     alternating_identity_check,
     brute_force_expand,
     cartier_truncated,

@@ -11,6 +11,7 @@ from padicfrob.padic_core import (
     InconsistentSystem,
     PadicNum,
     PrecisionError,
+    _residue_of_rational,
     bernoulli,
     check_congruence_solution,
     falling_factorial,
@@ -29,6 +30,18 @@ def test_vp_basics():
     assert vp(F(1, 50), 5) == -2
     assert vp(F(0), 5) == math.inf
     assert vp(-75, 5) == 2
+
+
+def test_residue_of_rational_shift():
+    # q 5^shift mod 5^k, the powers of 5 taken from either side of q
+    assert _residue_of_rational(F(1, 2), 5, 625) == 313
+    assert _residue_of_rational(F(3, 50), 5, 125, 2) == 3 * 63 % 125
+    assert _residue_of_rational(F(7, 3), 5, 125, 1) == 35 * 42 % 125
+    assert _residue_of_rational(-250, 5, 25, -3) == 23
+    assert _residue_of_rational(F(0), 5, 25, -4) == 0
+    for q, shift in [(F(1, 5), 0), (F(3, 50), 1), (10, -2)]:
+        with pytest.raises(ValueError, match="p-integral"):
+            _residue_of_rational(q, 5, 25, shift)
 
 
 class TestPadicNum:

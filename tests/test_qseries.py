@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicfrob.padic_core import PadicNum, padic_from_rational
+from padicfrob.padic_core import padic_from_rational
 from padicfrob.qseries import (
     BadConstantTerm,
     LogSeries,

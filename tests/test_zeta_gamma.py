@@ -6,7 +6,6 @@ import pytest
 from padicfrob.padic_core import PadicNum, vp
 from padicfrob.zeta_gamma import (
     EXACT_BERNOULLI_BOUND,
-    GammaExpansion,
     LevelTooLarge,
     PrecisionBudgetExceeded,
     WeightMismatch,
