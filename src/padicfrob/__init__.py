@@ -37,6 +37,7 @@ from .zeta_gamma import (  # noqa: F401
     gamma_ratio_congruence_check,
     gammap_int,
     gammap_taylor,
+    zetap,
     zetap_bernoulli,
     zetap_interpolated,
 )

@@ -11,7 +11,7 @@ recover   solve the integrality congruence system for the constants and
           compare the recovered coset with the closed forms.
 guess     reconstruct the annihilating operator of a period series and
           diff it against the tabulated reference operators.
-selftest  run the cross-validation suites: dual-route zeta values,
+selftest  run the cross-validation suites: three-route zeta values,
           gamma-ratio congruences, brute-force expansion oracles,
           combinatorial identities, integrality checks, and negative
           controls with deliberately corrupted constants.
@@ -71,6 +71,7 @@ from .zeta_gamma import (
     alpha_simplicial,
     evaluate_zeta_poly,
     gamma_ratio_congruence_check,
+    zetap,
     zetap_bernoulli,
     zetap_interpolated,
 )
@@ -434,10 +435,11 @@ def _check_zeta_even(primes):
             if not b.is_zero() or b.abs_precision < 3:
                 return False, "zeta_%d(%d) bernoulli route not 0 mod %d^3" \
                     % (p, m, p)
-            i = zetap_interpolated(m, p, 3)
-            if not i.is_exact_zero:
-                return False, "zeta_%d(%d) interpolation not exact zero" \
-                    % (p, m)
+            for route, z in (("interpolation", zetap_interpolated(m, p, 3)),
+                             ("washington", zetap(m, p, 3))):
+                if not z.is_exact_zero:
+                    return False, "zeta_%d(%d) %s not exact zero" \
+                        % (p, m, route)
     return True, ""
 
 
@@ -447,6 +449,10 @@ def _check_zeta_dual_route(pairs):
         b = zetap_interpolated(m, p, 3)
         if not a.agrees(b, 3):
             return False, "routes disagree mod %d^3 at m=%d" % (p, m)
+        c = zetap(m, p, 3)
+        if not (c.agrees(a, 3) and c.agrees(b, 3)):
+            return False, "washington route disagrees mod %d^3 at m=%d" \
+                % (p, m)
     return True, ""
 
 

@@ -49,6 +49,7 @@ from .padic_core import (
     PadicNum,
     _residue_of_rational,
     is_prime,
+    require_odd_prime,
     solve_affine_congruences,
     vp,
 )
@@ -558,7 +559,10 @@ def analytic_bound(L: MumOperator, p: int, s: int) -> tuple:
     rounding down to the step of the t-powers that occur (n + 1 for
     simplicial, 2 for hyperoctahedral).  For (1 - t) theta - t,
     A_0 = (1 - t^p)/(1 - t) has degree p - 1 = deg(1) exactly.
+
+    Raises BadPrime unless p is an odd prime.
     """
+    require_odd_prime(p)
     if s < 1:
         raise ValueError("need s >= 1")
     rho = _exponents_at_infinity(L)

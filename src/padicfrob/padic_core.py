@@ -59,6 +59,12 @@ class BadPrime(ValueError):
     """p is not a prime the computation can work at."""
 
 
+def require_odd_prime(p: int):
+    """Raise BadPrime unless p is an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise BadPrime("p = %d is not an odd prime" % p)
+
+
 def _residue_of_rational(q: RationalLike, p: int, modulus: int,
                          shift: int = 0) -> int:
     """q p^shift modulo ``modulus``, a power of p; ValueError unless

@@ -1,13 +1,24 @@
 """p-adic zeta values, the Morita gamma function, and closed-form
 structure constants.
 
-Two independent numeric routes to zeta_p(m) are provided:
+zeta_p(m) is the Kubota-Leopoldt value L_p(m, omega^(1-m)).  One
+production route and two independent oracles compute it:
 
-* `zetap_bernoulli`: the Kummer-congruence limit -(1-p^(n-1)) B_n/n at
-  n = 1 - m + (p-1) p^r, exact Bernoulli numbers, precision p^(r+1);
-* `zetap_interpolated`: solve for the Taylor coefficients of
+* `zetap`, the production route: Washington's formula, a finite sum of
+  Bernoulli numbers over the units mod p, evaluated mod a power of p.
+  It reports the precision the interpolation route certifies
+  (`_node_schedule`), so both give the same p-adic numbers;
+  `evaluate_zeta_poly`, and so every numeric alpha, uses it;
+* `zetap_bernoulli`, an oracle: the Kummer-congruence limit
+  -(1-p^(n-1)) B_n/n at n = 1 - m + (p-1) p^r, exact Bernoulli numbers,
+  precision p^(r+1) (fewer digits in the class m = 1 mod p-1);
+* `zetap_interpolated`, an oracle: solve for the Taylor coefficients of
   log Gamma_p at 0 from point values Gamma_p(k p^s) and read off
   zeta_p(m) = -m c_m.
+
+The three routes, gammap_taylor, evaluate_zeta_poly and
+gamma_ratio_congruence_check raise padic_core.BadPrime unless p is an
+odd prime.
 
 Symbolic alpha constants live in `ZetaPoly`, the polynomial ring over Q
 in generators z3, z5, z7, ... standing for zeta_p(3), zeta_p(5), ...
@@ -24,12 +35,15 @@ from typing import Iterable, Sequence
 
 from .padic_core import (
     PadicNum,
+    PrecisionError,
     bernoulli,
     padic_exp,
     padic_from_rational,
     padic_log,
+    require_odd_prime,
     vp,
     _ilog,
+    _residue_of_rational,
 )
 from .qseries import PowerSeries
 
@@ -226,15 +240,39 @@ class ZetaPoly:
 
 
 def zetap_bernoulli(m: int, p: int, r: int) -> PadicNum:
-    """zeta_p(m) modulo p^(r+1) from the Bernoulli-quotient limit.
+    """zeta_p(m) from the Bernoulli-quotient limit at level r: modulo
+    p^(r+1), or p^(r-1-vp(m-1)-vp(n)) when m = 1 mod p-1.
 
-    Evaluates -(1 - p^(n-1)) B_n / n exactly at n = 1 - m + (p-1) p^r
-    and truncates; the Kummer congruence pins the result mod p^(r+1)
-    (for m not congruent to 1 mod p-1; in the exceptional class the
-    value still converges but one digit may be optimistic).
+    Evaluates -(1 - p^(n-1)) B_n / n exactly at n = 1 - m + (p-1) p^r.
+    With chi = omega^(1-m), that is L_p(s', chi) at s' = 1 - n =
+    m - (p-1) p^r: n = 1 - m mod p-1, so chi omega^(-n) is trivial and
+    the Euler factor and generalized Bernoulli number are plain.  The
+    value differs from zeta_p(m) = L_p(m, chi) by the change of L_p
+    over a step m - s' of valuation r.  By Washington, Introduction to
+    Cyclotomic Fields, Thm 7.10, L_p(s, chi) = F(s) / H(s) with
+    F(s) = f((1+p)^s - 1), f in Z_p[[T]], so that
+    vp(F(s) - F(s')) >= 1 + vp(s - s').
+
+    For m != 1 mod p-1, chi is not trivial and H = 1, so the value is
+    pinned mod p^(r+1).
+
+    For m = 1 mod p-1 (the exceptional class), chi = 1 and
+    H(s) = 1 - (1+p)^(1-s), with vp(H(s)) = 1 + vp(s - 1): the pole of
+    L_p(s, 1) at s = 1.  Its residue F(1) / log_p(1+p) = 1 - 1/p has
+    valuation -1, so F(1) = f(p) is a unit, and so is F(s'), which
+    agrees with F(1) mod p^(1 + vp(s'-1)).  With v = vp(m - 1) and
+    w = vp(s' - 1) = vp(n),
+
+        L_p(m) - L_p(s') = (F(m) - F(s')) / H(m)
+                           + F(s') (H(s') - H(m)) / (H(m) H(s')).
+
+    The first term has valuation >= (1 + r) - (1 + v).  In the second,
+    H(s') - H(m) = (1+p)^(1-m) (1 - (1+p)^(m-s')) has valuation 1 + r,
+    so the term has valuation exactly r - 1 - v - w, below the first.
+    The value is pinned mod p^(r-1-v-w) and no further: r - 1 digits
+    when v = w = 0.  PrecisionError when that leaves no digit.
     """
-    if p < 3:
-        raise ValueError("p must be an odd prime")
+    require_odd_prime(p)
     if m < 2 or r < 0:
         raise ValueError("need m >= 2 and r >= 0")
     n = 1 - m + (p - 1) * p ** r
@@ -243,8 +281,14 @@ def zetap_bernoulli(m: int, p: int, r: int) -> PadicNum:
     if n > EXACT_BERNOULLI_BOUND:
         raise LevelTooLarge("Bernoulli index %d exceeds bound %d"
                             % (n, EXACT_BERNOULLI_BOUND))
+    digits = r + 1
+    if (m - 1) % (p - 1) == 0:
+        digits = r - 1 - vp(m - 1, p) - vp(n, p)
+        if digits < 1:
+            raise PrecisionError("level %d pins no digit of zeta_%d(%d)"
+                                 % (r, p, m))
     value = -(1 - Fraction(p) ** (n - 1)) * bernoulli(n) / n
-    return PadicNum.from_exact(value, p).with_abs_precision(r + 1)
+    return PadicNum.from_exact(value, p).with_abs_precision(digits)
 
 
 # -- Gamma_p point values ----------------------------------------------
@@ -404,6 +448,15 @@ class GammaExpansion:
         return padic_exp(w)
 
 
+def _node_scale(p: int, D: int, m: int, N: int) -> int:
+    """Smallest node scale s >= 2 at which the degree-D interpolation
+    knows c_m mod p^N."""
+    s = 2
+    while _tail_valuation(p, s, D + 1) - s * m < N:
+        s += 1
+    return s
+
+
 def gammap_taylor(p: int, D: int, N: int) -> GammaExpansion:
     """Interpolate the degree-D Taylor expansion of Gamma_p at 0.
 
@@ -411,17 +464,16 @@ def gammap_taylor(p: int, D: int, N: int) -> GammaExpansion:
     coefficient c_D is known mod p^N; smaller-index coefficients come
     out sharper.  Nodes are x = k p^s for k = 1..D.
     """
+    require_odd_prime(p)
     if not 0 < D < p - 1:
         raise ValueError("need 0 < D < p-1")
     if N < 1:
         raise ValueError("need N >= 1")
-    s = 2
-    while _tail_valuation(p, s, D + 1) - s * D < N:
-        s += 1
-        if D * p ** s > NODE_PRODUCT_CAP:
-            raise PrecisionBudgetExceeded(
-                "cannot reach precision %d for c_%d at p=%d within the "
-                "node cap" % (N, D, p))
+    s = _node_scale(p, D, D, N)
+    if D * p ** s > NODE_PRODUCT_CAP:
+        raise PrecisionBudgetExceeded(
+            "cannot reach precision %d for c_%d at p=%d within the "
+            "node cap" % (N, D, p))
     cs, _ = _gamma_log_solve(p, D, s)
     logseries = PowerSeries([0] + list(cs), D + 1)
     g = logseries.exp()
@@ -431,35 +483,101 @@ def gammap_taylor(p: int, D: int, N: int) -> GammaExpansion:
                           coeffs=coeffs)
 
 
-@lru_cache(maxsize=None)
-def zetap_interpolated(m: int, p: int, N: int) -> PadicNum:
-    """zeta_p(m) mod p^N via the Gamma_p interpolation route.
+def _node_schedule(m: int, p: int, N: int):
+    """The cheapest interpolation nodes (degree D, scale s) that reach
+    zeta_p(m) mod p^N, or None for even m, where zeta_p(m) = 0.
 
-    Searches the cheapest feasible (degree, scale) pair; needs m < p-1
-    so the coefficient c_m fits inside an interpolable expansion.
-    Even m returns exact zero.
+    Needs m < p-1, so that c_m fits inside an interpolable expansion.
+    The interpolation route then knows zeta_p(m) = -m c_m mod p^K with
+    K = _tail_valuation(p, s, D+1) - s m >= N (_gamma_log_solve; m is
+    prime to p, so the factor -m costs no digit).
     """
+    require_odd_prime(p)
     if m < 2 or N < 1:
         raise ValueError("need m >= 2 and N >= 1")
     if m % 2 == 0:
-        return PadicNum.from_exact(0, p)
+        return None
     if m >= p - 1:
         raise ValueError("interpolation route needs m < p-1 (m=%d, p=%d)"
                          % (m, p))
     best = None
     for D in range(m, p - 1):
-        s = 2
-        while _tail_valuation(p, s, D + 1) - s * m < N:
-            s += 1
+        s = _node_scale(p, D, m, N)
         cost = D * p ** s
         if cost <= NODE_PRODUCT_CAP and (best is None or cost < best[0]):
             best = (cost, D, s)
     if best is None:
         raise PrecisionBudgetExceeded(
             "no node schedule reaches zeta_%d(%d) mod %d^%d" % (p, m, p, N))
-    _, D, s = best
+    return best[1:]
+
+
+@lru_cache(maxsize=None)
+def zetap_interpolated(m: int, p: int, N: int) -> PadicNum:
+    """zeta_p(m) mod p^N via the Gamma_p interpolation route, on the
+    nodes _node_schedule picks; even m returns exact zero."""
+    schedule = _node_schedule(m, p, N)
+    if schedule is None:
+        return PadicNum.from_exact(0, p)
+    D, s = schedule
     cs, _ = _gamma_log_solve(p, D, s)
     return cs[m - 1] * (-m)
+
+
+def _washington(m: int, p: int, K: int) -> PadicNum:
+    """zeta_p(m) mod p^K for any m >= 2 from Washington's formula
+    (Introduction to Cyclotomic Fields, Thm 5.11, with conductor p and
+    chi = omega^(1-m), so that chi(a) <a>^(1-m) = a^(1-m)):
+
+        zeta_p(m) = 1/(m-1) 1/p sum_{a=1}^{p-1} a^(1-m)
+                    sum_{j>=0} C(1-m, j) B_j (p/a)^j.
+
+    Collecting the powers of a, the j-th term is
+
+        t_j = C(1-m, j) (p^j B_j) S_j / (p (m-1)),
+        S_j = sum_{a=1}^{p-1} a^(1-m-j).
+
+    Truncation.  C(1-m, j) = (-1)^j C(m+j-2, j) is an integer.  By von
+    Staudt-Clausen vp(B_j) >= -1, with equality only when (p-1) | j,
+    and S_j = -1 mod p when (p-1) | (m-1+j), else 0 mod p.  So
+    vp(B_j S_j) < 0 needs (p-1) | j and (p-1) | (m-1), and
+    vp(t_j) >= j - 1 - e - vp(m-1), where e = 1 if m = 1 mod p-1 and
+    e = 0 otherwise.  Every term with j >= J = K + 1 + e + vp(m-1) lies
+    in p^K Z_p, so the first J terms give zeta_p(m) mod p^K.
+
+    The sum runs over the integers mod p^W, W = K + 1 + vp(m-1): each
+    p^j B_j is p-integral, and dividing by p (m-1) costs 1 + vp(m-1)
+    digits.
+    """
+    v = vp(m - 1, p)
+    e = 1 if (m - 1) % (p - 1) == 0 else 0
+    mod = p ** (K + 1 + v)
+    inverses = [pow(a, -1, mod) for a in range(1, p)]
+    powers = [pow(b, m - 1, mod) for b in inverses]    # a^(1-m-j)
+    acc = 0
+    for j in range(K + 1 + e + v):
+        if j < 2 or j % 2 == 0:
+            acc += ((-1) ** j * math.comb(m + j - 2, j) * sum(powers)
+                    * _residue_of_rational(bernoulli(j), p, mod, j))
+        powers = [x * b % mod for x, b in zip(powers, inverses)]
+    value = Fraction(acc % mod, p * (m - 1))
+    return PadicNum.from_exact(value, p).with_abs_precision(K)
+
+
+@lru_cache(maxsize=None)
+def zetap(m: int, p: int, N: int) -> PadicNum:
+    """zeta_p(m), at least mod p^N, by Washington's formula (_washington).
+
+    Returns exactly the K >= N digits the interpolation route certifies
+    on the nodes of _node_schedule, and raises where that schedule
+    raises, so the result is the same p-adic number zetap_interpolated
+    returns, at a fraction of the cost.  Even m gives exact zero.
+    """
+    schedule = _node_schedule(m, p, N)
+    if schedule is None:
+        return PadicNum.from_exact(0, p)
+    D, s = schedule
+    return _washington(m, p, _tail_valuation(p, s, D + 1) - s * m)
 
 
 # -- symbolic expansions and the alpha constants -----------------------
@@ -523,15 +641,17 @@ def alpha_hyperoctahedral(J: int) -> list:
 
 
 def evaluate_zeta_poly(poly: ZetaPoly, p: int, N: int) -> PadicNum:
-    """Substitute numeric zeta_p values (each mod p^N at least) into a
-    zeta polynomial; an identically zero polynomial gives exact zero."""
+    """Substitute numeric zeta_p values (each mod p^N at least, from
+    zetap) into a zeta polynomial; an identically zero polynomial gives
+    exact zero."""
+    require_odd_prime(p)
     if poly.is_zero():
         return PadicNum.from_exact(0, p)
     acc = PadicNum.from_exact(0, p)
     for mono, c in sorted(poly.terms.items()):
         term = PadicNum.from_exact(c, p)
         for m in mono:
-            term = term * zetap_interpolated(m, p, N)
+            term = term * zetap(m, p, N)
         acc = acc + term
     return acc
 
@@ -550,6 +670,7 @@ def gamma_ratio_congruence_check(V: Sequence[int], s: int, p: int, n: int,
     routes share no code.  `_corrupt`, a (degree, rational) pair, adds
     a perturbation to the log-series for negative-control tests.
     """
+    require_odd_prime(p)
     V = tuple(int(v) for v in V)
     if any(v < 0 for v in V):
         raise ValueError("V must be nonnegative")

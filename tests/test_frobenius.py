@@ -231,6 +231,9 @@ def test_analytic_bound_rejections():
     # deg a_n < deg a_0: t = infinity is irregular
     with pytest.raises(ValueError):
         analytic_bound(MumOperator([[0, 0, 1], [1]]), 7, 1)
+    for p in (4, 9, 2, 1):
+        with pytest.raises(BadPrime):
+            analytic_bound(simplicial_operator(3), p, 1)
 
 
 def test_analytic_true_alpha_and_corruption():

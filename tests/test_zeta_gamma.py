@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from padicfrob.padic_core import PadicNum, vp
+from padicfrob.padic_core import (
+    BadPrime,
+    PadicNum,
+    PrecisionError,
+    bernoulli,
+    vp,
+)
 from padicfrob.zeta_gamma import (
     EXACT_BERNOULLI_BOUND,
     LevelTooLarge,
@@ -17,8 +23,10 @@ from padicfrob.zeta_gamma import (
     gammap_int,
     gammap_taylor,
     log_ratio_expansion,
+    zetap,
     zetap_bernoulli,
     zetap_interpolated,
+    _washington,
 )
 
 F = Fraction
@@ -89,7 +97,6 @@ class TestZetaBernoulli:
         assert zetap_bernoulli(5, 11, 2).residue(3) == 1200
 
     def test_matches_direct_formula(self):
-        from padicfrob.padic_core import bernoulli
         p, m, r = 5, 3, 2
         n = 1 - m + (p - 1) * p ** r
         assert n == 98
@@ -102,6 +109,85 @@ class TestZetaBernoulli:
         assert 1 - 3 + 12 * 13 ** 2 > EXACT_BERNOULLI_BOUND
         with pytest.raises(LevelTooLarge):
             zetap_bernoulli(3, 13, 2)
+
+    def test_exceptional_class_precision(self):
+        # m = 1 mod p-1: the pole of L_p(s, 1) at s = 1 leaves r - 1
+        # digits when vp(m-1) = vp(n) = 0, and the raw limit is off in
+        # exactly the next digit
+        for m, p in ((5, 5), (7, 7), (3, 3), (9, 5)):
+            with pytest.raises(PrecisionError):
+                zetap_bernoulli(m, p, 1)
+            for r in (2, 3):
+                n = 1 - m + (p - 1) * p ** r
+                if n > EXACT_BERNOULLI_BOUND:
+                    continue
+                z = zetap_bernoulli(m, p, r)
+                want = _washington(m, p, r + 2)
+                assert z.abs_precision == r - 1
+                assert z.agrees(want, r - 1)
+                raw = -(1 - F(p) ** (n - 1)) * bernoulli(n) / n
+                assert (PadicNum.from_exact(raw, p) - want).valuation == r - 1
+
+    def test_exceptional_class_with_vp_loss(self):
+        # m = 7, p = 3: vp(m-1) = vp(n) = 1, so r - 3 digits
+        for r in (4, 5):
+            z = zetap_bernoulli(7, 3, r)
+            assert z.abs_precision == r - 3
+            assert z.agrees(_washington(7, 3, r), r - 3)
+        with pytest.raises(PrecisionError):
+            zetap_bernoulli(7, 3, 3)
+
+
+class TestZetaWashington:
+    def test_matches_interpolated(self):
+        cases = [(m, p, N) for p in (5, 7, 11, 13)
+                 for m in range(3, p - 1, 2) for N in range(1, 9)]
+        for m, p, N in cases + [(3, 31, 48), (5, 7, 12)]:
+            a, b = zetap(m, p, N), zetap_interpolated(m, p, N)
+            assert (a.valuation, a.unit, a.abs_precision) == \
+                (b.valuation, b.unit, b.abs_precision), (m, p, N)
+        # the precision is the interpolation route's, not N
+        assert zetap(3, 7, 12).abs_precision == 14
+
+    def test_even_is_exact_zero(self):
+        for m in (2, 4, 10):
+            assert zetap(m, 7, 5).is_exact_zero
+
+    def test_raises_where_schedule_raises(self):
+        with pytest.raises(PrecisionBudgetExceeded):
+            zetap(3, 5, 60)
+        with pytest.raises(ValueError):
+            zetap(5, 5, 3)
+        with pytest.raises(ValueError):
+            zetap(3, 7, 0)
+
+    def test_core_is_stable_in_precision(self):
+        # the truncation point must hold in the class m = 1 mod p-1 too
+        for m, p in ((5, 5), (9, 5), (7, 7), (3, 3), (7, 3), (13, 7),
+                     (7, 5), (9, 7)):
+            for K in range(1, 9):
+                z = _washington(m, p, K)
+                assert z.abs_precision == K
+                assert z.agrees(_washington(m, p, K + 6), K), (m, p, K)
+
+    def test_core_matches_bernoulli_beyond_interpolation(self):
+        # m >= p-1, outside the class m = 1 mod p-1
+        for m, p, r in ((7, 5, 2), (9, 7, 2), (11, 7, 1)):
+            assert _washington(m, p, r + 1).agrees(
+                zetap_bernoulli(m, p, r), r + 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: zetap(3, p, 3),
+    lambda p: zetap_interpolated(3, p, 3),
+    lambda p: zetap_bernoulli(3, p, 2),
+    lambda p: evaluate_zeta_poly(ZetaPoly.gen(3), p, 3),
+], ids=["zetap", "zetap_interpolated", "zetap_bernoulli",
+        "evaluate_zeta_poly"])
+def test_rejects_bad_prime(call):
+    for p in (9, 15, 4, 2, 1):
+        with pytest.raises(BadPrime):
+            call(p)
 
 
 class TestGammaInt:
