@@ -218,6 +218,8 @@ def cmd_alpha(args) -> int:
     if args.p is not None:
         p = args.p
         N = args.precision if args.precision is not None else DEFAULT_PRECISION
+        if N < 1:
+            raise UsageError("need precision >= 1")
         nref = args.n if args.n is not None else 2
         _check_family_prime(family, nref, p)
         numeric = [evaluate_zeta_poly(poly, p, N) for poly in polys]

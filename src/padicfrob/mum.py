@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .padic_core import _echelon_mod
 from .qseries import LogSeries, PowerSeries
 
 
@@ -298,6 +299,7 @@ def apply_operator(L: MumOperator, s):
 # -- operator guessing -------------------------------------------------
 
 GUESS_GUARD = 10
+GUESS_MODULUS = 2 ** 61 - 1     # a Mersenne prime
 
 
 def _nullspace(rows: list, ncols: int) -> list:
@@ -333,13 +335,66 @@ def _nullspace(rows: list, ncols: int) -> list:
     return basis
 
 
+def _rational_reconstruct(u: int, modulus: int) -> Fraction | None:
+    """The fraction a/b with |a|, b <= sqrt(modulus/2) and a = b u mod
+    modulus, or None when there is none (von zur Gathen-Gerhard, Modern
+    Computer Algebra, 5.10: the extended Euclidean algorithm on
+    (modulus, u), stopped at the first remainder within the bound)."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1, t0, t1 = modulus, u % modulus, 0, 1
+    while r1 > bound:
+        quo = r0 // r1
+        r0, r1 = r1, r0 - quo * r1
+        t0, t1 = t1, t0 - quo * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _certified_nullspace(rows: list, ncols: int) -> list:
+    """_nullspace(rows, ncols), found mod GUESS_MODULUS and certified.
+
+    Rank over Q is at least rank mod q, so full column rank mod q
+    proves an empty nullspace.  Otherwise each free-column vector mod q
+    is rationally reconstructed and checked exactly over Z against
+    every row.  k checked vectors prove nullity k over Q, and each is
+    the vector _nullspace gives: its support lies on earlier pivots, so
+    its free column is free over Q too.  A failed reconstruction or
+    check (an unlucky q, or entries past sqrt(q/2)) falls back to
+    _nullspace.
+    """
+    q = GUESS_MODULUS
+    ints = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints.append([int(x * den) for x in row])
+    reduced, pivots = _echelon_mod(ints, ncols, q)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(int(c == fc)) for c in range(ncols)]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = _rational_reconstruct(-row[fc], q)
+            if vec[pc] is None:
+                return _nullspace(rows, ncols)
+        den = math.lcm(*(x.denominator for x in vec))
+        cleared = [int(x * den) for x in vec]
+        if any(sum(a * b for a, b in zip(row, cleared)) for row in ints):
+            return _nullspace(rows, ncols)
+        basis.append(vec)
+    return basis
+
+
 def guess_operator(f: PowerSeries, n: int, d: int,
                    M: int | None = None) -> MumOperator:
     """Recover the order-n, degree-<=d annihilator of f in theta form.
 
-    Sets up [t^c](sum a_{i,k} t^k theta^i f) = 0 for c < M and solves
-    the nullspace exactly over Q; the result is content-reduced and
-    normalized to D(0) = 1.
+    Sets up [t^c](sum a_{i,k} t^k theta^i f) = 0 for c < M and finds
+    its nullspace by elimination mod the prime GUESS_MODULUS, certified
+    exactly over Q (_certified_nullspace), with the Fraction
+    elimination _nullspace as the fallback when the certificate fails.
+    The result is content-reduced and normalized to D(0) = 1.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -358,7 +413,7 @@ def guess_operator(f: PowerSeries, n: int, d: int,
             for k in range(d + 1):
                 row.append(0 if k > c else (c - k) ** i * f.known(c - k))
         rows.append(row)
-    basis = _nullspace(rows, ncols)
+    basis = _certified_nullspace(rows, ncols)
     if not basis:
         raise NoOperatorFound("no order-%d degree-%d annihilator mod t^%d"
                               % (n, d, M))

@@ -81,6 +81,43 @@ def _residue_of_rational(q: RationalLike, p: int, modulus: int,
     return num * p ** shift % modulus * pow(den, -1, modulus) % modulus
 
 
+def _echelon_mod(rows: Sequence[Sequence[int]], ncols: int,
+                 modulus: int) -> tuple[list, list]:
+    """Gauss-Jordan elimination of integer rows over Z/modulus.
+
+    Only the first ``ncols`` columns are eliminated; further columns
+    (an augmented block) ride along.  Pivots are entries invertible mod
+    ``modulus``: a column whose remaining entries all vanish is free,
+    and one with nonzero entries but no unit among them raises
+    ValueError (a prime modulus never does).  Returns the reduced pivot
+    rows, each 1 at its own pivot and 0 at every other, and the pivot
+    columns.
+    """
+    mat = [[x % modulus for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(mat))
+                    if math.gcd(mat[k][col], modulus) == 1), None)
+        if piv is None:
+            if any(mat[k][col] for k in range(r, len(mat))):
+                raise ValueError("no unit pivot in column %d mod %d"
+                                 % (col, modulus))
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][col], -1, modulus)
+        # the pivot row is zero left of col, so only the tails change
+        top = [x * inv % modulus for x in mat[r][col:]]
+        mat[r][col:] = top
+        for k, row in enumerate(mat):
+            f = row[col]
+            if f and k != r:
+                row[col:] = [(x - f * y) % modulus
+                             for x, y in zip(row[col:], top)]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
 class PrecisionError(ArithmeticError):
     """An operation cannot be carried out at any positive precision."""
 

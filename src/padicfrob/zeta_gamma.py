@@ -42,6 +42,7 @@ from .padic_core import (
     padic_log,
     require_odd_prime,
     vp,
+    _echelon_mod,
     _ilog,
     _residue_of_rational,
 )
@@ -348,24 +349,6 @@ def _tail_valuation(p: int, v: int, m_start: int) -> int:
         m = nxt
 
 
-def _fraction_inverse(rows: list) -> list:
-    """Inverse of a small matrix over Q by Gaussian elimination."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-                                         for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 @lru_cache(maxsize=None)
 def _gamma_log_solve(p: int, D: int, s: int) -> tuple:
     """Taylor coefficients c_1..c_D of log Gamma_p at 0, with the tail
@@ -373,8 +356,12 @@ def _gamma_log_solve(p: int, D: int, s: int) -> tuple:
 
     Solves w_k = sum_m c_m (k p^s)^m for k = 1..D: the scaled matrix
     (k^m) has unit determinant (all of 1..D and their differences are
-    prime to p when D < p-1), so inversion loses no precision and the
-    coefficients c_m come out known mod p^(T - s m).
+    prime to p when D < p-1), so it is inverted mod p^E = p^(T+2) in
+    integers with no loss of precision, and the coefficients c_m come
+    out known mod p^(T - s m).  The inverse is known mod p^E and every
+    w_k lies in p Z_p, so each term w_k (V^-1)_mk is off by a multiple
+    of p^(E+1), past the p^T cut; an entry that vanishes mod p^E
+    becomes an exact 0.
     """
     if not 0 < D < p - 1:
         raise ValueError("need 0 < D < p-1")
@@ -388,8 +375,10 @@ def _gamma_log_solve(p: int, D: int, s: int) -> tuple:
     E = T + 2
     nodes = _gamma_node_values(p, s, D, E)
     ws = [padic_log(padic_from_rational(Fraction(g), p, E)) for g in nodes]
-    vinv = _fraction_inverse([[Fraction(k ** m) for m in range(1, D + 1)]
-                              for k in range(1, D + 1)])
+    reduced, _ = _echelon_mod([[k ** m for m in range(1, D + 1)]
+                               + [int(j == k) for j in range(1, D + 1)]
+                               for k in range(1, D + 1)], D, p ** E)
+    vinv = [row[D:] for row in reduced]
     cs = []
     for m in range(1, D + 1):
         chat = ws[0] * vinv[m - 1][0]

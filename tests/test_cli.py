@@ -9,7 +9,13 @@ import pytest
 from padicfrob import cli
 from padicfrob.cli import main
 from padicfrob.frobenius import PrecisionExhausted
-from padicfrob.mum import KNOWN_HYPEROCT_OPERATORS
+from padicfrob.mum import (
+    GUESS_GUARD,
+    KNOWN_HYPEROCT_OPERATORS,
+    MumOperator,
+    apply_operator,
+    period_series_hyperoctahedral,
+)
 from padicfrob.padic_core import InconsistentSystem
 
 
@@ -39,6 +45,16 @@ def test_alpha_usage_error(capsys):
     code, _, err = run(capsys, "alpha", "--family", "simplicial", "--n", "1")
     assert code == 2
     assert "n >= 2" in err
+
+
+@pytest.mark.parametrize("n", ["2", "4"])
+def test_alpha_rejects_precision_below_one(capsys, n):
+    # at n = 2 every alpha is 0, so no zeta value would catch it
+    code, out, err = run(capsys, "alpha", "--family", "simplicial", "--n", n,
+                         "--p", "7", "--precision", "-3")
+    assert code == 2
+    assert out == ""
+    assert "need precision >= 1" in err
 
 
 def test_alpha_json_numeric(capsys):
@@ -149,6 +165,22 @@ def test_guess_hyperoct_matches_printed(capsys):
     assert payload["matches_printed"] is True
     want = json.loads(KNOWN_HYPEROCT_OPERATORS[4].to_json())
     assert payload["operator"] == want
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_guess_hyperoct_beyond_printed(capsys, n):
+    # no printed operator: the guess must annihilate the period series
+    # 20 terms past the mod t^need the guess saw
+    code, out, _ = run(capsys, "guess", "--family", "hyperoctahedral",
+                       "--n", str(n), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["matches_printed"] is None
+    op = MumOperator.from_json(json.dumps(payload["operator"]))
+    assert op.order == n and op.is_mum_normalized()
+    M = (n + 1) * (2 * n + 3) + GUESS_GUARD + 20
+    image = apply_operator(op, period_series_hyperoctahedral(n, M))
+    assert all(image.known(c) == 0 for c in range(M))
 
 
 def test_guess_junk_series(capsys, tmp_path):

@@ -4,12 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from padicfrob import mum
 from padicfrob.mum import (
+    GUESS_MODULUS,
     KNOWN_HYPEROCT_OPERATORS,
     AmbiguousNullspace,
     MumOperator,
     NoOperatorFound,
     NotMUM,
+    _certified_nullspace,
+    _nullspace,
+    _rational_reconstruct,
     apply_operator,
     guess_operator,
     period_series_hyperoctahedral,
@@ -174,9 +179,64 @@ class TestGuessing:
         # the geometric series satisfies a pencil of order-2 degree-2
         # annihilators when too few equations pin it down
         geo = PowerSeries([1] * 40, 40)
-        with pytest.raises((AmbiguousNullspace, NoOperatorFound)):
+        with pytest.raises(AmbiguousNullspace,
+                           match="nullspace dimension 4"):
             guess_operator(geo, 2, 2, M=10)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             guess_operator(period_series_simplicial(3, 10), 3, 4)
+
+
+def _counting_fallback(monkeypatch):
+    calls = []
+
+    def fallback(rows, ncols):
+        calls.append(ncols)
+        return _nullspace(rows, ncols)
+
+    monkeypatch.setattr(mum, "_nullspace", fallback)
+    return calls
+
+
+class TestCertifiedNullspace:
+    def test_rational_reconstruct(self):
+        q = GUESS_MODULUS
+        for x in (F(0), F(1), F(-3, 7), F(2 ** 29, 2 ** 30 - 1)):
+            u = x.numerator * pow(x.denominator, -1, q) % q
+            assert _rational_reconstruct(u, q) == x
+        # past sqrt(q/2) = 2^30 the fraction is out of reach
+        assert _rational_reconstruct(3 ** 25, q) != 3 ** 25
+
+    def test_matches_fraction_path_without_fallback(self, monkeypatch):
+        calls = _counting_fallback(monkeypatch)
+        rows = [[1, 2, 3, 4], [2, 4, 7, 9], [3, 6, 10, 13], [0, 0, 1, 1]]
+        assert _certified_nullspace(rows, 4) == _nullspace(rows, 4)
+        assert len(_nullspace(rows, 4)) == 2
+        assert calls == []
+
+    def test_rank_drop_mod_q_takes_fallback(self, monkeypatch):
+        # rank 2 over Q but rank 1 mod q: the vector (-1, 1) found mod q
+        # fails the exact row check
+        calls = _counting_fallback(monkeypatch)
+        q = GUESS_MODULUS
+        assert _certified_nullspace([[1, 1], [1, 1 + q]], 2) == []
+        assert calls == [2]
+
+    def test_large_kernel_vector_takes_fallback(self, monkeypatch):
+        calls = _counting_fallback(monkeypatch)
+        B = 3 ** 25        # above 2^31, past the reconstruction bound
+        rows = [[1, -B, 0], [0, 0, 1], [2, -2 * B, 5]]
+        assert _certified_nullspace(rows, 3) == [[F(B), F(1), F(0)]]
+        assert calls == [3]
+
+    def test_fraction_rows(self):
+        rows = [[F(1, 2), F(1, 3), 1], [F(2, 5), 0, F(-7, 4)]]
+        assert _certified_nullspace(rows, 3) == _nullspace(rows, 3)
+
+    def test_guess_never_falls_back_on_the_families(self, monkeypatch):
+        calls = _counting_fallback(monkeypatch)
+        guess_operator(period_series_hyperoctahedral(5, 55), 5, 6)
+        with pytest.raises(NoOperatorFound):
+            guess_operator(period_series_hyperoctahedral(5, 55), 5, 5)
+        assert calls == []

@@ -11,6 +11,7 @@ from padicfrob.padic_core import (
     InconsistentSystem,
     PadicNum,
     PrecisionError,
+    _echelon_mod,
     _residue_of_rational,
     bernoulli,
     check_congruence_solution,
@@ -42,6 +43,44 @@ def test_residue_of_rational_shift():
     for q, shift in [(F(1, 5), 0), (F(3, 50), 1), (10, -2)]:
         with pytest.raises(ValueError, match="p-integral"):
             _residue_of_rational(q, 5, 25, shift)
+
+
+class TestEchelonMod:
+    def test_unit_determinant_inverse_mod_prime_power(self):
+        # Vandermonde (k^m), k, m = 1..4: unit determinant at p = 7
+        mod = 7 ** 5
+        V = [[k ** m for m in range(1, 5)] for k in range(1, 5)]
+        aug = [row + [int(i == j) for j in range(4)]
+               for i, row in enumerate(V)]
+        reduced, pivots = _echelon_mod(aug, 4, mod)
+        assert pivots == [0, 1, 2, 3]
+        inv = [row[4:] for row in reduced]
+        for i in range(4):
+            assert reduced[i][:4] == [int(i == j) for j in range(4)]
+            for j in range(4):
+                entry = sum(inv[i][k] * V[k][j] for k in range(4)) % mod
+                assert entry == int(i == j)
+
+    def test_skips_non_unit_entries(self):
+        # det = -1, but the first entry of column 0 is 7, not a unit
+        reduced, pivots = _echelon_mod([[7, 1, 1, 0], [1, 0, 0, 1]], 2,
+                                       7 ** 5)
+        assert pivots == [0, 1]
+        inv = [row[2:] for row in reduced]
+        assert inv == [[0, 1], [1, 7 ** 5 - 7]]
+
+    def test_raises_without_unit_pivot(self):
+        with pytest.raises(ValueError, match="no unit pivot in column 0"):
+            _echelon_mod([[7, 1], [14, 3]], 2, 7 ** 5)
+
+    def test_free_columns_mod_prime(self):
+        q = 2 ** 61 - 1
+        rows = [[0, 2, 4, 1], [0, 1, 2, 3], [0, 3, 6, 4]]
+        reduced, pivots = _echelon_mod(rows, 4, q)
+        assert pivots == [1, 3]
+        assert reduced == [[0, 1, 2, 0], [0, 0, 0, 1]]
+        # a multiple of q is zero mod q, so the rank can drop
+        assert _echelon_mod([[1, 1], [1, 1 + q]], 2, q)[1] == [0]
 
 
 class TestPadicNum:
