@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import add, mul, or_
 from typing import Sequence
 
@@ -47,6 +48,7 @@ from .padic_core import (
     CongruenceSolution,
     CongruenceSystem,
     PadicNum,
+    _reduced_condition,
     _residue_of_rational,
     is_prime,
     require_odd_prime,
@@ -76,6 +78,10 @@ class NonUnitWronskian(ValueError):
     """Wronskian constant term is not a p-adic unit."""
 
 
+# the weights that read the t^m coefficient itself
+_TOP = ((0, 1),)
+
+
 @dataclass
 class FrobeniusDecomposition:
     """Alpha-linear decomposition of the Frobenius coefficients.
@@ -100,11 +106,32 @@ class FrobeniusDecomposition:
     scale: int = 0
     support: list | None = None
 
+    def __post_init__(self):
+        # p^i for i <= scale + digits; the last is the stored modulus
+        self._pows = None if self.digits is None else \
+            [self.p ** i for i in range(self.scale + self.digits + 1)]
+
     @property
     def n(self) -> int:
         return self.operator.order
 
-    def slot(self, k: int, j: int, m: int, weights=((0, 1),)):
+    def _stored(self, k: int, j: int, m: int, weights) -> tuple:
+        """(x, live): x = sum of c [t^(m-i)] A_j^(k) over (i, c) in
+        weights as stored (reduced mod p^(scale + digits) at fixed
+        precision), live whether any of those coefficients is on the
+        support (always, when exact)."""
+        series = self.slots[k][j]
+        if weights is _TOP:
+            return (series.known(m),
+                    self.digits is None or self.support[k][j][m])
+        x = sum(c * series.known(m - i) for i, c in weights if i <= m)
+        if self.digits is None:
+            return x, True
+        support = self.support[k][j]
+        return (x % self._pows[-1],
+                any(support[m - i] for i, _ in weights if i <= m))
+
+    def slot(self, k: int, j: int, m: int, weights=_TOP):
         """sum of c [t^(m-i)] A_j^(k) over (i, c) in weights, c nonzero
         integers; by default the t^m coefficient itself.
 
@@ -112,20 +139,16 @@ class FrobeniusDecomposition:
         coefficient is on the support, else a PadicNum known mod
         p^digits, which is an inexact zero when its residue is 0.
         """
-        series = self.slots[k][j]
-        total = sum(c * series.known(m - i) for i, c in weights if i <= m)
+        x, live = self._stored(k, j, m, weights)
         if self.digits is None:
-            return Fraction(total)
-        support = self.support[k][j]
-        if not any(support[m - i] for i, _ in weights if i <= m):
+            return Fraction(x)
+        if not live:
             return 0
-        p = self.p
-        total %= p ** (self.scale + self.digits)
-        if total == 0:
-            return PadicNum.inexact_zero(p, self.digits)
-        v = vp(total, p)
-        return PadicNum(p, val=v - self.scale, unit=total // p ** v,
-                        prec=self.digits)
+        if x == 0:
+            return PadicNum.inexact_zero(self.p, self.digits)
+        v = vp(x, self.p)
+        return PadicNum(self.p, val=v - self.scale,
+                        unit=x // self._pows[v], prec=self.digits)
 
     def coefficient(self, j: int, m: int, alphas: Sequence):
         """Assembled t^m coefficient of A_j at the given alpha_1.."""
@@ -254,12 +277,26 @@ def solve_A_series(L: MumOperator, p: int, M: int,
                        stride, support[s], _subtract, finish, 0)
                 for s in range(n)]
 
-    # bit s of reach[i][c]: a term of slot s reaches a_i[c]
-    reach = _sweep([[[bool(b) for b in col] for col in row] for row in bmat],
-                   [[sum(1 << s for s in range(i + 1) if fvals[i - s][c])
-                     for c in range(M)] for i in range(n)],
-                   stride, [b"\1" * M] * n, _reached,
-                   lambda acc, i, c: acc, 0)
+    # A step of the recursion never leaves its residue class c mod
+    # stride.  The static sweeps therefore walk the K steps once, with
+    # the values of the classes at step t merged into one.
+    K = -(-M // stride)
+
+    def by_step(rows, merge):
+        return [[merge(row[t * stride:(t + 1) * stride]) for t in range(K)]
+                for row in rows]
+
+    # bit s of reach[i][c]: a term of slot s reaches a_i[c]; the sweep
+    # carries each class in its own n-bit lane, as OR works lane by lane
+    starts = [[sum(1 << s for s in range(i + 1) if fvals[i - s][c])
+               for c in range(M)] for i in range(n)]
+    packed = _sweep([[[bool(b) for b in col] for col in row] for row in bmat],
+                    by_step(starts, lambda xs: sum(x << n * r
+                                                   for r, x in enumerate(xs))),
+                    1, [b"\1" * K] * n, _reached, lambda acc, i, t: acc, 0)
+    lane = (1 << n) - 1
+    reach = [[row[c // stride] >> n * (c % stride) & lane for c in range(M)]
+             for row in packed]
     support = [[bytes(mask >> s & 1 for mask in row) for row in reach]
                for s in range(n)]
     if digits is None:
@@ -271,18 +308,26 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     vb = [[[_val(b, p) for b in col] for col in row] for row in bmat]
     vf = [[_val(x, p) for x in f] for f in fvals]
     w = max([0] + [-v for row in vb for col in row for v in col])
+
+    # Both (min, +) sweeps are read only through their minimum over c,
+    # and a (min, +) sweep commutes with min: each runs from its inits
+    # merged by min over the classes, live where any class is.  The
+    # minimum can only fall, so it still bounds.
+    def lowest(mat, init, finish):
+        return min(min(row) for row in _sweep(
+            mat, by_step(init, min), 1, packed, _lowest, finish, _NONE))
+
     # lower bound on the valuations of every slot; the right-hand side
     # of a_i in slot s is p^i F_{i-s}
-    floors = _sweep(vb, [[i + min(vf[k][c] for k in range(i + 1))
-                          for c in range(M)] for i in range(n)],
-                    stride, reach, _lowest, lambda acc, i, c: acc - i, _NONE)
+    floor = lowest(vb, [[i + min(vf[k][c] for k in range(i + 1))
+                         for c in range(M)] for i in range(n)],
+                   lambda acc, i, t: acc - i)
     # precision of each X minus R, the digits it can lose negated; an
     # exact zero loses none
-    kept = _sweep([[[v + w for v in col] for col in row] for row in vb],
-                  [[0] * M] * n, stride, reach, _lowest,
-                  lambda acc, i, c: acc - i - w, _NONE)
-    scale = max([0] + [-v for row in floors for v in row])
-    mod = p ** (scale - min(min(row) for row in kept) + digits)
+    kept = lowest([[[v + w for v in col] for col in row] for row in vb],
+                  [[0] * M] * n, lambda acc, i, t: acc - i - w)
+    scale = max(0, -floor)
+    mod = p ** (scale - kept + digits)
     div = [p ** (i + w) for i in range(n)]
 
     def step(acc, i, c):
@@ -482,16 +527,23 @@ def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,
     return int(value.valuation), int(value.abs_precision)
 
 
-def _divisors(x: int) -> list:
+def _divisors(x: int):
+    """The positive divisors of x in increasing order, found as they
+    are consumed."""
     x = abs(x)
-    small = [d for d in range(1, math.isqrt(x) + 1) if x % d == 0]
-    return sorted(set(small + [x // d for d in small]))
+    large = []
+    for d in range(1, math.isqrt(x) + 1):
+        if x % d == 0:
+            yield d
+            if d * d != x:
+                large.append(x // d)
+    yield from reversed(large)
 
 
 def _exponents_at_infinity(L: MumOperator) -> list:
-    """Roots rho, with multiplicity, of sum_i [t^d] a_i(t) (-rho)^i,
-    d = deg D: the local solutions of L at t = infinity behave like
-    t^(-rho) times powers of log t."""
+    """Roots rho, with multiplicity and in increasing order, of
+    sum_i [t^d] a_i(t) (-rho)^i, d = deg D: the local solutions of L at
+    t = infinity behave like t^(-rho) times powers of log t."""
     d = L.degree
     if len(L.leading()) - 1 != d:
         raise ValueError("t = infinity is not a regular singular point")
@@ -501,10 +553,13 @@ def _exponents_at_infinity(L: MumOperator) -> list:
     while poly[0] == 0:
         roots.append(Fraction(0))
         poly.pop(0)
-    cands = {Fraction(sign * u, v)
-             for u in _divisors(int(poly[0]))
-             for v in _divisors(int(poly[-1])) for sign in (1, -1)}
-    for r in sorted(cands):
+    # rational roots u/v, u | poly[0] and v | poly[-1], smallest u first;
+    # the search stops once the polynomial is fully factored
+    lead = list(_divisors(int(poly[-1])))
+    for r in (Fraction(sign * u, v) for u in _divisors(int(poly[0]))
+              for v in lead for sign in (1, -1)):
+        if len(poly) == 1:
+            break
         while len(poly) > 1:
             # synthetic division by (rho - r); the remainder is P(r)
             quot = [poly[-1]]
@@ -516,7 +571,7 @@ def _exponents_at_infinity(L: MumOperator) -> list:
             poly = quot[::-1]
     if len(poly) > 1:
         raise ValueError("exponents at t = infinity are not all rational")
-    return roots
+    return sorted(roots)
 
 
 def analytic_bound(L: MumOperator, p: int, s: int) -> tuple:
@@ -565,25 +620,34 @@ def analytic_bound(L: MumOperator, p: int, s: int) -> tuple:
     require_odd_prime(p)
     if s < 1:
         raise ValueError("need s >= 1")
+    return _analytic_bounds(L, p, s)[-1]
+
+
+def _analytic_bounds(L: MumOperator, p: int, digits: int) -> list:
+    """[analytic_bound(L, p, s) for s = 1..digits], with the exponents
+    at infinity found once."""
+    require_odd_prime(p)
     rho = _exponents_at_infinity(L)
-    e = (s - 1) * p
-    return e, e * L.degree + math.floor(p * max(rho) - min(rho))
+    top = math.floor(p * max(rho) - min(rho))
+    return [((s - 1) * p, (s - 1) * p * L.degree + top)
+            for s in range(1, digits + 1)]
 
 
 def _analytic_rows(dec: FrobeniusDecomposition, p: int, M: int,
                    digits: int):
-    """Yield (s, j, m, c0, coeffs) with [t^m] D^e(s) A_j = c0 + sum_k
-    alpha_k coeffs[k-1], for s = 1..digits, j < n and deg(s) < m < M;
-    each must vanish mod p^s."""
+    """Yield (s, j, m, weights) with [t^m] D^e(s) A_j = sum of c
+    [t^(m-i)] A_j over (i, c) in weights, for s = 1..digits, j < n and
+    deg(s) < m < M; each must vanish mod p^s."""
     _check_prime_order(dec, p, M)
-    for s in range(1, digits + 1):
-        e, deg = analytic_bound(dec.operator, p, s)
+    if digits < 1:
+        return
+    for s, (e, deg) in enumerate(_analytic_bounds(dec.operator, p, digits),
+                                 start=1):
         d_pow = PowerSeries(dec.operator.leading(), M) ** e
-        terms = [(i, c) for i, c in enumerate(d_pow.coeffs) if c]
+        weights = [(i, c) for i, c in enumerate(d_pow.coeffs) if c]
         for j in range(dec.n):
             for m in range(deg + 1, M):
-                vals = [dec.slot(k, j, m, terms) for k in range(dec.n)]
-                yield s, j, m, vals[0], vals[1:]
+                yield s, j, m, weights
 
 
 @dataclass
@@ -610,9 +674,10 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
     if len(alphas) != dec.n - 1:
         raise ValueError("need %d alpha values" % (dec.n - 1))
     rows = 0
-    for s, j, m, c0, coeffs in _analytic_rows(dec, p, M, digits):
-        value = c0
-        for al, c in zip(alphas, coeffs):
+    for s, j, m, weights in _analytic_rows(dec, p, M, digits):
+        value = dec.slot(0, j, m, weights)
+        for k, al in enumerate(alphas, start=1):
+            c = dec.slot(k, j, m, weights)
             if not _is_exact_zero(c):
                 value = value + al * c
         if isinstance(value, PadicNum) and not value.is_exact:
@@ -634,29 +699,42 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
                           rows=rows)
 
 
-def _congruence_row(values: list, s: int, p: int, j: int, m: int):
-    """(c0, coeffs) = values / p^s as rationals for CongruenceSystem, or
-    None for a row that cannot bind: no alpha term and c0 / p^s in Z_p.
+def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int,
+                    weights):
+    """The condition vp(sum_k alpha_k x_k) >= 0, alpha_0 = 1, where x_k
+    is the sum of c [t^(m-i)] A_j^(k) / p^s over (i, c) in weights, as
+    a reduced row (a, b, e) of CongruenceSystem; None for a row that
+    cannot bind: no alpha term, and x_0 in Z_p.
 
-    The condition vp(c0 + sum alpha_k c_k) >= 0 on alpha in Z_p sees the
-    values only modulo Z_p, so a fixed-precision value known mod p^s
-    enters as its residue.  PrecisionExhausted when it is known to
-    less, or when residues 0 leave open whether an alpha term exists.
+    The condition sees the x_k only modulo Z_p.  An exact row reduces
+    its rationals (padic_core._reduced_condition).  A fixed-precision
+    slot stores X = p^(scale + s) x mod p^(scale + digits), so the row
+    is X mod p^T, T = scale + s, divided by the largest power of p that
+    divides p^T and every entry.  PrecisionExhausted when the slots are
+    known to fewer than s digits, or when residues 0 leave open whether
+    an alpha term exists.
     """
-    out = []
-    for x in values:
-        if isinstance(x, PadicNum):
-            if x.abs_precision < s:
-                raise PrecisionExhausted(j, m)
-            x = 0 if x.is_zero() else Fraction(x.unit) * Fraction(p) ** x.val
-        out.append(Fraction(x, p ** s))
-    c0, coeffs = out[0], out[1:]
-    if any(coeffs) or (c0 != 0 and vp(c0, p) < 0):
-        return c0, coeffs
-    # every alpha coefficient reads 0; a fixed-precision one may not be
-    if any(isinstance(x, PadicNum) for x in values[1:]):
+    if dec.digits is None:
+        vals = [dec.slot(k, j, m, weights) for k in range(dec.n)]
+        if any(vals[1:]) or vp(vals[0], dec.p) < s:
+            return _reduced_condition(vals[0], vals[1:], dec.p, -s)
+        return None
+    xs, live = zip(*(dec._stored(k, j, m, weights) for k in range(dec.n)))
+    if not any(live):
+        return None
+    if s > dec.digits:
         raise PrecisionExhausted(j, m)
-    return None
+    pows = dec._pows
+    top = pows[dec.scale + s]
+    ys = [x % top for x in xs]
+    if not (any(xs[1:]) or ys[0]):
+        if any(live[1:]):
+            raise PrecisionExhausted(j, m)
+        return None
+    g = math.gcd(top, *ys)
+    mod = top // g
+    return (tuple(y // g for y in ys[1:]), -(ys[0] // g) % mod,
+            bisect_left(pows, mod))
 
 
 def recover_alpha(dec: FrobeniusDecomposition, p: int, M: int,
@@ -671,31 +749,24 @@ def recover_alpha(dec: FrobeniusDecomposition, p: int, M: int,
     join the system as vp(row / p^s) >= 0; they pin those constants
     once M exceeds the deg(s) of analytic_bound.
 
-    Returns the full solution coset; its per-coordinate exponents grow
-    with M at an empirical rate, with no a-priori guarantee.  A
-    fixed-precision decomposition gives the same coset, or raises
-    PrecisionExhausted (see _congruence_row).
+    Each row is read once, straight into the reduced form (a, b, e) of
+    CongruenceSystem (see _congruence_row), so solve_affine_congruences
+    is left with the Smith stage.  Returns the full solution coset; its
+    per-coordinate exponents grow with M at an empirical rate, with no
+    a-priori guarantee.  A fixed-precision decomposition gives the same
+    coset, or raises PrecisionExhausted.
     """
     _check_prime_order(dec, p, M)
-    rows = []
-    for j in range(dec.n):
-        for m in range(M):
-            row = _congruence_row([dec.slot(k, j, m) for k in range(dec.n)],
-                                  0, p, j, m)
-            if row is not None:
-                rows.append(row)
-    if analytic_digits:
-        for s, j, m, c0, coeffs in _analytic_rows(dec, p, M,
-                                                  analytic_digits):
-            row = _congruence_row([c0] + coeffs, s, p, j, m)
-            if row is not None:
-                rows.append(row)
+    specs = chain(((0, j, m, _TOP) for j in range(dec.n) for m in range(M)),
+                  _analytic_rows(dec, p, M, analytic_digits))
+    rows = [row for row in (_congruence_row(dec, *spec) for spec in specs)
+            if row is not None]
     if not rows:
         return CongruenceSolution(prime=p, representative=[],
                                   exponents=[], modulus_exponent=0,
                                   generators=[])
-    system = CongruenceSystem.build(p, rows)
-    return solve_affine_congruences(system)
+    return solve_affine_congruences(
+        CongruenceSystem(p, dec.n - 1, tuple(rows)))
 
 
 def nonuniqueness_witness(L: MumOperator, lam, p: int, M: int,

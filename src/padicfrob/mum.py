@@ -299,7 +299,9 @@ def apply_operator(L: MumOperator, s):
 # -- operator guessing -------------------------------------------------
 
 GUESS_GUARD = 10
-GUESS_MODULUS = 2 ** 61 - 1     # a Mersenne prime
+# Mersenne primes, tried in turn; reconstruction reaches entries up to
+# sqrt(q/2) = 2^30, 2^63 and 2^260
+GUESS_MODULI = (2 ** 61 - 1, 2 ** 127 - 1, 2 ** 521 - 1)
 
 
 def _nullspace(rows: list, ncols: int) -> list:
@@ -352,7 +354,8 @@ def _rational_reconstruct(u: int, modulus: int) -> Fraction | None:
 
 
 def _certified_nullspace(rows: list, ncols: int) -> list:
-    """_nullspace(rows, ncols), found mod GUESS_MODULUS and certified.
+    """_nullspace(rows, ncols), found mod a prime of GUESS_MODULI and
+    certified.
 
     Rank over Q is at least rank mod q, so full column rank mod q
     proves an empty nullspace.  Otherwise each free-column vector mod q
@@ -360,14 +363,23 @@ def _certified_nullspace(rows: list, ncols: int) -> list:
     every row.  k checked vectors prove nullity k over Q, and each is
     the vector _nullspace gives: its support lies on earlier pivots, so
     its free column is free over Q too.  A failed reconstruction or
-    check (an unlucky q, or entries past sqrt(q/2)) falls back to
-    _nullspace.
+    check (an unlucky q, or entries past sqrt(q/2)) moves on to the
+    next, larger prime, and after the last one falls back to _nullspace.
     """
-    q = GUESS_MODULUS
     ints = []
     for row in rows:
         den = math.lcm(*(x.denominator for x in row))
         ints.append([int(x * den) for x in row])
+    for q in GUESS_MODULI:
+        basis = _checked_nullspace(ints, ncols, q)
+        if basis is not None:
+            return basis
+    return _nullspace(rows, ncols)
+
+
+def _checked_nullspace(ints: list, ncols: int, q: int) -> list | None:
+    """The nullspace basis of the integer rows found mod the prime q and
+    checked exactly, or None when a reconstruction or check fails."""
     reduced, pivots = _echelon_mod(ints, ncols, q)
     basis = []
     for fc in range(ncols):
@@ -377,11 +389,11 @@ def _certified_nullspace(rows: list, ncols: int) -> list:
         for row, pc in zip(reduced, pivots):
             vec[pc] = _rational_reconstruct(-row[fc], q)
             if vec[pc] is None:
-                return _nullspace(rows, ncols)
+                return None
         den = math.lcm(*(x.denominator for x in vec))
         cleared = [int(x * den) for x in vec]
         if any(sum(a * b for a, b in zip(row, cleared)) for row in ints):
-            return _nullspace(rows, ncols)
+            return None
         basis.append(vec)
     return basis
 
@@ -391,8 +403,8 @@ def guess_operator(f: PowerSeries, n: int, d: int,
     """Recover the order-n, degree-<=d annihilator of f in theta form.
 
     Sets up [t^c](sum a_{i,k} t^k theta^i f) = 0 for c < M and finds
-    its nullspace by elimination mod the prime GUESS_MODULUS, certified
-    exactly over Q (_certified_nullspace), with the Fraction
+    its nullspace by elimination mod the primes of GUESS_MODULI in turn,
+    certified exactly over Q (_certified_nullspace), with the Fraction
     elimination _nullspace as the fallback when the certificate fails.
     The result is content-reduced and normalized to D(0) = 1.
     """

@@ -559,15 +559,21 @@ def falling_factorial(x, k: int):
 
 @dataclass(frozen=True)
 class CongruenceSystem:
-    """Conditions vp(c0 + sum_i alpha_i c_i) >= 0 on unknowns in Z_p.
+    """Conditions vp(c0 + sum_i alpha_i c_i) >= 0 on unknowns in Z_p,
+    stored reduced.
 
-    Each condition is a pair (c0, coefficient tuple); all entries are
-    exact rationals.
+    Each condition is a row (a, b, e): the congruence sum_i a_i alpha_i
+    = b mod p^e, with 0 <= a_i, b < p^e and e the least exponent that
+    makes p^e c0 and every p^e c_i p-integral.  A row with e = 0 binds
+    nothing but keeps its place, so the index InconsistentSystem
+    reports counts it.  build() reduces rational rows (c0, coefficients)
+    once; recover_alpha builds the reduced rows straight from the slot
+    residues.
     """
 
     prime: int
     unknowns: int
-    conditions: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]
+    conditions: tuple[tuple[tuple[int, ...], int, int], ...]
 
     @classmethod
     def build(cls, p: int, rows: Iterable[tuple[RationalLike, Sequence[RationalLike]]]
@@ -575,12 +581,11 @@ class CongruenceSystem:
         conds = []
         width = None
         for c0, coeffs in rows:
-            coeffs = tuple(Fraction(c) for c in coeffs)
             if width is None:
                 width = len(coeffs)
             elif len(coeffs) != width:
                 raise ValueError("ragged condition rows")
-            conds.append((Fraction(c0), coeffs))
+            conds.append(_reduced_condition(c0, coeffs, p))
         if width is None:
             raise ValueError("empty system")
         return cls(p, width, tuple(conds))
@@ -611,13 +616,17 @@ class InconsistentSystem(Exception):
         self.index = index
 
 
-def _condition_exponent(c0: Fraction, coeffs: Sequence[Fraction], p: int) -> int:
-    worst = 0
+def _reduced_condition(c0: RationalLike, coeffs: Sequence[RationalLike],
+                       p: int, shift: int = 0) -> tuple:
+    """The row (a, b, e) of CongruenceSystem for the condition
+    vp(p^shift (c0 + sum_i alpha_i c_i)) >= 0 on alpha in Z_p."""
+    e = 0
     for c in (c0, *coeffs):
-        v = vp(c, p)
-        if v is not INFINITY and v < -worst:
-            worst = -v
-    return worst
+        if c:
+            e = max(e, -shift - vp(c, p))
+    m = p ** e
+    return (tuple(_residue_of_rational(c, p, m, e + shift) for c in coeffs),
+            _residue_of_rational(-c0, p, m, e + shift), e)
 
 
 def _smith_solve(rows, rhs, prov, k, p, E):
@@ -695,33 +704,26 @@ def _smith_solve(rows, rhs, prov, k, p, E):
 def solve_affine_congruences(system: CongruenceSystem) -> CongruenceSolution:
     """Describe all alpha in Z_p^k satisfying every integrality condition.
 
-    Each condition vp(c0 + sum alpha_i c_i) >= 0 reduces to a linear
-    congruence mod p^e with e = max(0, -min_i vp(c_i)); the joint system
-    is solved by Smith normal form over Z/p^E, which yields the exact
-    solution coset.  Raises InconsistentSystem when no solution exists.
+    The reduced rows (a, b, e) with e > 0, each scaled to the common
+    modulus p^E, E = max e, are solved by Smith normal form over Z/p^E,
+    which yields the exact solution coset.  Raises InconsistentSystem,
+    with the index of a violated row, when no solution exists.
     """
     p = system.prime
     k = system.unknowns
-    reduced = []
-    for idx, (c0, coeffs) in enumerate(system.conditions):
-        e = _condition_exponent(c0, coeffs, p)
-        if e == 0:
-            continue
-        m = p ** e
-        a = [_residue_of_rational(c, p, m, e) for c in coeffs]
-        b = _residue_of_rational(-c0, p, m, e)
-        reduced.append((a, b, e, idx))
-    if not reduced:
+    E = max((e for _, _, e in system.conditions), default=0)
+    if E == 0:
         return CongruenceSolution(p, [0] * k, [0] * k, 0,
                                   [[1 if i == j else 0 for j in range(k)]
                                    for i in range(k)])
-    E = max(e for _, _, e, _ in reduced)
     mod = p ** E
     rows, rhs, prov = [], [], []
-    for a, b, e, idx in reduced:
+    for idx, (a, b, e) in enumerate(system.conditions):
+        if e == 0:
+            continue
         scale = p ** (E - e)
-        rows.append([x * scale % mod for x in a])
-        rhs.append(b * scale % mod)
+        rows.append([x * scale for x in a])
+        rhs.append(b * scale)
         prov.append(frozenset([idx]))
     d, M, b_red, prov_red, leftovers = _smith_solve(rows, rhs, prov, k, p, E)
     for bval, pset in leftovers:
@@ -756,10 +758,13 @@ def solve_affine_congruences(system: CongruenceSystem) -> CongruenceSolution:
 
 def check_congruence_solution(system: CongruenceSystem,
                               alpha: Sequence[RationalLike]) -> bool:
-    """Exact check that a rational point satisfies every condition."""
+    """Exact check that a p-integral rational point satisfies every
+    condition."""
     p = system.prime
-    for c0, coeffs in system.conditions:
-        total = c0 + sum(Fraction(a) * c for a, c in zip(alpha, coeffs))
-        if total != 0 and vp(total, p) < 0:
+    for a, b, e in system.conditions:
+        m = p ** e
+        total = sum(x * _residue_of_rational(y, p, m)
+                    for x, y in zip(a, alpha))
+        if (total - b) % m:
             return False
     return True

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicfrob import cli
+from padicfrob import cli, frobenius
 from padicfrob.frobenius import (
     BadPrime,
     FrobeniusDecomposition,
@@ -27,7 +27,12 @@ from padicfrob.mum import (
     simplicial_operator,
     standard_basis,
 )
-from padicfrob.padic_core import InconsistentSystem, PadicNum, vp
+from padicfrob.padic_core import (
+    CongruenceSystem,
+    InconsistentSystem,
+    PadicNum,
+    vp,
+)
 from padicfrob.qseries import PowerSeries
 from padicfrob.zeta_gamma import (
     alpha_hyperoctahedral,
@@ -488,3 +493,94 @@ def test_recover_alpha_prime_mismatch_rejected():
     dec = solve_A_series(simplicial_operator(2), 5, 20)
     with pytest.raises(ValueError):
         recover_alpha(dec, 7, 20)
+
+
+def _rational_rows(dec, p, M, analytic_digits):
+    """recover_alpha's conditions as rational rows (c0, coefficients):
+    each value read through slot(), over p^s, a fixed-precision one as
+    its residue; a row that cannot bind is left out."""
+    specs = [(0, j, m, ((0, 1),)) for j in range(dec.n) for m in range(M)]
+    specs += frobenius._analytic_rows(dec, p, M, analytic_digits)
+    rows = []
+    for s, j, m, weights in specs:
+        vals = []
+        for k in range(dec.n):
+            x = dec.slot(k, j, m, weights)
+            if isinstance(x, PadicNum):
+                x = 0 if x.is_zero() else \
+                    Fraction(x.unit) * Fraction(p) ** x.val
+            vals.append(Fraction(x, p ** s))
+        if any(vals[1:]) or vp(vals[0], p) < 0:
+            rows.append((vals[0], vals[1:]))
+    return rows
+
+
+@pytest.mark.parametrize("L,p,M", [(simplicial_operator(4), 7, 140),
+                                   (KNOWN_HYPEROCT_OPERATORS[4], 7, 120),
+                                   (simplicial_operator(3), 5, 100)])
+def test_congruence_rows_match_rational_build(L, p, M, monkeypatch):
+    # the rows recover_alpha reads straight from the slots are the rows
+    # CongruenceSystem.build reduces from the rationals, row for row
+    systems = []
+
+    def capture(system):
+        systems.append(system)
+        return solve(system)
+
+    solve = frobenius.solve_affine_congruences
+    monkeypatch.setattr(frobenius, "solve_affine_congruences", capture)
+    sb = standard_basis(L, M)
+    for digits in (None, N_CLI):
+        dec = solve_A_series(L, p, M, basis=sb, digits=digits)
+        for analytic_digits in (0, 3):
+            recover_alpha(dec, p, M, analytic_digits=analytic_digits)
+            want = CongruenceSystem.build(
+                p, _rational_rows(dec, p, M, analytic_digits))
+            assert systems.pop() == want
+            assert any(e == 0 for _, _, e in want.conditions)
+
+
+def test_exponents_at_infinity_found_once(monkeypatch):
+    # ROADMAP item 1's case: simplicial n = 7, p = 11, rows mod p^3
+    L, p, M = simplicial_operator(7), 11, 254
+    for n in (7, 9):
+        assert frobenius._exponents_at_infinity(simplicial_operator(n)) \
+            == list(range(1, n + 1))
+    assert analytic_bound(L, p, 3)[1] == M - 2
+    calls = []
+    find = frobenius._exponents_at_infinity
+    monkeypatch.setattr(frobenius, "_exponents_at_infinity",
+                        lambda op: calls.append(op) or find(op))
+    dec = solve_A_series(L, p, M, digits=N_CLI)
+    sol = recover_alpha(dec, p, M, analytic_digits=3)
+    assert sol.exponents == [4, 4, 3, 2, 0, 1]
+    assert len(calls) == 1
+
+
+def test_recover_alpha_rows_past_the_digits_raise():
+    # an order-one operator has no alpha term: one slot digit decides
+    # the analytic rows mod p, not those mod p^2
+    p, M = 5, 20
+    dec = solve_A_series(GEOM_L, p, M, digits=1)
+    assert recover_alpha(dec, p, M, analytic_digits=1).representative == []
+    with pytest.raises(PrecisionExhausted):
+        recover_alpha(dec, p, M, analytic_digits=2)
+
+
+def test_recover_alpha_inconsistent_analytic_constant_row():
+    # A_0 = (1 - t^p)/(1 - t) plus a unit at t^10, past deg(1) = p - 1:
+    # integral, so no integrality row binds, but the analytic row mod p
+    # has no alpha term to absorb it, in both modes
+    p, M = 5, 20
+    exact = solve_A_series(GEOM_L, p, M)
+    fixed = solve_A_series(GEOM_L, p, M, basis=exact.basis, digits=3)
+    for dec in (exact, fixed):
+        coeffs = [dec.slots[0][0].known(c) for c in range(M)]
+        coeffs[10] += p ** dec.scale
+        broken = FrobeniusDecomposition(
+            p=p, operator=GEOM_L, basis=dec.basis, order=M,
+            slots=[[PowerSeries(coeffs, M)]], digits=dec.digits,
+            scale=dec.scale, support=dec.support)
+        assert recover_alpha(broken, p, M).representative == []
+        with pytest.raises(InconsistentSystem):
+            recover_alpha(broken, p, M, analytic_digits=1)

@@ -6,7 +6,7 @@ import pytest
 
 from padicfrob import mum
 from padicfrob.mum import (
-    GUESS_MODULUS,
+    GUESS_MODULI,
     KNOWN_HYPEROCT_OPERATORS,
     AmbiguousNullspace,
     MumOperator,
@@ -201,7 +201,7 @@ def _counting_fallback(monkeypatch):
 
 class TestCertifiedNullspace:
     def test_rational_reconstruct(self):
-        q = GUESS_MODULUS
+        q = GUESS_MODULI[0]
         for x in (F(0), F(1), F(-3, 7), F(2 ** 29, 2 ** 30 - 1)):
             u = x.numerator * pow(x.denominator, -1, q) % q
             assert _rational_reconstruct(u, q) == x
@@ -216,19 +216,27 @@ class TestCertifiedNullspace:
         assert calls == []
 
     def test_rank_drop_mod_q_takes_fallback(self, monkeypatch):
-        # rank 2 over Q but rank 1 mod q: the vector (-1, 1) found mod q
-        # fails the exact row check
+        # rank 2 over Q but rank 1 mod every q: the vector (-1, 1) found
+        # mod each fails the exact row check
         calls = _counting_fallback(monkeypatch)
-        q = GUESS_MODULUS
-        assert _certified_nullspace([[1, 1], [1, 1 + q]], 2) == []
+        q1, q2, q3 = GUESS_MODULI
+        assert _certified_nullspace([[1, 1], [1, 1 + q1 * q2 * q3]], 2) == []
         assert calls == [2]
 
     def test_large_kernel_vector_takes_fallback(self, monkeypatch):
         calls = _counting_fallback(monkeypatch)
-        B = 3 ** 25        # above 2^31, past the reconstruction bound
+        B = 3 ** 165       # above 2^261, past the largest reconstruction bound
         rows = [[1, -B, 0], [0, 0, 1], [2, -2 * B, 5]]
         assert _certified_nullspace(rows, 3) == [[F(B), F(1), F(0)]]
         assert calls == [3]
+
+    def test_larger_modulus_certifies(self, monkeypatch):
+        # 3^25 > 2^31 is past sqrt(q/2) for the first modulus only
+        calls = _counting_fallback(monkeypatch)
+        B = 3 ** 25
+        rows = [[1, -B, 0], [0, 0, 1], [2, -2 * B, 5]]
+        assert _certified_nullspace(rows, 3) == [[F(B), F(1), F(0)]]
+        assert calls == []
 
     def test_fraction_rows(self):
         rows = [[F(1, 2), F(1, 3), 1], [F(2, 5), 0, F(-7, 4)]]

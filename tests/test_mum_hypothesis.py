@@ -16,7 +16,8 @@ from padicfrob.mum import _certified_nullspace, _nullspace  # noqa: E402
 def test_planted_nullity_matches_fraction_path(data, ncols, nullity, extra,
                                                size):
     # rows = B C with C of rank <= ncols - nullity; at size 10^6 the
-    # kernel vectors pass the reconstruction bound and take the fallback
+    # kernel vectors pass the first modulus's reconstruction bound, so
+    # they are certified at a larger one
     rank = ncols - nullity
     entries = st.integers(-size, size)
     C = data.draw(st.lists(st.lists(entries, min_size=ncols,
