@@ -19,9 +19,10 @@ slot series are solved in one of two modes (solve_A_series):
   The (min, +) sweeps bound how many digits the recursion can lose and
   fix R before any arithmetic, and coefficients off the support stay
   exact zeros.  Consumers read both modes through
-  FrobeniusDecomposition.slot() and raise PrecisionExhausted, never
-  other digits, when the slot digits fall short of what the exact mode
-  would report.
+  FrobeniusDecomposition.slot(), or, on the verify and recover paths
+  (check_integrality, recover_alpha), the stored integers themselves,
+  and raise PrecisionExhausted, never other digits, when the slot
+  digits fall short of what the exact mode would report.
 
 Two conditions on the constants are checked against these series:
 integrality of the coefficients (check_integrality), which leaves the
@@ -78,10 +79,6 @@ class NonUnitWronskian(ValueError):
     """Wronskian constant term is not a p-adic unit."""
 
 
-# the weights that read the t^m coefficient itself
-_TOP = ((0, 1),)
-
-
 @dataclass
 class FrobeniusDecomposition:
     """Alpha-linear decomposition of the Frobenius coefficients.
@@ -94,7 +91,8 @@ class FrobeniusDecomposition:
     the integer p^scale c mod p^(scale + N), so it is known mod p^N, and
     support[k][j][m] says whether any term of the recursion reached it;
     off the support c is an exact zero.  Read coefficients through
-    slot(), which serves both modes.
+    slot(), which serves both modes; check_integrality and recover_alpha
+    read the stored integers and the support directly.
     """
 
     p: int
@@ -115,40 +113,59 @@ class FrobeniusDecomposition:
     def n(self) -> int:
         return self.operator.order
 
-    def _stored(self, k: int, j: int, m: int, weights) -> tuple:
-        """(x, live): x = sum of c [t^(m-i)] A_j^(k) over (i, c) in
-        weights as stored (reduced mod p^(scale + digits) at fixed
-        precision), live whether any of those coefficients is on the
-        support (always, when exact)."""
-        series = self.slots[k][j]
-        if weights is _TOP:
-            return (series.known(m),
-                    self.digits is None or self.support[k][j][m])
-        x = sum(c * series.known(m - i) for i, c in weights if i <= m)
-        if self.digits is None:
-            return x, True
-        support = self.support[k][j]
-        return (x % self._pows[-1],
-                any(support[m - i] for i, _ in weights if i <= m))
+    def slot(self, k: int, j: int, m: int):
+        """The t^m coefficient of A_j^(k).
 
-    def slot(self, k: int, j: int, m: int, weights=_TOP):
-        """sum of c [t^(m-i)] A_j^(k) over (i, c) in weights, c nonzero
-        integers; by default the t^m coefficient itself.
-
-        Exact: a Fraction.  Fixed-precision: the exact 0 when no weighted
-        coefficient is on the support, else a PadicNum known mod
-        p^digits, which is an inexact zero when its residue is 0.
+        Exact: a Fraction.  Fixed-precision: the exact 0 off the support,
+        else a PadicNum known mod p^digits, which is an inexact zero when
+        its residue is 0.
         """
-        x, live = self._stored(k, j, m, weights)
+        x = self.slots[k][j].known(m)
         if self.digits is None:
             return Fraction(x)
-        if not live:
+        if not self.support[k][j][m]:
             return 0
         if x == 0:
             return PadicNum.inexact_zero(self.p, self.digits)
         v = vp(x, self.p)
         return PadicNum(self.p, val=v - self.scale,
                         unit=x // self._pows[v], prec=self.digits)
+
+    def _times(self, poly: list, lo: int, M: int):
+        """The decomposition holding the t^m coefficients of poly(t)
+        A_j^(k) for lo <= m < M, poly integers low power first; those
+        below t^lo are left out, as exact zeros.  Each product is formed
+        once, as a sum of shifted copies of the series, and at fixed
+        precision a coefficient is on the support where any of its terms
+        is."""
+        terms = [(i, c) for i, c in enumerate(poly) if c]
+
+        def product(a: PowerSeries) -> list:
+            out = [0] * (M - lo)
+            for i, c in terms:
+                start = max(lo - i, 0)
+                off = start + i - lo
+                src = a.coeffs[start:M - i]
+                out[off:off + len(src)] = [x + c * y for x, y in
+                                           zip(out[off:], src)]
+            if self.digits is not None:
+                out = [x % self._pows[-1] for x in out]
+            return [0] * lo + out
+
+        window = ((1 << 8 * M) - 1) ^ ((1 << 8 * lo) - 1)
+
+        def spread(live: bytes) -> bytes:
+            mask = int.from_bytes(live[:M], "little")
+            return (reduce(or_, (mask << 8 * i for i, _ in terms), 0)
+                    & window).to_bytes(M, "little")
+
+        return FrobeniusDecomposition(
+            p=self.p, operator=self.operator, basis=self.basis, order=M,
+            digits=self.digits, scale=self.scale,
+            slots=[[PowerSeries(product(a), M) for a in row]
+                   for row in self.slots],
+            support=None if self.digits is None else
+            [[spread(live) for live in row] for row in self.support])
 
     def coefficient(self, j: int, m: int, alphas: Sequence):
         """Assembled t^m coefficient of A_j at the given alpha_1.."""
@@ -256,19 +273,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     elif basis.order < M:
         raise InsufficientOrder("basis known mod t^%d, need t^%d"
                                 % (basis.order, M))
-    fs = basis.fs
-    # B_ij lives in degrees divisible by p: (theta^r F)[q] = q^r F[q]
-    bmat = [[[p ** j * sum(math.comb(j, m) * q ** (j - m) * fs[i - m].known(q)
-                           for m in range(min(i, j) + 1))
-              for q in range(1, (M - 1) // p + 1)]
-             for j in range(n)] for i in range(n)]
-    # and, for operators in t^g (g = n + 1 simplicial, 2 hyperoctahedral),
-    # in degrees divisible by g p
-    g = math.gcd(*(q for row in bmat for col in row
-                   for q, b in enumerate(col, start=1) if b)) or 1
-    bmat = [[col[g - 1::g] for col in row] for row in bmat]
-    stride = g * p
-    fvals = [[f.known(c) for c in range(M)] for f in fs[:n]]
+    fvals = [[f.known(c) for c in range(M)] for f in basis.fs[:n]]
+    bmat, stride = _frobenius_matrix(fvals, p, M)
 
     def solve(mat, fv, finish):
         # slot s, equation i: p^i F_{i-s}
@@ -346,6 +352,24 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         slots=[[PowerSeries([x % keep for x in a], M) for a in s]
                for s in sol],
         support=support)
+
+
+def _frobenius_matrix(fvals: list, p: int, M: int) -> tuple:
+    """(mat, stride): mat[i][j][q-1] = B_ij[q stride] for q stride < M,
+    from fvals[k][c] = [t^c] F_k.
+
+    B_ij lives in degrees divisible by p: (theta^r F)[q] = q^r F[q].
+    B_i0[q] = F_i[q] and every B_ij[q] combines the F_k[q], so for an
+    operator in t^g (g = n + 1 simplicial, 2 hyperoctahedral) B lives
+    in degrees divisible by stride = g p, g the gcd of the q with some
+    F_k[q] nonzero; only those degrees are built."""
+    n = len(fvals)
+    top = (M - 1) // p
+    g = math.gcd(*(q for f in fvals for q in range(1, top + 1) if f[q])) or 1
+    return [[[p ** j * sum(math.comb(j, m) * q ** (j - m) * fvals[i - m][q]
+                           for m in range(min(i, j) + 1))
+              for q in range(g, top + 1, g)]
+             for j in range(n)] for i in range(n)], g * p
 
 
 def _scaled_rhs(dec: FrobeniusDecomposition, i: int,
@@ -432,7 +456,9 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     valuation is provably negative; anything else raises
     PrecisionExhausted.  A fixed-precision decomposition gives the
     report the exact slots give, or PrecisionExhausted where its digits
-    fall short (integrality_digits says how many suffice).
+    fall short (integrality_digits says how many suffice).  Its entries
+    are read from the stored slot integers (_stored_entries), with no
+    PadicNum arithmetic; an exact one goes through _integrality_entry.
 
     Integrality is a weak test of the constants.  The slot series
     A_j^(k) for k >= n-2 are themselves p-integral at the built-in
@@ -441,12 +467,16 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     verdict at any t-order.  The rows of check_analytic pin those.
     """
     _check_prime_order(dec, p, M)
+    if len(alphas) != dec.n - 1:
+        raise ValueError("need %d alpha values" % (dec.n - 1))
+    entry_of = (lambda j, m: _integrality_entry(dec, j, m, alphas)) \
+        if dec.digits is None else _stored_entries(dec, alphas)
     entries = []
     min_val = None
     first_bad = None
     for j in range(dec.n):
         for m in range(M):
-            entry = _integrality_entry(dec, j, m, alphas)
+            entry = entry_of(j, m)
             if entry is None:
                 continue
             val, prec = entry
@@ -525,6 +555,69 @@ def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,
             raise PrecisionExhausted(j, m)
         return None, int(value.abs_precision)
     return int(value.valuation), int(value.abs_precision)
+
+
+def _stored_entries(dec: FrobeniusDecomposition, alphas: Sequence):
+    """(j, m) -> _integrality_entry(dec, j, m, alphas) for a
+    fixed-precision dec, read from the stored integers X_k = p^scale c_k
+    mod p^(scale + D), D = dec.digits.
+
+    Each alpha_k (alpha_0 = 1) is prepared once as its valuation a_k,
+    absolute precision A_k (infinite when exact) and a residue of
+    alpha_k / p^e, e = min a_k <= 0; an exact zero drops out, as its
+    products do in PadicNum.  PadicNum's own rules give the entry's
+    precision: a sum keeps the least precision of its terms, and the
+    product of alpha_k with a slot coefficient c_k of valuation v_k is
+    known to a_k + D, and to v_k + A_k when alpha_k is inexact.  So over
+    the terms on the support P = min(a_k + D, v_k + A_k), and
+    p^(scale - e) times the entry is sum_k (alpha_k / p^e) X_k, known
+    mod p^(P + scale - e), which gives the valuation.  The same tests as
+    in _integrality_entry then decide or raise PrecisionExhausted.
+    """
+    p, digits, scale = dec.p, dec.digits, dec.scale
+    padics = [(k, al if isinstance(al, PadicNum)
+               else PadicNum.from_exact(al, p))
+              for k, al in enumerate([1] + list(alphas))]
+    padics = [(k, al) for k, al in padics if not al.is_exact_zero]
+    e = min(al.valuation for _, al in padics)
+    top = scale + digits - e + max(al.valuation for _, al in padics)
+    pows = [p ** i for i in range(top + 1)]
+    stored = pows[scale + digits]
+    # (k, a_k + D, A_k, alpha_k / p^e mod p^top)
+    terms = [(k, al.valuation + digits, al.abs_precision,
+              al._scaled_residue(e, top)) for k, al in padics]
+
+    def entry(j: int, m: int):
+        acc = 0
+        prec = target = INFINITY
+        for k, kept, A, r in terms:
+            if not dec.support[k][j][m]:
+                continue
+            x = dec.slots[k][j].known(m)
+            prec = min(prec, kept)
+            acc += r * x
+            if A != INFINITY:
+                if not x:
+                    raise PrecisionExhausted(j, m)
+                target = min(target,
+                             A + bisect_left(pows, math.gcd(x, stored))
+                             - scale)
+        if prec == INFINITY:
+            return None
+        prec = min(prec, target)
+        # prec >= e - scale, as v_k >= -scale and A_k >= a_k >= e
+        width = prec + scale - e
+        g = math.gcd(acc, pows[width])
+        val = None if g == pows[width] else bisect_left(pows, g) + e - scale
+        if target == INFINITY:
+            if val is None:
+                raise PrecisionExhausted(j, m)
+            return val, None
+        if prec < target or (val is None and prec < 1):
+            raise PrecisionExhausted(j, m)
+        return val, prec
+
+    return entry
 
 
 def _divisors(x: int):
@@ -635,19 +728,21 @@ def _analytic_bounds(L: MumOperator, p: int, digits: int) -> list:
 
 def _analytic_rows(dec: FrobeniusDecomposition, p: int, M: int,
                    digits: int):
-    """Yield (s, j, m, weights) with [t^m] D^e(s) A_j = sum of c
-    [t^(m-i)] A_j over (i, c) in weights, for s = 1..digits, j < n and
-    deg(s) < m < M; each must vanish mod p^s."""
+    """Yield (weighted, s, j, m) for s = 1..digits, j < n and deg(s) <
+    m < M, where weighted holds the products D^e(s) A_j^(k), formed once
+    per s; each row [t^m] D^e(s) A_j must vanish mod p^s."""
     _check_prime_order(dec, p, M)
     if digits < 1:
         return
+    lead = PowerSeries(dec.operator.leading(), M)
     for s, (e, deg) in enumerate(_analytic_bounds(dec.operator, p, digits),
                                  start=1):
-        d_pow = PowerSeries(dec.operator.leading(), M) ** e
-        weights = [(i, c) for i, c in enumerate(d_pow.coeffs) if c]
+        if deg + 1 >= M:
+            continue
+        weighted = dec._times((lead ** e).coeffs, deg + 1, M)
         for j in range(dec.n):
             for m in range(deg + 1, M):
-                yield s, j, m, weights
+                yield weighted, s, j, m
 
 
 @dataclass
@@ -674,10 +769,10 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
     if len(alphas) != dec.n - 1:
         raise ValueError("need %d alpha values" % (dec.n - 1))
     rows = 0
-    for s, j, m, weights in _analytic_rows(dec, p, M, digits):
-        value = dec.slot(0, j, m, weights)
+    for weighted, s, j, m in _analytic_rows(dec, p, M, digits):
+        value = weighted.slot(0, j, m)
         for k, al in enumerate(alphas, start=1):
-            c = dec.slot(k, j, m, weights)
+            c = weighted.slot(k, j, m)
             if not _is_exact_zero(c):
                 value = value + al * c
         if isinstance(value, PadicNum) and not value.is_exact:
@@ -699,12 +794,12 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
                           rows=rows)
 
 
-def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int,
-                    weights):
+def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int):
     """The condition vp(sum_k alpha_k x_k) >= 0, alpha_0 = 1, where x_k
-    is the sum of c [t^(m-i)] A_j^(k) / p^s over (i, c) in weights, as
-    a reduced row (a, b, e) of CongruenceSystem; None for a row that
-    cannot bind: no alpha term, and x_0 in Z_p.
+    is [t^m] A_j^(k) / p^s in dec (for an analytic row, dec holds the
+    products D^e(s) A_j^(k)), as a reduced row (a, b, e) of
+    CongruenceSystem; None for a row that cannot bind: no alpha term,
+    and x_0 in Z_p.
 
     The condition sees the x_k only modulo Z_p.  An exact row reduces
     its rationals (padic_core._reduced_condition).  A fixed-precision
@@ -715,11 +810,12 @@ def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int,
     an alpha term exists.
     """
     if dec.digits is None:
-        vals = [dec.slot(k, j, m, weights) for k in range(dec.n)]
+        vals = [dec.slot(k, j, m) for k in range(dec.n)]
         if any(vals[1:]) or vp(vals[0], dec.p) < s:
             return _reduced_condition(vals[0], vals[1:], dec.p, -s)
         return None
-    xs, live = zip(*(dec._stored(k, j, m, weights) for k in range(dec.n)))
+    xs = [row[j].known(m) for row in dec.slots]
+    live = [row[j][m] for row in dec.support]
     if not any(live):
         return None
     if s > dec.digits:
@@ -757,9 +853,9 @@ def recover_alpha(dec: FrobeniusDecomposition, p: int, M: int,
     coset, or raises PrecisionExhausted.
     """
     _check_prime_order(dec, p, M)
-    specs = chain(((0, j, m, _TOP) for j in range(dec.n) for m in range(M)),
+    specs = chain(((dec, 0, j, m) for j in range(dec.n) for m in range(M)),
                   _analytic_rows(dec, p, M, analytic_digits))
-    rows = [row for row in (_congruence_row(dec, *spec) for spec in specs)
+    rows = [row for row in (_congruence_row(*spec) for spec in specs)
             if row is not None]
     if not rows:
         return CongruenceSolution(prime=p, representative=[],

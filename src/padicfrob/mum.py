@@ -238,6 +238,13 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
     P_rd(x) = sum_i C(i+r, r) [t^d]a_{i+r} x^i.  Its r = d = 0 term in
     L(F_m) is D(0) c^n f_c, nonzero for c >= 1, so each coefficient is
     fixed by dividing by that indicial value.
+
+    Each f_c is summed as integer numerators over the lcm of the
+    denominators it reads and reduced once, by the one Fraction it
+    becomes; the values P_rd(x) are tabulated up front.  An operator in
+    t^g has its F_m in t^g too (every d above is a multiple of g), so
+    only the coefficients at multiples of g are computed; the others
+    are exact zeros.
     """
     if M < 1:
         raise ValueError("M must be positive")
@@ -245,7 +252,9 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
     if not L.is_mum_normalized():
         raise NotMUM("need a_i(0) = 0 for i < n and a_n(0) != 0")
     d0 = L.coeffs[n][0]
-    # terms[r]: (d, P_rd low power first) for every nonzero P_rd but P_00
+    g = math.gcd(*(d for a in L.coeffs for d, x in enumerate(a) if x)) or M
+    # terms[r]: (d / g, [P_rd(x) for x = 0, g, 2g, ... < M]) for every
+    # nonzero P_rd but P_00
     terms = []
     for r in range(n):
         row = []
@@ -253,23 +262,34 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
             poly = [math.comb(i + r, r) * (a[d] if d < len(a) else 0)
                     for i, a in enumerate(L.coeffs[r:])]
             if any(poly) and (r, d) != (0, 0):
-                row.append((d, poly))
+                row.append((d // g, [_horner(poly, x)
+                                     for x in range(0, M, g)]))
         terms.append(row)
     fs = []
+    # numerators and denominators of the f_m at c = 0, g, 2g, ..., read
+    # without Fraction's properties
+    nums, dens = [], []
     for m in range(n):
-        f = [Fraction(1 if m == 0 else 0)]
-        for c in range(1, M):
-            acc = Fraction(0)
+        f, fn, fd = [Fraction(int(m == 0))], [int(m == 0)], [1]
+        for c in range(1, -(-M // g)):
+            reads = []
             for r in range(m + 1):
-                g = fs[m - r] if r else f
-                for d, poly in terms[r]:
-                    if d <= c and g[c - d]:
-                        x = c - d
-                        acc -= _horner(poly, x) * g[x]
-            f.append(acc / (d0 * c ** n))
-        fs.append(f)
-    return StandardBasis(operator=L, fs=[PowerSeries(f, M) for f in fs],
-                         order=M)
+                gn, gd = (nums[m - r], dens[m - r]) if r else (fn, fd)
+                for d, vals in terms[r]:
+                    if d <= c and gn[c - d]:
+                        reads.append((vals[c - d] * gn[c - d], gd[c - d]))
+            den = math.lcm(*{b for _, b in reads})
+            y = Fraction(-sum(a * (den // b) for a, b in reads),
+                         den * d0 * (c * g) ** n)
+            f.append(y)
+            fn.append(y.numerator)
+            fd.append(y.denominator)
+        full = [Fraction(0)] * M
+        full[::g] = f
+        fs.append(PowerSeries(full, M))
+        nums.append(fn)
+        dens.append(fd)
+    return StandardBasis(operator=L, fs=fs, order=M)
 
 
 def _horner(poly: list, x: int) -> int:

@@ -754,17 +754,3 @@ def solve_affine_congruences(system: CongruenceSystem) -> CongruenceSolution:
                 e_i = min(e_i, vp(g[i] % mod, p))
         exps.append(e_i)
     return CongruenceSolution(p, rep, exps, E, gens)
-
-
-def check_congruence_solution(system: CongruenceSystem,
-                              alpha: Sequence[RationalLike]) -> bool:
-    """Exact check that a p-integral rational point satisfies every
-    condition."""
-    p = system.prime
-    for a, b, e in system.conditions:
-        m = p ** e
-        total = sum(x * _residue_of_rational(y, p, m)
-                    for x, y in zip(a, alpha))
-        if (total - b) % m:
-            return False
-    return True

@@ -273,10 +273,6 @@ class LogSeries:
     def from_series(cls, s: PowerSeries) -> "LogSeries":
         return cls([s])
 
-    @property
-    def log_degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def component(self, k: int) -> PowerSeries:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]

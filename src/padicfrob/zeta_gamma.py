@@ -118,9 +118,6 @@ class ZetaPoly:
     def weights(self) -> set:
         return {sum(mono) for mono in self.terms}
 
-    def is_homogeneous(self, w: int) -> bool:
-        return all(sum(mono) == w for mono in self.terms)
-
     @staticmethod
     def _coerce(other):
         if isinstance(other, ZetaPoly):

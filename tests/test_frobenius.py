@@ -6,6 +6,7 @@ import pytest
 
 from padicfrob import cli, frobenius
 from padicfrob.frobenius import (
+    AnalyticReport,
     BadPrime,
     FrobeniusDecomposition,
     InsufficientOrder,
@@ -319,6 +320,18 @@ def test_insufficient_order_paths():
         recover_alpha(dec, 5, 11, analytic_digits=1)
 
 
+def test_integrality_rejects_wrong_alpha_count():
+    # both modes; the fixed readout would otherwise drop an extra exact
+    # zero, and both would ignore a missing alpha
+    exact = solve_A_series(simplicial_operator(4), 7, 30)
+    fixed = solve_A_series(simplicial_operator(4), 7, 30, basis=exact.basis,
+                           digits=N_CLI)
+    for dec in (exact, fixed):
+        for alphas in ([], [0, 0], [0, 0, 0, 0]):
+            with pytest.raises(ValueError):
+                check_integrality(dec, alphas, 7, 30)
+
+
 def test_prime_mismatch_rejected():
     dec = solve_A_series(simplicial_operator(2), 5, 10)
     with pytest.raises(ValueError):
@@ -397,17 +410,42 @@ def _closed_forms(L, p, N):
     return [evaluate_zeta_poly(q, p, N) for q in polys]
 
 
+def _integrality(dec, alphas, p, M):
+    try:
+        return check_integrality(dec, alphas, p, M).to_json()
+    except PrecisionExhausted as exc:
+        return exc.j, exc.m
+
+
+def _entry_by_entry(dec, alphas, M):
+    """Where _integrality_entry, the exact path, raises on dec, or None."""
+    for j in range(dec.n):
+        for m in range(M):
+            try:
+                frobenius._integrality_entry(dec, j, m, alphas)
+            except PrecisionExhausted as exc:
+                return exc.j, exc.m
+    return None
+
+
 @pytest.mark.parametrize("L,p,M,shift", DEEP_CASES + SWEEP_CASES)
 def test_fixed_precision_matches_exact(L, p, M, shift):
     sb = standard_basis(L, M)
     exact = solve_A_series(L, p, M, basis=sb)
-    alphas = _closed_forms(L, p, N_CLI)
+    closed = _closed_forms(L, p, N_CLI)
     if shift:
-        alphas[0] = alphas[0] + 1
-    fixed = solve_A_series(L, p, M, basis=sb,
-                           digits=integrality_digits(alphas, N_CLI))
-    assert check_integrality(fixed, alphas, p, M).to_json() == \
-        check_integrality(exact, alphas, p, M).to_json()
+        closed[0] = closed[0] + 1
+    # the closed forms (or alpha_1 + 1); alpha_1 = 1/7 and alpha_1 = 0
+    # exactly; the top alpha shifted by 3/p^2
+    for alphas in (closed,
+                   [PadicNum.from_exact(Fraction(1, 7), p)] + closed[1:],
+                   [PadicNum.from_exact(0, p)] + closed[1:],
+                   closed[:-1] + [closed[-1] + Fraction(3, p ** 2)]):
+        fixed = solve_A_series(L, p, M, basis=sb,
+                               digits=integrality_digits(alphas, N_CLI))
+        assert _entry_by_entry(fixed, alphas, M) is None
+        assert check_integrality(fixed, alphas, p, M).to_json() == \
+            check_integrality(exact, alphas, p, M).to_json()
     coarse = solve_A_series(L, p, M, basis=sb, digits=N_CLI)
     assert recover_alpha(coarse, p, M) == recover_alpha(exact, p, M)
 
@@ -457,6 +495,12 @@ def test_fixed_precision_short_digits_raise():
     # valuation; 12 slot digits cannot supply them
     with pytest.raises(PrecisionExhausted):
         check_integrality(fixed, alphas, p, M)
+    # the readout raises at the entry where _integrality_entry does
+    for digits in (3, N_CLI):
+        short = solve_A_series(L, p, M, basis=fixed.basis, digits=digits)
+        raised = _entry_by_entry(short, alphas, M)
+        assert raised is not None
+        assert _integrality(short, alphas, p, M) == raised
     with pytest.raises(PrecisionExhausted):
         check_analytic(solve_A_series(L, p, M, basis=fixed.basis, digits=2),
                        alphas, p, M, 3)
@@ -471,6 +515,24 @@ def test_fixed_precision_short_digits_raise():
         verify_frobenius_property(fixed, alphas, M)
     with pytest.raises(ValueError):
         solve_A_series(L, p, M, basis=fixed.basis, digits=0)
+
+
+@pytest.mark.parametrize("L,p,M,digits,alphas,where", [
+    # at t^14 an inexact alpha meets a slot coefficient on the support
+    # whose 3 digits are all 0, so the entry's precision is unknown
+    (KNOWN_HYPEROCT_OPERATORS[4], 7, 40, 3,
+     [PadicNum(7, val=-2, unit=1, prec=-1), PadicNum(7, val=-1, unit=2,
+                                                     prec=0),
+      PadicNum(7, val=0, unit=1, prec=2)], (0, 14)),
+    # alpha_1 = O(5^-1): at t^20 the entry is zero to fewer than 1 digit
+    (simplicial_operator(3), 5, 60, 8,
+     [PadicNum.inexact_zero(5, -1), PadicNum.from_exact(0, 5)], (0, 20)),
+])
+def test_integrality_readout_raises_where_entries_do(L, p, M, digits, alphas,
+                                                     where):
+    dec = solve_A_series(L, p, M, digits=digits)
+    assert _entry_by_entry(dec, alphas, M) == where
+    assert _integrality(dec, alphas, p, M) == where
 
 
 def test_integrality_digits():
@@ -495,21 +557,42 @@ def test_recover_alpha_prime_mismatch_rejected():
         recover_alpha(dec, 7, 20)
 
 
+def _analytic_specs(dec, p, M, digits):
+    """(s, j, m, weights) of the analytic rows: [t^m] D^e(s) A_j is the
+    sum of c [t^(m-i)] A_j over the terms (i, c) of D^e(s)."""
+    specs = []
+    for s in range(1, digits + 1):
+        e, deg = analytic_bound(dec.operator, p, s)
+        d_pow = PowerSeries(dec.operator.leading(), M) ** e
+        weights = [(i, c) for i, c in enumerate(d_pow.coeffs) if c]
+        specs += [(s, j, m, weights) for j in range(dec.n)
+                  for m in range(deg + 1, M)]
+    return specs
+
+
+def _stored_sum(dec, k, j, m, weights):
+    """(x, live): the weighted sum of stored coefficients of A_j^(k),
+    reduced mod p^(scale + digits) at fixed precision, and whether any
+    of its terms is on the support, summed row by row."""
+    x = sum(c * dec.slots[k][j].known(m - i) for i, c in weights if i <= m)
+    if dec.digits is None:
+        return x, True
+    return (x % dec.p ** (dec.scale + dec.digits),
+            any(dec.support[k][j][m - i] for i, _ in weights if i <= m))
+
+
 def _rational_rows(dec, p, M, analytic_digits):
     """recover_alpha's conditions as rational rows (c0, coefficients):
-    each value read through slot(), over p^s, a fixed-precision one as
-    its residue; a row that cannot bind is left out."""
-    specs = [(0, j, m, ((0, 1),)) for j in range(dec.n) for m in range(M)]
-    specs += frobenius._analytic_rows(dec, p, M, analytic_digits)
+    each value is a _stored_sum, a fixed-precision one as the rational
+    it stores, taken over p^s; a row that cannot bind is left out."""
+    specs = [(0, j, m, [(0, 1)]) for j in range(dec.n) for m in range(M)]
+    specs += _analytic_specs(dec, p, M, analytic_digits)
     rows = []
     for s, j, m, weights in specs:
         vals = []
         for k in range(dec.n):
-            x = dec.slot(k, j, m, weights)
-            if isinstance(x, PadicNum):
-                x = 0 if x.is_zero() else \
-                    Fraction(x.unit) * Fraction(p) ** x.val
-            vals.append(Fraction(x, p ** s))
+            x, _ = _stored_sum(dec, k, j, m, weights)
+            vals.append(Fraction(x, p ** (s + dec.scale)))
         if any(vals[1:]) or vp(vals[0], p) < 0:
             rows.append((vals[0], vals[1:]))
     return rows
@@ -532,12 +615,89 @@ def test_congruence_rows_match_rational_build(L, p, M, monkeypatch):
     sb = standard_basis(L, M)
     for digits in (None, N_CLI):
         dec = solve_A_series(L, p, M, basis=sb, digits=digits)
-        for analytic_digits in (0, 3):
+        for analytic_digits in (0, 1, 2, 3):
             recover_alpha(dec, p, M, analytic_digits=analytic_digits)
             want = CongruenceSystem.build(
                 p, _rational_rows(dec, p, M, analytic_digits))
             assert systems.pop() == want
             assert any(e == 0 for _, _, e in want.conditions)
+
+
+def test_products_match_row_by_row_sums():
+    # FrobeniusDecomposition._times forms poly(t) A_j^(k) once; its
+    # coefficients in the window, and at fixed precision their support,
+    # are the sums of the rows, and below the window exact zeros
+    L, p, M = simplicial_operator(4), 7, 60
+    exact = solve_A_series(L, p, M)
+    lead = PowerSeries(L.leading(), M)
+    for dec in (exact, solve_A_series(L, p, M, basis=exact.basis, digits=3)):
+        for poly, lo in (([1, 1], 0), ([2, 0, -3], 5),
+                         ((lead ** 7).coeffs, 30)):
+            weights = [(i, c) for i, c in enumerate(poly) if c]
+            product = dec._times(poly, lo, M)
+            for k in range(L.order):
+                for j in range(L.order):
+                    for m in range(M):
+                        if m < lo:
+                            got = product.slot(k, j, m)
+                            assert got == 0 and not isinstance(got, PadicNum)
+                            continue
+                        x, live = _stored_sum(dec, k, j, m, weights)
+                        assert product.slots[k][j].known(m) == x
+                        if dec.digits is not None:
+                            assert product.support[k][j][m] == live
+
+
+def _check_analytic_row_by_row(dec, alphas, p, M, digits):
+    """check_analytic with every row summed from the slots on its own."""
+    rows = 0
+    for s, j, m, weights in _analytic_specs(dec, p, M, digits):
+        value = 0
+        for k, al in enumerate([1] + list(alphas)):
+            x, live = _stored_sum(dec, k, j, m, weights)
+            if dec.digits is None:
+                value = value + al * Fraction(x)
+            elif live:
+                value = value + al * PadicNum(
+                    p, val=vp(x, p) - dec.scale if x else dec.digits,
+                    unit=x // p ** vp(x, p) if x else 0, prec=dec.digits)
+        if isinstance(value, PadicNum) and not value.is_exact:
+            if value.is_zero() and value.abs_precision < s:
+                raise PrecisionExhausted(j, m)
+            val = value.abs_precision if value.is_zero() else value.valuation
+        else:
+            val = vp(value.exact if isinstance(value, PadicNum) else value, p)
+        rows += 1
+        if val < s:
+            return AnalyticReport(p=p, M=M, digits=digits,
+                                  verdict="non-analytic", rows=rows,
+                                  first_failing=(s, j, m, val))
+    return AnalyticReport(p=p, M=M, digits=digits, verdict="analytic",
+                          rows=rows)
+
+
+def _analytic(check, *args):
+    try:
+        return check(*args)
+    except PrecisionExhausted as exc:
+        return exc.j, exc.m
+
+
+@pytest.mark.parametrize("L,p,M,shift", DEEP_CASES)
+def test_check_analytic_matches_row_by_row_sums(L, p, M, shift):
+    # the products D^e(s) A_j^(k), formed once, give the report of rows
+    # summed one by one, in both modes and with the alpha_3 control
+    alphas = _closed_forms(L, p, N_CLI)
+    bad = alphas[:2] + [alphas[2] + 1]
+    exact = solve_A_series(L, p, M)
+    decs = [exact] + [solve_A_series(L, p, M, basis=exact.basis, digits=d)
+                      for d in (2, 3, N_CLI)]
+    for dec in decs:
+        for digits in (1, 2, 3):
+            for al in (alphas, bad):
+                assert _analytic(check_analytic, dec, al, p, M, digits) == \
+                    _analytic(_check_analytic_row_by_row, dec, al, p, M,
+                              digits)
 
 
 def test_exponents_at_infinity_found_once(monkeypatch):

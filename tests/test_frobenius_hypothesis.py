@@ -1,16 +1,22 @@
 """Property tests on random small MUM operators theta^n - t prod_i
-(theta + a_i): the standard basis solves the operator, the exact solve
-satisfies the defining identity, and the fixed-precision solve agrees
-with it slot by slot.  On these and on the small built-in operators,
-recover_alpha gives the same answer on both solves."""
+(theta + a_i): the standard basis solves the operator and equals the
+per-operation Fraction recursion, the exact solve satisfies the
+defining identity, and the fixed-precision solve agrees with it slot by
+slot.  On these and on the small built-in operators, recover_alpha and
+check_integrality give the same answer on both solves."""
+
+import math
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from padicfrob import frobenius  # noqa: E402
 from padicfrob.frobenius import (  # noqa: E402
     PrecisionExhausted,
+    check_integrality,
     recover_alpha,
     solve_A_series,
     verify_frobenius_property,
@@ -51,6 +57,84 @@ def test_standard_basis_annihilated(shifts, M):
     sb = standard_basis(L, M)
     for i in range(L.order):
         assert apply_operator(L, sb.y(i)).is_zero_mod(M)
+
+
+def _basis_per_operation(L: MumOperator, M: int) -> list:
+    """The F_m of standard_basis by the plain recursion, one Fraction
+    operation (and renormalization) at a time."""
+    n, d0 = L.order, L.coeffs[-1][0]
+    terms = []
+    for r in range(n):
+        row = []
+        for d in range(L.degree + 1):
+            poly = [math.comb(i + r, r) * (a[d] if d < len(a) else 0)
+                    for i, a in enumerate(L.coeffs[r:])]
+            if any(poly) and (r, d) != (0, 0):
+                row.append((d, poly))
+        terms.append(row)
+    fs = []
+    for m in range(n):
+        f = [Fraction(int(m == 0))]
+        for c in range(1, M):
+            acc = Fraction(0)
+            for r in range(m + 1):
+                g = fs[m - r] if r else f
+                for d, poly in terms[r]:
+                    if d <= c and g[c - d]:
+                        x = c - d
+                        acc -= sum(a * x ** i
+                                   for i, a in enumerate(poly)) * g[x]
+            f.append(acc / (d0 * c ** n))
+        fs.append(f)
+    return fs
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(L=OPERATORS, M=st.integers(1, 40))
+def test_standard_basis_matches_per_operation_recursion(L, M):
+    # the families live in t^(n+1) and t^2; the last two operators have
+    # a_n(0) = 2 and 3, the last in t^2
+    for op in (L, MumOperator([[0, -1], [2, -1]]),
+               MumOperator([[0, 0, -1], [3, 0, -1]])):
+        got = standard_basis(op, M).fs
+        want = _basis_per_operation(op, M)
+        for f, coeffs in zip(got, want):
+            assert [f.known(c) for c in range(M)] == coeffs
+            assert all(type(x) is Fraction for x in f.coeffs)
+
+
+def _frobenius_matrix_all_q(fvals, p, M):
+    # B_ij[q] for every q <= (M-1)/p, then every g-th kept
+    n = len(fvals)
+    bmat = [[[p ** j * sum(math.comb(j, m) * q ** (j - m) * fvals[i - m][q]
+                           for m in range(min(i, j) + 1))
+              for q in range(1, (M - 1) // p + 1)]
+             for j in range(n)] for i in range(n)]
+    g = math.gcd(*(q for row in bmat for col in row
+                   for q, b in enumerate(col, start=1) if b)) or 1
+    return [[col[g - 1::g] for col in row] for row in bmat], g * p
+
+
+def _same_frobenius_matrix(L, p, M):
+    fvals = [[f.known(c) for c in range(M)]
+             for f in standard_basis(L, M).fs]
+    assert frobenius._frobenius_matrix(fvals, p, M) == \
+        _frobenius_matrix_all_q(fvals, p, M)
+
+
+@pytest.mark.parametrize("L", [simplicial_operator(n) for n in (2, 3, 4, 5)]
+                         + [KNOWN_HYPEROCT_OPERATORS[4],
+                            KNOWN_HYPEROCT_OPERATORS[5],
+                            MumOperator([[0, -1], [1, -1]])])
+def test_frobenius_matrix_built_only_at_multiples_of_g(L):
+    for p, M in ((3, 50), (5, 120), (7, 140), (11, 121), (13, 10)):
+        _same_frobenius_matrix(L, p, M)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(L=OPERATORS, p=st.sampled_from(PRIMES), M=st.integers(1, 80))
+def test_frobenius_matrix_matches_every_q_build(L, p, M):
+    _same_frobenius_matrix(L, p, M)
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -108,3 +192,50 @@ def test_recover_alpha_fixed_matches_exact(L, p, M, digits,
     except PrecisionExhausted:
         return
     assert got == want
+
+
+def _integrality(dec, alphas, p, M):
+    try:
+        return check_integrality(dec, alphas, p, M).to_json()
+    except PrecisionExhausted as exc:
+        return exc.j, exc.m
+
+
+def _entry_by_entry(dec, alphas, M):
+    # _integrality_entry, the exact path, applied to every entry in turn
+    for j in range(dec.n):
+        for m in range(M):
+            try:
+                frobenius._integrality_entry(dec, j, m, alphas)
+            except PrecisionExhausted as exc:
+                return exc.j, exc.m
+    return None
+
+
+ALPHAS = st.one_of(
+    st.builds(lambda v, u, r: PadicNum(7, val=v, unit=u % 7 ** r,
+                                       prec=v + r) if u % 7 else
+              PadicNum.inexact_zero(7, v + r),
+              st.integers(-2, 2), st.integers(0, 7 ** 8), st.integers(1, 8)),
+    st.builds(lambda a, b: PadicNum.from_exact(Fraction(a, b), 7),
+              st.integers(-50, 50), st.sampled_from((1, 2, 7, 49, 3))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(L=st.sampled_from([simplicial_operator(3), simplicial_operator(4),
+                          KNOWN_HYPEROCT_OPERATORS[4]]),
+       M=st.integers(10, 60), digits=st.integers(1, 14),
+       alphas=st.lists(ALPHAS, min_size=3, max_size=3))
+def test_integrality_readout_matches_exact(L, M, digits, alphas):
+    # the fixed-precision readout gives the exact solve's report byte for
+    # byte, or raises where _integrality_entry on the same slots raises
+    p = 7
+    alphas = alphas[:L.order - 1]
+    exact = solve_A_series(L, p, M)
+    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=digits)
+    got = _integrality(fixed, alphas, p, M)
+    raised = _entry_by_entry(fixed, alphas, M)
+    if raised is None:
+        assert got == _integrality(exact, alphas, p, M)
+    else:
+        assert got == raised

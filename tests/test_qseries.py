@@ -214,7 +214,7 @@ class TestLogSeries:
         a = LogSeries([PowerSeries.zero(order), one])
         b = LogSeries([PowerSeries.zero(order), 2 * one])
         c = a * b
-        assert c.log_degree == 2
+        assert len(c.coeffs) == 3
         assert c.component(2) == 2 * one
 
     def test_substitute_tp_scales_log(self):
