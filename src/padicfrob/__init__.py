@@ -18,11 +18,9 @@ from .padic_core import (  # noqa: F401
     PrecisionError,
     Rational,
     bernoulli,
-    falling_factorial,
     multinomial,
     padic_from_rational,
     solve_affine_congruences,
-    stirling2,
     vp,
 )
 from .qseries import (  # noqa: F401

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .padic_core import falling_factorial, multinomial, stirling2
+from .padic_core import multinomial
 from .qseries import PowerSeries
 
 BRUTE_FORCE_MAX_N = 3
@@ -36,25 +36,9 @@ def normalize_shift(U: Sequence[int]) -> tuple:
     return tuple(x - lo for x in U)
 
 
-def homogenize(u: Sequence[int]) -> tuple:
-    """Minimal (n+1)-tuple U with U_i - U_0 = u_i and min(U) = 0."""
-    shift = max(0, -min(u, default=0))
-    return normalize_shift((shift,) + tuple(x + shift for x in u))
-
-
 def to_laurent(U: Sequence[int]) -> tuple:
     """Laurent exponent vector (U_1 - U_0, ..., U_n - U_0)."""
     return tuple(x - U[0] for x in U[1:])
-
-
-def simplicial_degree(u: Sequence[int]) -> int:
-    """Smallest k with x^u in k times the simplex conv(e_i, -(1,..,1))."""
-    return sum(homogenize(u))
-
-
-def hyperoct_degree(u: Sequence[int]) -> int:
-    """Smallest k with x^u in k times the cross-polytope conv(+-e_i)."""
-    return sum(abs(x) for x in u)
 
 
 @dataclass
@@ -69,19 +53,6 @@ class CoeffMap:
 
     def coefficient(self, u: Sequence[int]) -> PowerSeries:
         return self.data.get(tuple(u), PowerSeries.zero(self.order))
-
-    def degree(self, u: Sequence[int]) -> int:
-        if self.family == "simplicial":
-            return simplicial_degree(u)
-        return hyperoct_degree(u)
-
-    def check_divisibility(self) -> bool:
-        """Every c_u must vanish to order at least deg(u)."""
-        for u, series in self.data.items():
-            d = self.degree(u)
-            if any(series.known(c) for c in range(min(d, self.order))):
-                return False
-        return True
 
 
 def simplicial_coeff_series(U: Sequence[int], V: Sequence[int],
@@ -118,16 +89,6 @@ def simplicial_limit_coeff(U: Sequence[int], V: Sequence[int],
     out = multinomial([N * v for v in V])
     for ui, vi in zip(U, V):
         out *= (N * vi) ** ui
-    return out
-
-
-def simplicial_limit_coeff_falling(K: Sequence[int], V: Sequence[int],
-                                   N: int):
-    """Falling-factorial variant: multinomial(NV) prod [N V_i]_{K_i}."""
-    V = normalize_shift(V)
-    out = multinomial([N * v for v in V])
-    for ki, vi in zip(K, V):
-        out *= falling_factorial(N * vi, ki)
     return out
 
 
@@ -247,30 +208,21 @@ class HyperoctConstants:
 def hyperoct_constant_term(u: Sequence[int], n: int,
                            M: int) -> HyperoctConstants:
     """F_u(t) = sum_m t^{2|m|} (2|m|)!/(m_1!..m_n!)^2 prod m_i^{u_i},
-    computed by convolving per-coordinate weight polynomials."""
+    from the product over i of the weight series sum_k k^{u_i}/k!^2 s^k
+    in s = t^2."""
     u = tuple(u)
     if len(u) != n or any(x < 0 for x in u):
         raise ValueError("u must be a length-n nonnegative vector")
-    K = (M - 1) // 2 if M >= 1 else -1
-    acc = [Fraction(1)] + [Fraction(0)] * K
-    for i in range(n):
-        wi = u[i]
+    half = (M + 1) // 2
+    acc = PowerSeries.one(half)
+    for wi in u:
         # 0^0 = 1 keeps the m_i = 0 term when u_i = 0
-        col = [Fraction(k ** wi, math.factorial(k) ** 2)
-               for k in range(K + 1)]
-        nxt = [Fraction(0)] * (K + 1)
-        for a in range(K + 1):
-            if acc[a] == 0:
-                continue
-            for b in range(K + 1 - a):
-                if col[b]:
-                    nxt[a + b] += acc[a] * col[b]
-        acc = nxt
+        acc = acc * PowerSeries([Fraction(k ** wi, math.factorial(k) ** 2)
+                                 for k in range(half)], half)
     coeffs = [0] * M
-    for k in range(K + 1):
-        val = acc[k] * math.factorial(2 * k)
-        if 2 * k < M:
-            coeffs[2 * k] = int(val) if val.denominator == 1 else val
+    for k in range(half):
+        val = acc.known(k) * math.factorial(2 * k)
+        coeffs[2 * k] = int(val) if val.denominator == 1 else val
     return HyperoctConstants(u=u, n=n, series=PowerSeries(coeffs, M),
                              ell=sum(1 for x in u if x > 0))
 
@@ -307,35 +259,3 @@ def alternating_identity_check(F: PowerSeries, n: int) -> bool:
         acc = acc + term
         invpow = invpow * inv
     return all(not acc.known(c) for c in range(n + 1))
-
-
-def eta_from_omega(U: Sequence[int]) -> list:
-    """Stirling expansion eta_U = sum_K prod S(U_i, K_i) omega_K as a
-    list of (K, coefficient) pairs with nonzero coefficients."""
-    U = tuple(U)
-    if any(x < 0 for x in U):
-        raise ValueError("need U >= 0")
-    terms = [((), 1)]
-    for ui in U:
-        lo = 0 if ui == 0 else 1
-        nxt = []
-        for K, c in terms:
-            for ki in range(lo, ui + 1):
-                s = stirling2(ui, ki)
-                if s:
-                    nxt.append((K + (ki,), c * s))
-        terms = nxt
-    return sorted(terms)
-
-
-def omega_ell_coefficients(U: Sequence[int], n: int) -> list:
-    """Exact rationals c_i with prod_i [l]_{U_i} = sum c_i (n+1)^i l^i."""
-    U = tuple(U)
-    poly = [Fraction(1)]
-    for ui in U:
-        # multiply by [l]_{ui} = l (l-1) ... (l-ui+1)
-        for shift in range(ui):
-            shifted = [Fraction(0)] + poly
-            scaled = [-shift * c for c in poly] + [Fraction(0)]
-            poly = [a + b for a, b in zip(shifted, scaled)]
-    return [c / (n + 1) ** i for i, c in enumerate(poly)]

@@ -56,7 +56,7 @@ from .padic_core import (
     solve_affine_congruences,
     vp,
 )
-from .qseries import LogSeries, PowerSeries
+from .qseries import LogSeries, PowerSeries, _is_zero_coeff
 
 
 class InsufficientOrder(ValueError):
@@ -169,12 +169,8 @@ class FrobeniusDecomposition:
 
     def coefficient(self, j: int, m: int, alphas: Sequence):
         """Assembled t^m coefficient of A_j at the given alpha_1.."""
-        acc = self.slot(0, j, m)
-        for k, al in enumerate(alphas, start=1):
-            c = self.slot(k, j, m)
-            if not _is_exact_zero(c):
-                acc = acc + al * c
-        return acc
+        return _alpha_linear([self.slot(k, j, m) for k in range(self.n)],
+                             alphas)
 
     def assemble(self, alphas: Sequence) -> list:
         """A_0..A_{n-1} at the given alpha_1..alpha_{n-1}."""
@@ -372,48 +368,62 @@ def _frobenius_matrix(fvals: list, p: int, M: int) -> tuple:
              for j in range(n)] for i in range(n)], g * p
 
 
-def _scaled_rhs(dec: FrobeniusDecomposition, i: int,
-                alphas: Sequence) -> LogSeries:
-    """p^i (y_i + sum_k alpha_k y_{i-k}) mod t^order."""
-    acc = dec.basis.y(i)
-    for k, al in enumerate(alphas, start=1):
-        if i - k < 0:
-            break
-        acc = acc + dec.basis.y(i - k) * al
-    return acc * dec.p ** i
+def _alpha_linear(values: Sequence, alphas: Sequence):
+    """values[0] + sum_k alphas[k-1] values[k], skipping exact zeros (a
+    PadicNum is never falsy).  A PadicNum alpha_k times an exact
+    values[k] is known to prec(alpha_k) + vp(values[k])."""
+    acc = values[0]
+    for al, x in zip(alphas, values[1:]):
+        if x:
+            acc = acc + al * x
+    return acc
+
+
+def _first_nonzero(sides: list, alphas: Sequence, M: int):
+    """The first (log power, t degree) at which sides[0] + sum_k
+    alpha_k sides[k] is nonzero mod t^M, or None."""
+    for e in range(max(len(side.coeffs) for side in sides)):
+        comps = [side.component(e) for side in sides]
+        for c in range(M):
+            if not _is_zero_coeff(_alpha_linear([s.known(c) for s in comps],
+                                                 alphas)):
+                return e, c
+    return None
 
 
 def _verify_frobenius_detail(dec: FrobeniusDecomposition,
                              alphas: Sequence, M: int):
     """None if the full identity holds mod t^M; else the first failing
-    (basis index, log power, t degree)."""
+    (basis index, log power, t degree), or (basis index, -1, -1) when
+    the image is not a solution.
+
+    Both sides are affine in the alphas: with alpha_0 = 1 and the
+    exact-Q brackets I_k = sum_j A_j^(k) theta^j(y_i(t^p)) and
+    E_k = I_k - p^i y_{i-k} (no y term for k > i), the identity is
+    sum_k alpha_k E_k = 0 and its image under L is sum_k alpha_k L(I_k)
+    = 0.  The alphas enter once per coefficient (_alpha_linear)."""
     if M > dec.order:
         raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
     if dec.digits is not None:
         raise ValueError("the defining identity needs an exact "
                          "decomposition (digits=None)")
-    L = dec.operator
-    a_series = dec.assemble(alphas)
-    for i in range(dec.n):
-        yi_p = dec.basis.y(i).substitute_tp(dec.p)
-        image = LogSeries([PowerSeries.zero(M)])
-        cur = yi_p
-        for j in range(dec.n):
-            image = image + a_series[j] * cur
-            if j < dec.n - 1:
-                cur = cur.theta()
-        want = _scaled_rhs(dec, i, alphas)
-        diff = image - want
-        for e in range(len(diff.coeffs)):
-            comp = diff.component(e).truncate(M)
-            for c in range(M):
-                val = comp.known(c)
-                bad = (not val.is_zero()) if isinstance(val, PadicNum) \
-                    else val != 0
-                if bad:
-                    return (i, e, c)
-        residue = apply_operator(L, image)
-        if not residue.is_zero_mod(M):
+    if len(alphas) != dec.n - 1:
+        raise ValueError("need %d alpha values" % (dec.n - 1))
+    L, n, p = dec.operator, dec.n, dec.p
+    for i in range(n):
+        yi_p = dec.basis.y(i).substitute_tp(p)
+        thetas = [LogSeries([s.truncate(M) for s in yi_p.coeffs])]
+        for _ in range(n - 1):
+            thetas.append(thetas[-1].theta())
+        images = [reduce(add, (s * th for s, th in zip(row, thetas)))
+                  for row in dec.slots]
+        brackets = [img - dec.basis.y(i - k) * p ** i if k <= i else img
+                    for k, img in enumerate(images)]
+        where = _first_nonzero(brackets, alphas, M)
+        if where is not None:
+            return (i, *where)
+        if _first_nonzero([apply_operator(L, img) for img in images],
+                          alphas, M) is not None:
             return (i, -1, -1)
     return None
 
@@ -730,16 +740,19 @@ def _analytic_rows(dec: FrobeniusDecomposition, p: int, M: int,
                    digits: int):
     """Yield (weighted, s, j, m) for s = 1..digits, j < n and deg(s) <
     m < M, where weighted holds the products D^e(s) A_j^(k), formed once
-    per s; each row [t^m] D^e(s) A_j must vanish mod p^s."""
+    per s, with D^e(s) = D^e(s') D^(e(s) - e(s')) from the last s' used;
+    each row [t^m] D^e(s) A_j must vanish mod p^s."""
     _check_prime_order(dec, p, M)
     if digits < 1:
         return
     lead = PowerSeries(dec.operator.leading(), M)
+    power, done = PowerSeries.one(M), 0
     for s, (e, deg) in enumerate(_analytic_bounds(dec.operator, p, digits),
                                  start=1):
         if deg + 1 >= M:
             continue
-        weighted = dec._times((lead ** e).coeffs, deg + 1, M)
+        power, done = power * lead ** (e - done), e
+        weighted = dec._times(power.coeffs, deg + 1, M)
         for j in range(dec.n):
             for m in range(deg + 1, M):
                 yield weighted, s, j, m

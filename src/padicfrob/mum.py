@@ -183,26 +183,23 @@ def period_series_simplicial(n: int, M: int) -> PowerSeries:
 
 
 def period_series_hyperoctahedral(n: int, M: int) -> PowerSeries:
-    """sum_k t^(2k) sum_{k_1+...+k_n=k} (2k)!/(k_1!...k_n!)^2 mod t^M."""
+    """sum_k t^(2k) sum_{k_1+...+k_n=k} (2k)!/(k_1!...k_n!)^2 mod t^M.
+
+    The inner sums are the coefficients of (sum_j s^j/j!^2)^n; each
+    times (2k)! must be an integer, and ArithmeticError says it is not.
+    """
     half = (M + 1) // 2
-    base = [Fraction(1, math.factorial(j) ** 2) for j in range(half)]
-    conv = [Fraction(int(j == 0)) for j in range(half)]
-    for _ in range(n):
-        nxt = [Fraction(0)] * half
-        for i, x in enumerate(conv):
-            if x == 0:
-                continue
-            for j, y in enumerate(base):
-                if i + j >= half:
-                    break
-                nxt[i + j] += x * y
-        conv = nxt
+    power = PowerSeries([Fraction(1, math.factorial(j) ** 2)
+                         for j in range(half)], half) ** n
     coeffs = [0] * M
     for k in range(half):
-        if 2 * k < M:
-            val = conv[k] * math.factorial(2 * k)
-            assert val.denominator == 1
-            coeffs[2 * k] = int(val)
+        val = power.known(k)
+        num, rem = divmod(val.numerator * math.factorial(2 * k),
+                          val.denominator)
+        if rem:
+            raise ArithmeticError("coefficient of t^%d is not an integer"
+                                  % (2 * k))
+        coeffs[2 * k] = num
     return PowerSeries(coeffs, M)
 
 

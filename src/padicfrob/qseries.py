@@ -14,6 +14,7 @@ theta(s) l^k + k s l^(k-1).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,6 +44,26 @@ def _is_zero_coeff(c) -> bool:
     if is_zero is not None:
         return bool(is_zero())
     return c == 0
+
+
+def _over_lcm(coeffs: list):
+    """(numerators, d) with coeffs[k] = numerators[k] / d, d the lcm of
+    the denominators; None unless every coefficient is an int or a
+    Fraction."""
+    if not all(isinstance(c, _SCALARS) for c in coeffs):
+        return None
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _convolve(a: list, b: list, order: int) -> list:
+    """The product of two coefficient lists below t^order."""
+    out = [0] * min(len(a) + len(b) - 1, order)
+    for i, x in enumerate(a):
+        if not _is_zero_coeff(x):
+            for j, y in enumerate(b[:order - i]):
+                out[i + j] = out[i + j] + x * y
+    return out
 
 
 class PowerSeries:
@@ -112,20 +133,23 @@ class PowerSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Series or scalar product.  Two series over int and Fraction
+        coefficients convolve as integers over their lcm denominators,
+        with one Fraction per output coefficient; other coefficient
+        rings (PadicNum, ZetaPoly) convolve their own elements."""
         if isinstance(other, LogSeries):
             return NotImplemented
         if isinstance(other, PowerSeries):
             order = min(self.order, other.order)
-            out = [0] * min(len(self.coeffs) + len(other.coeffs) - 1, order) \
-                if self.coeffs and other.coeffs else []
-            for i, a in enumerate(self.coeffs):
-                if i >= order or _is_zero_coeff(a):
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if i + j >= order:
-                        break
-                    out[i + j] = out[i + j] + a * b
-            return PowerSeries(out, order)
+            a, b = self.coeffs[:order], other.coeffs[:order]
+            rational = _over_lcm(a), _over_lcm(b)
+            if None in rational:
+                return PowerSeries(_convolve(a, b, order), order)
+            (na, da), (nb, db) = rational
+            out, d = _convolve(na, nb, order), da * db
+            return PowerSeries(out if d == 1 else
+                               [Fraction(x, d) if x else 0 for x in out],
+                               order)
         if isinstance(other, _SCALARS) or hasattr(other, "__mul__"):
             return PowerSeries([c * other for c in self.coeffs], self.order)
         return NotImplemented
@@ -134,11 +158,16 @@ class PowerSeries:
         return PowerSeries([other * c for c in self.coeffs], self.order)
 
     def __pow__(self, k: int):
+        """Square-and-multiply: about 2 log2(k) products."""
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = PowerSeries.one(self.order)
-        for _ in range(k):
-            out = out * self
+        out, base = PowerSeries.one(self.order), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __truediv__(self, other):

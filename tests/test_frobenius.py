@@ -121,6 +121,66 @@ def test_verify_detects_corruption():
     assert where is not None
 
 
+def test_verify_detects_corruption_in_alpha_slots():
+    # the alpha-k bracket is read only through alpha_k: a broken slot
+    # k >= 1 shows under nonzero rational alphas
+    p, M = 5, 20
+    dec = solve_A_series(simplicial_operator(3), p, M)
+    alphas = [Fraction(2, 3), Fraction(-5, 7)]
+    assert verify_frobenius_property(dec, alphas, M)
+    for k in (1, 2):
+        slots = [list(row) for row in dec.slots]
+        bad = [slots[k][1].known(c) for c in range(M)]
+        bad[7] = bad[7] + Fraction(1, 5)
+        slots[k][1] = PowerSeries(bad, M)
+        broken = FrobeniusDecomposition(p=p, operator=dec.operator,
+                                        basis=dec.basis, slots=slots,
+                                        order=M)
+        assert not verify_frobenius_property(broken, alphas, M)
+        assert _verify_frobenius_detail(broken, alphas, M) is not None
+        zero = [Fraction(0)] * 2
+        assert verify_frobenius_property(broken, zero, M)
+
+
+def test_verify_rejects_wrong_alpha_count():
+    dec = solve_A_series(simplicial_operator(3), 5, 12)
+    for alphas in ([], [Fraction(1)], [Fraction(1)] * 3):
+        with pytest.raises(ValueError):
+            verify_frobenius_property(dec, alphas, 12)
+
+
+def test_verify_readout_precision():
+    # a PadicNum alpha_k term is known to prec(alpha_k) + vp(E_k[c]);
+    # the readout keeps the least of these and nothing lower
+    p = 7
+    values = [Fraction(5, 7), Fraction(3), Fraction(0), Fraction(2, 49)]
+    alphas = [PadicNum.from_rational(Fraction(1, 3), p, 4),
+              PadicNum.from_rational(7, p, 2),
+              PadicNum.from_rational(Fraction(2), p, 5)]
+    got = frobenius._alpha_linear(values, alphas)
+    assert got.abs_precision == min(4 + 0, 5 - 2) == 3
+    exact = values[0] + Fraction(1, 3) * 3 + 2 * Fraction(2, 49)
+    assert got.agrees(exact, 3)
+    assert frobenius._alpha_linear(values[:2] + [0, 0], alphas) \
+        .abs_precision == 4
+    # end to end: the closed forms pass on the exact decomposition; with
+    # slot 3 broken, alpha_3 = O(7^10) hides the break, 7^9 + O(7^10)
+    # shows it
+    M, N = 30, 8
+    dec = solve_A_series(simplicial_operator(4), p, M)
+    alphas = [evaluate_zeta_poly(q, p, N) for q in alpha_simplicial(4)]
+    assert verify_frobenius_property(dec, alphas, M)
+    slots = [list(row) for row in dec.slots]
+    slots[3][0] = slots[3][0] + PowerSeries([0] * 5 + [Fraction(1, 7)], M)
+    broken = FrobeniusDecomposition(p=p, operator=dec.operator,
+                                    basis=dec.basis, slots=slots, order=M)
+    hidden = alphas[:2] + [PadicNum.inexact_zero(p, 10)]
+    assert verify_frobenius_property(broken, hidden, M)
+    shown = alphas[:2] + [hidden[2] + p ** 9]
+    assert shown[2].abs_precision == 10
+    assert not verify_frobenius_property(broken, shown, M)
+
+
 def test_integrality_simplicial_true_alpha():
     p, M, N = 7, 40, 12
     dec = solve_A_series(simplicial_operator(4), p, M)
@@ -715,6 +775,35 @@ def test_exponents_at_infinity_found_once(monkeypatch):
     sol = recover_alpha(dec, p, M, analytic_digits=3)
     assert sol.exponents == [4, 4, 3, 2, 0, 1]
     assert len(calls) == 1
+
+
+def test_analytic_powers_built_incrementally():
+    # D^e(s) = D^e(s-1) D^(e(s) - e(s-1)) gives the coset that powers
+    # formed from scratch for every s give
+    L, p, M = simplicial_operator(7), 11, 254
+    dec = solve_A_series(L, p, M, digits=N_CLI)
+    got = recover_alpha(dec, p, M, analytic_digits=3)
+
+    def from_scratch(dec, p, M, digits):
+        lead = PowerSeries(dec.operator.leading(), M)
+        for s in range(1, digits + 1):
+            e, deg = analytic_bound(dec.operator, p, s)
+            if deg + 1 >= M:
+                continue
+            power = PowerSeries.one(M)
+            for _ in range(e):
+                power = power * lead
+            weighted = dec._times(power.coeffs, deg + 1, M)
+            for j in range(dec.n):
+                for m in range(deg + 1, M):
+                    yield weighted, s, j, m
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frobenius, "_analytic_rows", from_scratch)
+        want = recover_alpha(dec, p, M, analytic_digits=3)
+    assert got.exponents == want.exponents == [4, 4, 3, 2, 0, 1]
+    assert got.representative == want.representative
+    assert got.generators == want.generators
 
 
 def test_recover_alpha_rows_past_the_digits_raise():

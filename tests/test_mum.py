@@ -97,6 +97,26 @@ class TestPeriodSeries:
                     math.factorial(k1) ** 2 * math.factorial(k2) ** 2)
             assert ph.known(2 * k) == total
 
+    def test_hyperoct_matches_fraction_convolution(self):
+        # the n-fold convolution of 1/j!^2, one Fraction at a time
+        for n, M in ((3, 9), (5, 88), (7, 41)):
+            half = (M + 1) // 2
+            conv = [F(int(j == 0)) for j in range(half)]
+            for _ in range(n):
+                conv = [sum(conv[i] / math.factorial(k - i) ** 2
+                            for i in range(k + 1)) for k in range(half)]
+            ph = period_series_hyperoctahedral(n, M)
+            assert [ph.known(c) for c in range(M)] == \
+                [int(conv[c // 2] * math.factorial(c)) if c % 2 == 0 else 0
+                 for c in range(M)]
+
+    def test_hyperoct_non_integer_coefficient_raises(self, monkeypatch):
+        # a non-integral (2k)! coefficient raises even under python -O
+        monkeypatch.setattr(PowerSeries, "__pow__",
+                            lambda self, k: PowerSeries([1, F(1, 3)], 4))
+        with pytest.raises(ArithmeticError):
+            period_series_hyperoctahedral(2, 8)
+
 
 class TestStandardBasis:
     def test_f0_is_period_series(self):

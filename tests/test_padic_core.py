@@ -10,19 +10,25 @@ from padicfrob.padic_core import (
     CongruenceSystem,
     InconsistentSystem,
     PadicNum,
+    ZETA_BERNOULLI_FROM,
     PrecisionError,
+    _bernoulli_by_tangents,
+    _bernoulli_by_zeta,
     _echelon_mod,
     _residue_of_rational,
+    _staudt_denominator,
     bernoulli,
-    falling_factorial,
     multinomial,
     padic_exp,
     padic_from_rational,
     padic_log,
     solve_affine_congruences,
-    stirling2,
     vp,
 )
+
+from padicfrob.zeta_gamma import EXACT_BERNOULLI_BOUND
+
+from combinatorics import falling_factorial, stirling2
 
 
 def test_vp_basics():
@@ -229,6 +235,25 @@ class TestBernoulli:
             acc = sum(math.comb(n + 1, k) * bs[k] for k in range(n))
             bs.append(-acc / (n + 1))
         assert b == bs[98]
+
+
+    def test_zeta_route_matches_tangent_triangle(self):
+        # every index the exact zeta_p oracle may ask for
+        _bernoulli_by_tangents(EXACT_BERNOULLI_BOUND)  # one triangle
+        for n in range(ZETA_BERNOULLI_FROM, EXACT_BERNOULLI_BOUND + 1, 2):
+            assert _bernoulli_by_zeta(n) == _bernoulli_by_tangents(n), n
+        assert bernoulli(ZETA_BERNOULLI_FROM) == \
+            _bernoulli_by_tangents(ZETA_BERNOULLI_FROM)
+
+    def test_von_staudt_clausen(self):
+        # B_n + sum over primes q with (q - 1) | n of 1/q is an integer
+        for n in list(range(2, 200, 2)) + [290, 292, 1206, 1208, 1600]:
+            qs = [q for q in range(2, n + 2)
+                  if n % (q - 1) == 0 and
+                  all(q % d for d in range(2, math.isqrt(q) + 1))]
+            assert (bernoulli(n) + sum(F(1, q) for q in qs)).denominator \
+                == 1, n
+            assert bernoulli(n).denominator == _staudt_denominator(n)
 
 
 def test_stirling2():

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from padicfrob.padic_core import padic_from_rational
+from padicfrob import qseries
+from padicfrob.padic_core import PadicNum, padic_from_rational
 from padicfrob.qseries import (
     BadConstantTerm,
     LogSeries,
     NonUnitConstantTerm,
     PowerSeries,
 )
+from padicfrob.zeta_gamma import ZetaPoly
 
 F = Fraction
 
@@ -242,3 +244,40 @@ class TestLogSeries:
         assert isinstance(left, LogSeries)
         assert left.eq_mod(right, order)
         assert left.component(1) == poly(3, 6, order=order)
+
+
+class TestProductKernel:
+    @pytest.fixture
+    def convolved(self, monkeypatch):
+        """The coefficient lists each series product convolves."""
+        calls = []
+        real = qseries._convolve
+        monkeypatch.setattr(qseries, "_convolve", lambda a, b, order:
+                            calls.append(a + b) or real(a, b, order))
+        return calls
+
+    def test_rational_products_convolve_integers(self, convolved):
+        a = PowerSeries([1, F(1, 2), 3], 5)
+        b = PowerSeries([F(2, 3), -1], 4)
+        assert (a * b).coeffs == [F(2, 3), F(-2, 3), F(3, 2), -3]
+        assert (PowerSeries([2, 0, 3], 4) * a).coeffs == [2, 1, 9, F(3, 2)]
+        assert len(convolved) == 2
+        assert all(type(x) is int for c in convolved for x in c)
+
+    def test_other_rings_convolve_their_elements(self, convolved):
+        x = PadicNum.from_rational(F(3, 5), 7, 6)
+        a = PowerSeries([1, x], 3)
+        sq = a * a
+        assert sq.known(0) == 1
+        assert sq.known(1).agrees(2 * x, 6)
+        assert sq.known(2).agrees(x * x, 6)
+        # a PadicNum series against a rational one mixes rings
+        assert (PowerSeries([2], 3) * a).known(1).agrees(2 * x, 6)
+        z3 = ZetaPoly.gen(3)
+        b = PowerSeries([ZetaPoly.const(1), z3], 3)
+        prod = PowerSeries([1, F(1, 2)], 3) * b
+        assert prod.known(1) == z3 + ZetaPoly.const(F(1, 2))
+        assert prod.known(2) == z3 * F(1, 2)
+        assert len(convolved) == 3
+        assert all(any(isinstance(v, (PadicNum, ZetaPoly)) for v in c)
+                   for c in convolved)

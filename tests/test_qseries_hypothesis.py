@@ -68,3 +68,37 @@ def test_log_series_ring_laws(abc, x):
     assert (a * one).eq_mod(a, order)
     assert (a * x).eq_mod(x * a, order)
     assert (a * Fraction(2)).eq_mod(a + a, order)
+
+
+def _generic_product(a, b):
+    """The coefficient-by-coefficient product loop, for reference."""
+    order = min(a.order, b.order)
+    out = [0] * min(len(a.coeffs) + len(b.coeffs) - 1, order) \
+        if a.coeffs and b.coeffs else []
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j < order:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+MIXED = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                  st.fractions(max_denominator=10 ** 4),
+                  st.just(0), st.just(Fraction(0)))
+
+
+def _mixed_series():
+    # coefficient lists may be empty, end in zeros or run past the order
+    return st.builds(PowerSeries, st.lists(MIXED, max_size=12),
+                     st.integers(1, 10))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=_mixed_series(), b=_mixed_series())
+def test_rational_kernel_matches_generic_loop(a, b):
+    got = a * b
+    want = _generic_product(a, b)
+    assert got.order == min(a.order, b.order)
+    assert [got.known(c) for c in range(got.order)] == \
+        [want[c] if c < len(want) else 0 for c in range(got.order)]
+    assert all(isinstance(c, (int, Fraction)) for c in got.coeffs)
