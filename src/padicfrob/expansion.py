@@ -114,13 +114,39 @@ def _check_box(n: int, box: tuple, M: int):
                              BRUTE_FORCE_MAX_ORDER))
 
 
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
+def _compositions(total: int, lows: Sequence[int], highs: Sequence[int]):
+    """The compositions of total into len(lows) parts with lows[i] <=
+    part i <= highs[i], in lexicographic order; every part is >= 0."""
+    lows = [max(x, 0) for x in lows]
+    if len(lows) == 1:
+        if lows[0] <= total <= highs[0]:
+            yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
+    rest_lo, rest_hi = sum(lows[1:]), sum(highs[1:])
+    for first in range(max(lows[0], total - rest_hi),
+                       min(highs[0], total - rest_lo) + 1):
+        for rest in _compositions(total - first, lows[1:], highs[1:]):
             yield (first,) + rest
+
+
+def _signed_compositions(total: int, lows: Sequence[int],
+                         highs: Sequence[int]):
+    """The compositions (p_1, q_1, ..., p_n, q_n) of total into 2n parts
+    >= 0 with lows[i] <= p_i - q_i <= highs[i], in lexicographic order."""
+    if len(lows) == 1:
+        # q_1 = total - p_1, so p_1 - q_1 = 2 p_1 - total
+        for p in range(max(0, -(-(total + lows[0]) // 2)),
+                       min(total, (total + highs[0]) // 2) + 1):
+            yield (p, total - p)
+        return
+    # p - q in [lo, hi] needs p + q >= min |p - q| over it
+    need = sum(max(lo, -hi, 0) for lo, hi in zip(lows[1:], highs[1:]))
+    for p in range(total - need + 1):
+        for q in range(max(0, p - highs[0]),
+                       min(total - need - p, p - lows[0]) + 1):
+            for rest in _signed_compositions(total - p - q, lows[1:],
+                                             highs[1:]):
+                yield (p, q) + rest
 
 
 def brute_force_expand(family: str, m: int, numerator, box,
@@ -129,7 +155,8 @@ def brute_force_expand(family: str, m: int, numerator, box,
 
     numerator is the pair (a, w); f = 1 - t g with g the family's
     support sum.  1/f^m = sum_k C(m-1+k, k) t^k g^k and g^k is opened
-    multinomially, keeping only exponents inside the box.
+    multinomially, walking only the terms whose exponent lies inside
+    the box.
     """
     a, w = numerator
     w = tuple(w)
@@ -151,22 +178,24 @@ def brute_force_expand(family: str, m: int, numerator, box,
     if family == "simplicial":
         for k in range(M - a):
             binom = math.comb(m - 1 + k, k)
-            # a_0 copies of 1/(x_1..x_n), a_i copies of x_i
+            # a_0 copies of 1/(x_1..x_n), a_i copies of x_i: u_i = w_i +
+            # a_i - a_0 in [lo_i, hi_i]
             for a0 in range(k + 1):
-                for tail in _compositions(k - a0, n):
+                for tail in _compositions(
+                        k - a0, [lo[i] - w[i] + a0 for i in range(n)],
+                        [hi[i] - w[i] + a0 for i in range(n)]):
                     u = tuple(w[i] + tail[i] - a0 for i in range(n))
-                    if all(lo[i] <= u[i] <= hi[i] for i in range(n)):
-                        add(u, a + k,
-                            binom * multinomial((a0,) + tail))
+                    add(u, a + k, binom * multinomial((a0,) + tail))
     elif family == "hyperoctahedral":
         for k in range(M - a):
             binom = math.comb(m - 1 + k, k)
-            # p_i copies of x_i and q_i of 1/x_i
-            for tail in _compositions(k, 2 * n):
+            # p_i copies of x_i and q_i of 1/x_i: u_i = w_i + p_i - q_i
+            for tail in _signed_compositions(
+                    k, [lo[i] - w[i] for i in range(n)],
+                    [hi[i] - w[i] for i in range(n)]):
                 u = tuple(w[i] + tail[2 * i] - tail[2 * i + 1]
                           for i in range(n))
-                if all(lo[i] <= u[i] <= hi[i] for i in range(n)):
-                    add(u, a + k, binom * multinomial(tail))
+                add(u, a + k, binom * multinomial(tail))
     else:
         raise ValueError("unknown family %r" % family)
 

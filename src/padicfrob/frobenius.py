@@ -18,7 +18,9 @@ slot series are solved in one of two modes (solve_A_series):
 - fixed precision, over Z/p^R: every coefficient known mod p^digits.
   The (min, +) sweeps bound how many digits the recursion can lose and
   fix R before any arithmetic, and coefficients off the support stay
-  exact zeros.  Consumers read both modes through
+  exact zeros.  All slots and residue classes are solved in one sweep,
+  each unknown an integer with one lane per (slot, class) column.
+  Consumers read both modes through
   FrobeniusDecomposition.slot(), or, on the verify and recover paths
   (check_integrality, recover_alpha), the stored integers themselves,
   and raise PrecisionExhausted, never other digits, when the slot
@@ -38,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import add, mul, or_
 from typing import Sequence
 
@@ -50,7 +52,7 @@ from .padic_core import (
     CongruenceSystem,
     PadicNum,
     _reduced_condition,
-    _residue_of_rational,
+    _residues_of_rationals,
     is_prime,
     require_odd_prime,
     solve_affine_congruences,
@@ -201,9 +203,10 @@ def _sweep(mat, init, stride: int, live, fold, finish, zero) -> list:
         acc = fold(acc, mat[i][j], out[j][c - stride::-stride]), j < n,
 
     where live[i][c], else zero; mat[i][j][q-1] belongs to B_ij[q stride].
-    The ring fold (_subtract) solves, the bitmask fold (_reached) marks
-    the support and the (min, +) fold (_lowest) bounds valuations, all
-    over the same dependencies."""
+    The ring folds solve (_subtract over Q, _accumulate on packed
+    residues), the bitmask fold (_reached) marks the support and the
+    (min, +) fold (_lowest) bounds valuations, all over the same
+    dependencies."""
     n = len(mat)
     out = [[] for _ in range(n)]
     for c in range(len(init[0])):
@@ -223,6 +226,31 @@ def _sweep(mat, init, stride: int, live, fold, finish, zero) -> list:
 
 def _subtract(acc, b, x):
     return acc - sum(map(mul, b, x))
+
+
+def _accumulate(acc, b, x):
+    return acc + sum(map(mul, b, x))
+
+
+def _lane_bytes(mod: int, terms: int) -> int:
+    """Bytes per lane that hold a sum of fewer than ``terms`` products
+    of two residues below mod: 2 bitlen(mod - 1) + bitlen(terms) + 1
+    bits, rounded up."""
+    return (2 * (mod - 1).bit_length() + terms.bit_length() + 8) // 8
+
+
+def _lanes(x: int, count: int, width: int) -> list:
+    """The ``count`` lanes of ``width`` bytes of x, lowest first."""
+    raw = x.to_bytes(count * width, "little")
+    return [int.from_bytes(raw[k:k + width], "little")
+            for k in range(0, count * width, width)]
+
+
+def _packed(lanes: Sequence[int], width: int) -> int:
+    """The integer with the given lanes of ``width`` bytes, lowest
+    first."""
+    return int.from_bytes(b"".join(x.to_bytes(width, "little")
+                                   for x in lanes), "little")
 
 
 def _reached(acc, nonzero, x):
@@ -247,15 +275,25 @@ def solve_A_series(L: MumOperator, p: int, M: int,
 
     Every pass is a _sweep over B with its own fold.  A bitmask sweep
     marks the coefficients a term of each slot reaches; the rest are
-    exact zeros in both modes.  A ring sweep per slot solves, at fixed
-    precision over Z/p^R: B is scaled by p^w, w = -min vp(B), so it is
-    p-integral, and each unknown a is carried as X = p^S a.  A step is
-    then integer multiply-adds, one reduction mod p^R and an exact
-    division by p^(i+w).  Two (min, +) sweeps over the valuations of B
-    fix S and R before any arithmetic: one bounds every coefficient's
-    valuation from below, which gives S; the other bounds from above the
-    digits each X loses, through p^(v(B) + w) X_j and the division,
-    which gives R = S + (largest loss) + digits.
+    exact zeros in both modes.  Exact, a ring sweep per slot solves over
+    Q.  At fixed precision the solve is over Z/p^R: B is scaled by p^w,
+    w = -min vp(B), so it is p-integral, and each unknown a is carried
+    as X = p^S a.  A step is then integer multiply-adds, one reduction
+    mod p^R and an exact division by p^(i+w).  Two (min, +) sweeps over
+    the valuations of B fix S and R before any arithmetic: one bounds
+    every coefficient's valuation from below, which gives S; the other
+    bounds from above the digits each X loses, through p^(v(B) + w) X_j
+    and the division, which gives R = S + (largest loss) + digits.
+
+    The fixed-precision ring is one sweep over the K = ceil(M / stride)
+    steps, as the static sweeps are.  At step t an unknown is one
+    integer with a lane of _lane_bytes(p^R, n K) bytes for each column
+    (slot s, class r) some term reaches, lane (s, r) holding X at
+    t-degree t stride + r.  The fold adds the products of nonnegative
+    residues (_accumulate), so lanes never borrow; a lane sums at most
+    n (K - 1) products below p^(2R).  The step unpacks the lanes
+    (_lanes), and each live one becomes (p^i F - lane mod p^R) / p^(i+w),
+    a dead one 0, before they are packed again (_packed).
     """
     if not is_prime(p):
         raise BadPrime("p = %d is not a prime" % p)
@@ -272,12 +310,10 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     fvals = [[f.known(c) for c in range(M)] for f in basis.fs[:n]]
     bmat, stride = _frobenius_matrix(fvals, p, M)
 
-    def solve(mat, fv, finish):
-        # slot s, equation i: p^i F_{i-s}
-        return [_sweep(mat, [[p ** i * x for x in fv[i - s]] if i >= s
-                             else [0] * M for i in range(n)],
-                       stride, support[s], _subtract, finish, 0)
-                for s in range(n)]
+    def rhs(fv):
+        # rhs[s][i][c]: slot s, equation i is p^i F_{i-s}
+        return [[[p ** i * x for x in fv[i - s]] if i >= s else [0] * M
+                 for i in range(n)] for s in range(n)]
 
     # A step of the recursion never leaves its residue class c mod
     # stride.  The static sweeps therefore walk the K steps once, with
@@ -296,13 +332,15 @@ def solve_A_series(L: MumOperator, p: int, M: int,
                     by_step(starts, lambda xs: sum(x << n * r
                                                    for r, x in enumerate(xs))),
                     1, [b"\1" * K] * n, _reached, lambda acc, i, t: acc, 0)
-    lane = (1 << n) - 1
-    reach = [[row[c // stride] >> n * (c % stride) & lane for c in range(M)]
+    ones = (1 << n) - 1
+    reach = [[row[c // stride] >> n * (c % stride) & ones for c in range(M)]
              for row in packed]
     support = [[bytes(mask >> s & 1 for mask in row) for row in reach]
                for s in range(n)]
     if digits is None:
-        sol = solve(bmat, fvals, lambda acc, i, c: Fraction(acc, p ** i))
+        sol = [_sweep(bmat, init, stride, support[s], _subtract,
+                      lambda acc, i, c: Fraction(acc, p ** i), 0)
+               for s, init in enumerate(rhs(fvals))]
         return FrobeniusDecomposition(
             p=p, operator=L, basis=basis, order=M,
             slots=[[PowerSeries(a, M) for a in s] for s in sol])
@@ -331,17 +369,37 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     scale = max(0, -floor)
     mod = p ** (scale - kept + digits)
     div = [p ** (i + w) for i in range(n)]
+    res = iter(_residues_of_rationals(chain.from_iterable(
+        chain.from_iterable(bmat)), p, mod, w))
+    rmat = [[list(islice(res, len(col))) for col in row] for row in bmat]
+    res = iter(_residues_of_rationals(chain.from_iterable(fvals), p, mod,
+                                      scale + w))
+    right = rhs([list(islice(res, M)) for _ in range(n)])
 
-    def step(acc, i, c):
-        q, r = divmod(acc % mod, div[i])
-        if r:   # the valuation floor was unsound
-            raise PrecisionExhausted(i, c)
-        return q
+    # The columns (s, r), slot s and class r, that some unknown reaches,
+    # as bits n r + s of the bitmask sweep; each gets a lane of width
+    # bytes in every packed unknown, dead lanes held at 0.
+    anywhere = reduce(or_, chain.from_iterable(packed), 0)
+    cols = [(bit % n, bit // n, bit) for bit in range(n * stride)
+            if anywhere >> bit & 1]
+    width = _lane_bytes(mod, n * K)
+    sol = [[[0] * M for _ in range(n)] for _ in range(n)]
 
-    sol = solve([[[_residue_of_rational(b, p, mod, w) for b in col]
-                  for col in row] for row in bmat],
-                [[_residue_of_rational(x, p, mod, scale + w) for x in f]
-                 for f in fvals], step)
+    def step(acc, i, t):
+        mask, out = packed[i][t], []
+        for (s, r, bit), lane in zip(cols, _lanes(acc, len(cols), width)):
+            c = t * stride + r
+            if c >= M or not mask >> bit & 1:
+                out.append(0)
+                continue
+            q, rem = divmod((right[s][i][c] - lane) % mod, div[i])
+            if rem:     # the valuation floor was unsound
+                raise PrecisionExhausted(i, c)
+            sol[s][i][c] = q
+            out.append(q)
+        return _packed(out, width)
+
+    _sweep(rmat, [[0] * K] * n, 1, packed, _accumulate, step, 0)
     keep = p ** (scale + digits)
     return FrobeniusDecomposition(
         p=p, operator=L, basis=basis, order=M, digits=digits, scale=scale,

@@ -15,6 +15,7 @@ exact solver for affine systems of p-adic integrality conditions.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -70,16 +71,39 @@ def _residue_of_rational(q: RationalLike, p: int, modulus: int,
                          shift: int = 0) -> int:
     """q p^shift modulo ``modulus``, a power of p; ValueError unless
     q p^shift is p-integral."""
-    num, den = q.numerator, q.denominator
-    while den % p == 0:
-        den //= p
-        shift -= 1
-    if shift < 0:
-        num, r = divmod(num, p ** -shift)
-        if r:
-            raise ValueError("rational is not p-integral")
-        shift = 0
-    return num * p ** shift % modulus * pow(den, -1, modulus) % modulus
+    return _residues_of_rationals((q,), p, modulus, shift)[0]
+
+
+def _residues_of_rationals(qs: Iterable[RationalLike], p: int, modulus: int,
+                           shift: int = 0) -> list[int]:
+    """[q p^shift modulo ``modulus`` for q in qs], modulus a power of p;
+    ValueError unless every q p^shift is p-integral.
+
+    The p-free parts d_k of the denominators share one modular inverse
+    (Montgomery's trick): with P_k = d_0 ... d_k, 1/d_k = P_(k-1) / P_k,
+    and 1/P_(k-1) = d_k / P_k walks the products back from 1/P_last."""
+    nums, dens = [], []
+    for q in qs:
+        num, den, s = q.numerator, q.denominator, shift
+        while den % p == 0:
+            den //= p
+            s -= 1
+        if s < 0:
+            num, r = divmod(num, p ** -s)
+            if r:
+                raise ValueError("rational is not p-integral")
+            s = 0
+        nums.append(num * p ** s)
+        dens.append(den)
+    prods = [1]
+    for den in dens:
+        prods.append(prods[-1] * den % modulus)
+    inv = pow(prods[-1], -1, modulus)
+    out = [0] * len(nums)
+    for k in range(len(nums) - 1, -1, -1):
+        out[k] = nums[k] % modulus * inv * prods[k] % modulus
+        inv = inv * dens[k] % modulus
+    return out
 
 
 def _echelon_mod(rows: Sequence[Sequence[int]], ncols: int,
@@ -537,35 +561,45 @@ def _arctan_inv(x: int, scale: int) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _two_pi(Q: int) -> int:
+    """2 pi 2^Q by Machin's formula, 2 (16 arctan(1/5) - 4 arctan(1/239)),
+    each arctan to within (terms + 1) units 2^-Q (_arctan_inv)."""
+    return 2 * (16 * _arctan_inv(5, Q) - 4 * _arctan_inv(239, Q))
+
+
 def _bernoulli_by_zeta(n: int) -> Fraction:
     """B_n for even n >= 64 from B_n = (-1)^(n/2+1) 2 n! zeta(n) / (2 pi)^n,
     in fixed-point integer arithmetic.
 
     With D = _staudt_denominator(n), T = |B_n| D is an integer below
     2^E, E the bit length of 4 n! D // 6^n (zeta(n) < 2, 2 pi > 6).  A
-    real x is held as an integer near x 2^Q, Q = E + 2 bitlen(n E) + 8,
-    and every floor costs under one unit 2^-Q:
+    real x is held as an integer near x 2^Q, Q at least Q0 = E +
+    2 bitlen(n E) + 8, and every floor costs under one unit 2^-Q:
 
-    * 2 pi = 2 (16 arctan(1/5) - 4 arctan(1/239)) (Machin), each arctan
-      to within (terms + 1) units, with under Q/4 and Q/15 terms:
+    * 2 pi (_two_pi), each arctan with under Q/4 and Q/15 terms:
       relative error h < 2 Q 2^-Q;
     * (2 pi)^n by square-and-multiply, one floor per product of factors
       >= 1: relative error < 2 (n h + 2 bitlen(n) 2^-Q) <= 4 (n+1) Q 2^-Q;
-    * zeta(n) as the sum of floor(2^Q / k^n) over the K < n/4 values k
-      with k^n <= 2^Q, plus a tail under two units: relative error
-      < (Q + 2) 2^-Q.
+    * zeta(n) as the sum of floor(2^Q / k^n) over the K <= 2^(Q/n)
+      values k with k^n <= 2^Q, plus a tail under two units: relative
+      error < (2^(Q/n) + 2) 2^-Q.
 
-    16 T = 16 (2 n! D) zeta(n) / (2 pi)^n is so computed to relative
-    error r < 10 (n+1) Q 2^-Q <= 2^-(E+3), by the choice of Q, and
-    floored.  The result over 16 lies within 2^E r + 1/16 <= 3/16 < 1/4
-    of the integer T, so rounding it gives T exactly.
+    Each of these bounds falls as Q grows (Q 2^-Q does for Q >= 2, and
+    2^(Q/n - Q) for n >= 2), so at any Q >= Q0 they are at most their
+    values at Q0, where K < n/4.  16 T = 16 (2 n! D) zeta(n) / (2 pi)^n
+    is so computed to relative error r < 10 (n+1) Q0 2^-Q0 <= 2^-(E+3),
+    by the choice of Q0, and floored.  The result over 16 lies within
+    2^E r + 1/16 <= 3/16 < 1/4 of the integer T, so rounding it gives T
+    exactly.  Q is Q0 rounded up to a multiple of 256, so that indices
+    with nearby Q0 share one memoized 2 pi 2^Q.
     """
     D = _staudt_denominator(n)
     top = 2 * math.factorial(n) * D
     E = (2 * top // 6 ** n).bit_length()
-    Q = E + 2 * (n * E).bit_length() + 8
+    Q = -(-(E + 2 * (n * E).bit_length() + 8) // 256) * 256
     one = 1 << Q
-    tau = 2 * (16 * _arctan_inv(5, Q) - 4 * _arctan_inv(239, Q))
+    tau = _two_pi(Q)
     tau_n, k = one, n
     while k:
         if k & 1:
@@ -664,9 +698,8 @@ def _reduced_condition(c0: RationalLike, coeffs: Sequence[RationalLike],
     for c in (c0, *coeffs):
         if c:
             e = max(e, -shift - vp(c, p))
-    m = p ** e
-    return (tuple(_residue_of_rational(c, p, m, e + shift) for c in coeffs),
-            _residue_of_rational(-c0, p, m, e + shift), e)
+    *a, b = _residues_of_rationals((*coeffs, -c0), p, p ** e, e + shift)
+    return tuple(a), b, e
 
 
 def _smith_solve(rows, rhs, prov, k, p, E):

@@ -1,8 +1,10 @@
 """Combinatorial identities and degree bookkeeping that only the tests
 read: Stirling numbers of the second kind, falling factorials, the
-Stirling expansion of the eta basis, and the polytope degrees behind the
-divisibility of expansion coefficients."""
+Stirling expansion of the eta basis, the polytope degrees behind the
+divisibility of expansion coefficients, and an enumerate-then-filter
+expansion of t^a x^w / f^m."""
 
+import math
 import threading
 from fractions import Fraction
 from typing import Sequence
@@ -113,3 +115,40 @@ def omega_ell_coefficients(U: Sequence[int], n: int) -> list:
             scaled = [-shift * c for c in poly] + [Fraction(0)]
             poly = [a + b for a, b in zip(shifted, scaled)]
     return [c / (n + 1) ** i for i, c in enumerate(poly)]
+
+
+def _all_compositions(total: int, slots: int):
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _all_compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def expand_then_filter(family: str, m: int, numerator, box,
+                       M: int) -> dict:
+    """{u: coefficient list mod t^M} of t^a x^w / f^m over the box
+    (lo, hi), in the order brute_force_expand first meets each u: every
+    composition of each g^k is opened, and only then is its exponent
+    tested against the box."""
+    a, w = numerator
+    lo, hi = box
+    n = len(w)
+    out = {}
+    for k in range(M - a):
+        binom = math.comb(m - 1 + k, k)
+        if family == "simplicial":
+            terms = [((a0,) + tail,
+                      tuple(w[i] + tail[i] - a0 for i in range(n)))
+                     for a0 in range(k + 1)
+                     for tail in _all_compositions(k - a0, n)]
+        else:
+            terms = [(tail, tuple(w[i] + tail[2 * i] - tail[2 * i + 1]
+                                  for i in range(n)))
+                     for tail in _all_compositions(k, 2 * n)]
+        for parts, u in terms:
+            if all(lo[i] <= u[i] <= hi[i] for i in range(n)):
+                out.setdefault(u, [0] * M)[a + k] += \
+                    binom * multinomial(parts)
+    return out

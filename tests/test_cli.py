@@ -247,14 +247,17 @@ def test_selftest_json_deterministic(capsys):
     assert payload["failures"] == 0
 
 
-def test_selftest_full_matches_frozen_bytes(capsys):
-    # the sha256 the benchmark's correctness gate holds for this job
-    frozen = Path(__file__).resolve().parents[1] / "perfbench" \
-        / "expected_stdout.json"
-    want = json.loads(frozen.read_text())["selftest --format json --seed 0"]
-    code, out, _ = run(capsys, "selftest", "--format", "json", "--seed", "0")
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+FROZEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                     / "expected_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("job", sorted(FROZEN))
+def test_frozen_job_matches_bytes(capsys, job):
+    # the sha256 the benchmark's correctness gate holds for each job; the
+    # perturbed verify reports non-integral and exits 1
+    code, out, _ = run(capsys, *job.split())
+    assert code == (1 if "--perturb" in job else 0)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN[job]
 
 
 def test_selftest_failure_path(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -26,6 +27,7 @@ from padicfrob.qseries import PowerSeries
 from combinatorics import (
     check_divisibility,
     eta_from_omega,
+    expand_then_filter,
     homogenize,
     hyperoct_degree,
     omega_ell_coefficients,
@@ -104,6 +106,25 @@ def test_brute_force_hyperoct_constant_term():
     c = cm.coefficient((0, 0, 0))
     assert all(c.known(k) == per.known(k) for k in range(13))
     assert check_divisibility(cm)
+
+
+def test_brute_force_matches_enumerate_then_filter():
+    # random boxes, numerators and orders for both families, n <= 3 and
+    # M <= 12: the box-pruned walk gives the oracle's coefficients, with
+    # the exponents in the same order
+    rng = random.Random(20260)
+    for _ in range(80):
+        family = rng.choice(["simplicial", "hyperoctahedral"])
+        n, M, m = rng.randint(1, 3), rng.randint(1, 12), rng.randint(1, 3)
+        lo = tuple(rng.randint(-4, 2) for _ in range(n))
+        hi = tuple(x + rng.randint(0, 4) for x in lo)
+        numerator = (rng.randint(0, 2),
+                     tuple(rng.randint(-2, 2) for _ in range(n)))
+        cm = brute_force_expand(family, m, numerator, (lo, hi), M)
+        want = expand_then_filter(family, m, numerator, (lo, hi), M)
+        assert list(cm.data) == list(want)
+        assert all([cm.data[u].known(c) for c in range(M)] == want[u]
+                   for u in want)
 
 
 def test_cartier_reindexing():

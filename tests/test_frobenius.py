@@ -577,6 +577,63 @@ def test_fixed_precision_short_digits_raise():
         solve_A_series(L, p, M, basis=fixed.basis, digits=0)
 
 
+# The fixed-precision ring packs every (slot, residue class mod g p)
+# column into one lane of each unknown, the K = ceil(M / (g p)) steps
+# walked once.  (L, p, M, digits) at the edges of that layout:
+LANE_CASES = [
+    # K = 1: g p = 155 > M, so no step reads another
+    (simplicial_operator(4), 31, 120, 6),
+    # M not a multiple of g p = 35: the last step holds 30 of 35 classes
+    (simplicial_operator(4), 7, 100, 6),
+    # g p = 14 and the odd classes are dead lanes; M = 101 is odd too
+    (KNOWN_HYPEROCT_OPERATORS[4], 7, 101, 6),
+    # 7 slots by 11 live classes of g p = 88: 77 lanes, K = 4
+    (simplicial_operator(7), 11, 300, 4),
+]
+
+
+@pytest.mark.parametrize("L,p,M,digits", LANE_CASES)
+def test_fixed_precision_lanes_match_exact(L, p, M, digits):
+    exact = solve_A_series(L, p, M)
+    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=digits)
+    n = L.order
+    for k in range(n):
+        for j in range(n):
+            for m in range(M):
+                want = exact.slot(k, j, m)
+                got = fixed.slot(k, j, m)
+                assert fixed.support[k][j][m] == (want != 0), (k, j, m)
+                if want == 0:
+                    assert got == 0 and not isinstance(got, PadicNum)
+                else:
+                    assert got.agrees(want, digits), (k, j, m)
+    if L == KNOWN_HYPEROCT_OPERATORS[4]:
+        assert not any(row[m] for slot in fixed.support for row in slot
+                       for m in range(1, M, 2))
+
+
+@pytest.mark.parametrize("mod,terms", [
+    (7 ** 74, 4 * 50),      # deep-solve: n = 4, K = 50 at M = 700
+    (11 ** 30, 7 * 40),     # n = 7 with K past 2^8 / 7
+    (7, 4 * 64),            # terms a power of two
+    (5 ** 3, 1),            # K = 1: no products at all
+    (2 ** 61, 255),
+])
+def test_lane_width_holds_the_largest_sum(mod, terms):
+    # every residue at mod - 1 and n (K - 1) < terms products per lane:
+    # no lane carries into the next
+    count = 3
+    width = frobenius._lane_bytes(mod, terms)
+    top = mod - 1
+    x = frobenius._packed([top] * count, width)
+    acc = 0
+    for _ in range(terms - 1):
+        acc = frobenius._accumulate(acc, [top], [x])
+    assert frobenius._lanes(acc, count, width) == \
+        [(terms - 1) * top * top] * count
+    assert frobenius._lanes(x, count, width) == [top] * count
+
+
 @pytest.mark.parametrize("L,p,M,digits,alphas,where", [
     # at t^14 an inexact alpha meets a slot coefficient on the support
     # whose 3 digits are all 0, so the entry's precision is unknown

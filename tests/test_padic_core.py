@@ -15,7 +15,9 @@ from padicfrob.padic_core import (
     _bernoulli_by_tangents,
     _bernoulli_by_zeta,
     _echelon_mod,
+    _two_pi,
     _residue_of_rational,
+    _residues_of_rationals,
     _staudt_denominator,
     bernoulli,
     multinomial,
@@ -40,14 +42,30 @@ def test_vp_basics():
 
 def test_residue_of_rational_shift():
     # q 5^shift mod 5^k, the powers of 5 taken from either side of q
-    assert _residue_of_rational(F(1, 2), 5, 625) == 313
-    assert _residue_of_rational(F(3, 50), 5, 125, 2) == 3 * 63 % 125
-    assert _residue_of_rational(F(7, 3), 5, 125, 1) == 35 * 42 % 125
-    assert _residue_of_rational(-250, 5, 25, -3) == 23
-    assert _residue_of_rational(F(0), 5, 25, -4) == 0
+    cases = [(F(1, 2), 625, 0, 313), (F(3, 50), 125, 2, 3 * 63 % 125),
+             (F(7, 3), 125, 1, 35 * 42 % 125), (-250, 25, -3, 23),
+             (F(0), 25, -4, 0)]
+    for q, mod, shift, want in cases:
+        assert _residue_of_rational(q, 5, mod, shift) == want
+        assert _residues_of_rationals([q, q], 5, mod, shift) == [want] * 2
+    # the batch form, one shared inverse, gives each residue; mixed
+    # denominators, ints, zeros and negative shifts in one batch
+    for k, shift in [(4, 0), (3, 2), (2, -3), (5, -1)]:
+        qs = [F(1, 2), F(7, 3), F(-11, 6), F(0), 0, 250, -375, F(3, 7),
+              F(4, 9), 1]
+        qs = [q for q in qs if vp(q, 5) + shift >= 0]
+        got = _residues_of_rationals(qs, 5, 5 ** k, shift)
+        assert got == [_residue_of_rational(q, 5, 5 ** k, shift)
+                       for q in qs]
+        for q, r in zip(qs, got):
+            assert 0 <= r < 5 ** k and vp(r - q * F(5) ** shift, 5) >= k
+    assert _residues_of_rationals([], 5, 25) == []
     for q, shift in [(F(1, 5), 0), (F(3, 50), 1), (10, -2)]:
         with pytest.raises(ValueError, match="p-integral"):
             _residue_of_rational(q, 5, 25, shift)
+        # one entry that is not p-integral spoils the whole batch
+        with pytest.raises(ValueError, match="p-integral"):
+            _residues_of_rationals([F(1, 2), q, 3], 5, 25, shift)
 
 
 class TestEchelonMod:
@@ -244,6 +262,15 @@ class TestBernoulli:
             assert _bernoulli_by_zeta(n) == _bernoulli_by_tangents(n), n
         assert bernoulli(ZETA_BERNOULLI_FROM) == \
             _bernoulli_by_tangents(ZETA_BERNOULLI_FROM)
+
+    def test_zeta_route_shares_two_pi(self):
+        # Q0 = 7562 and 7572 round up to the same Q = 7680, so the second
+        # index reuses the first's 2 pi 2^Q and must still be exact
+        _two_pi.cache_clear()
+        for n in (1206, 1208):
+            assert _bernoulli_by_zeta(n) == _bernoulli_by_tangents(n), n
+        info = _two_pi.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     def test_von_staudt_clausen(self):
         # B_n + sum over primes q with (q - 1) | n of 1/q is an integer
