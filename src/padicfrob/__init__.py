@@ -68,9 +68,6 @@ from .frobenius import (  # noqa: F401
 from .expansion import (  # noqa: F401
     alternating_identity_check,
     brute_force_expand,
-    cartier_truncated,
-    hyperoct_constant_term,
     mu_at_zero,
     simplicial_coeff_series,
-    simplicial_limit_coeff,
 )

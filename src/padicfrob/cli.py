@@ -336,7 +336,7 @@ def cmd_recover(args) -> int:
              "congruence lattice modulus exponent: %d"
              % sol.modulus_exponent]
     for j in range(1, len(polys) + 1):
-        e = sol.exponents[j - 1] if j - 1 <= len(sol.exponents) - 1 else 0
+        e = sol.exponents[j - 1]
         if e <= 0:
             rows.append({"j": j, "exponent": 0, "match": None})
             lines.append("alpha_%d unconstrained by integrality" % j)

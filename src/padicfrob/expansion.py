@@ -80,18 +80,6 @@ def simplicial_coeff_series(U: Sequence[int], V: Sequence[int],
     return PowerSeries(coeffs, M)
 
 
-def simplicial_limit_coeff(U: Sequence[int], V: Sequence[int],
-                           N: int):
-    """t -> 0 limit of t^{-N|V|} times the x^{NV} coefficient:
-    multinomial(NV) prod (N V_i)^{U_i} with 0^0 = 1."""
-    U = normalize_shift(U)
-    V = normalize_shift(V)
-    out = multinomial([N * v for v in V])
-    for ui, vi in zip(U, V):
-        out *= (N * vi) ** ui
-    return out
-
-
 def _as_box(box, n: int) -> tuple:
     """Accept a radius (cube [-b, b]^n) or an explicit (lo, hi) pair."""
     if isinstance(box, int):
@@ -201,59 +189,6 @@ def brute_force_expand(family: str, m: int, numerator, box,
 
     data = {u: PowerSeries(row, M) for u, row in out.items()}
     return CoeffMap(family=family, n=n, box=box, order=M, data=data)
-
-
-def cartier_truncated(cm: CoeffMap, p: int, box=None) -> CoeffMap:
-    """Re-index c_u -> c_{pu} on a window whose p-dilate fits in cm."""
-    lo, hi = cm.box
-    if box is None:
-        box = (tuple(-((-a) // p) for a in lo),
-               tuple(b // p for b in hi))
-    box = _as_box(box, cm.n)
-    tlo, thi = box
-    if any(t * p < a for t, a in zip(tlo, lo)) or \
-            any(t * p > b for t, b in zip(thi, hi)):
-        raise BoxTooLarge("p-dilated target box leaves the source box")
-    data = {}
-    for u in cm.data:
-        if all(x % p == 0 for x in u):
-            v = tuple(x // p for x in u)
-            if all(tlo[i] <= v[i] <= thi[i] for i in range(cm.n)):
-                data[v] = cm.data[u]
-    return CoeffMap(family=cm.family, n=cm.n, box=box,
-                    order=cm.order, data=data)
-
-
-@dataclass
-class HyperoctConstants:
-    """F_u(t) for the hyperoctahedral family, with support size."""
-
-    u: tuple
-    n: int
-    series: PowerSeries
-    ell: int
-
-
-def hyperoct_constant_term(u: Sequence[int], n: int,
-                           M: int) -> HyperoctConstants:
-    """F_u(t) = sum_m t^{2|m|} (2|m|)!/(m_1!..m_n!)^2 prod m_i^{u_i},
-    from the product over i of the weight series sum_k k^{u_i}/k!^2 s^k
-    in s = t^2."""
-    u = tuple(u)
-    if len(u) != n or any(x < 0 for x in u):
-        raise ValueError("u must be a length-n nonnegative vector")
-    half = (M + 1) // 2
-    acc = PowerSeries.one(half)
-    for wi in u:
-        # 0^0 = 1 keeps the m_i = 0 term when u_i = 0
-        acc = acc * PowerSeries([Fraction(k ** wi, math.factorial(k) ** 2)
-                                 for k in range(half)], half)
-    coeffs = [0] * M
-    for k in range(half):
-        val = acc.known(k) * math.factorial(2 * k)
-        coeffs[2 * k] = int(val) if val.denominator == 1 else val
-    return HyperoctConstants(u=u, n=n, series=PowerSeries(coeffs, M),
-                             ell=sum(1 for x in u if x > 0))
 
 
 def mu_at_zero(u: Sequence[int], j: int, n: int) -> Fraction:

@@ -8,10 +8,11 @@ that A_j depends on the alpha constants linearly:
 
     A_j = A_j^(0) + sum_{k>=1} alpha_k A_j^(k).
 
-Numeric alpha values enter only at assembly time.  One traversal,
-_sweep, walks the recursion, with a ring fold for the solve, a bitmask
-fold for its support and a (min, +) fold for its static bounds.  The
-slot series are solved in one of two modes (solve_A_series):
+Numeric alpha values enter only where a condition reads a coefficient
+of A_j.  One traversal, _sweep, walks the recursion, with a ring fold
+for the solve, a bitmask fold for its support and a (min, +) fold for
+its static bounds.  The slot series are solved in one of two modes
+(solve_A_series):
 
 - exact, over Q: the oracle, and the mode the defining identity
   (verify_frobenius_property) and nonuniqueness_witness need;
@@ -20,16 +21,14 @@ slot series are solved in one of two modes (solve_A_series):
   fix R before any arithmetic, and coefficients off the support stay
   exact zeros.  All slots and residue classes are solved in one sweep,
   each unknown an integer with one lane per (slot, class) column.
-  Consumers read both modes through
-  FrobeniusDecomposition.slot(), or, on the verify and recover paths
-  (check_integrality, recover_alpha), the stored integers themselves,
-  and raise PrecisionExhausted, never other digits, when the slot
-  digits fall short of what the exact mode would report.
 
 Two conditions on the constants are checked against these series:
 integrality of the coefficients (check_integrality), which leaves the
 top constants free, and the analytic-element condition
-(check_analytic, see analytic_bound), which pins them.
+(check_analytic, see analytic_bound), which pins them.  Both read a
+coefficient through one reader per mode (_integrality_entry exact,
+_stored_reading on the stored integers) and raise PrecisionExhausted,
+never other digits, where the slot digits fall short of the exact mode.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, islice
 from operator import add, mul, or_
 from typing import Sequence
@@ -48,7 +47,6 @@ from .mum import MumOperator, StandardBasis, apply_operator, standard_basis
 from .padic_core import (
     INFINITY,
     BadPrime,
-    CongruenceSolution,
     CongruenceSystem,
     PadicNum,
     _reduced_condition,
@@ -92,9 +90,9 @@ class FrobeniusDecomposition:
     N the decomposition is fixed-precision: a coefficient c is stored as
     the integer p^scale c mod p^(scale + N), so it is known mod p^N, and
     support[k][j][m] says whether any term of the recursion reached it;
-    off the support c is an exact zero.  Read coefficients through
-    slot(), which serves both modes; check_integrality and recover_alpha
-    read the stored integers and the support directly.
+    off the support c is an exact zero.  slot() reads one coefficient in
+    either mode; at fixed precision check_integrality, check_analytic and
+    recover_alpha read the stored integers and the support directly.
     """
 
     p: int
@@ -168,23 +166,6 @@ class FrobeniusDecomposition:
                    for row in self.slots],
             support=None if self.digits is None else
             [[spread(live) for live in row] for row in self.support])
-
-    def coefficient(self, j: int, m: int, alphas: Sequence):
-        """Assembled t^m coefficient of A_j at the given alpha_1.."""
-        return _alpha_linear([self.slot(k, j, m) for k in range(self.n)],
-                             alphas)
-
-    def assemble(self, alphas: Sequence) -> list:
-        """A_0..A_{n-1} at the given alpha_1..alpha_{n-1}."""
-        if len(alphas) != self.n - 1:
-            raise ValueError("need %d alpha values" % (self.n - 1))
-        return [PowerSeries([self.coefficient(j, m, alphas)
-                             for m in range(self.order)], self.order)
-                for j in range(self.n)]
-
-
-def _is_exact_zero(x) -> bool:
-    return isinstance(x, (int, Fraction)) and x == 0
 
 
 # valuation of an exact zero in the static sweeps; anything at or past
@@ -525,8 +506,8 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     PrecisionExhausted.  A fixed-precision decomposition gives the
     report the exact slots give, or PrecisionExhausted where its digits
     fall short (integrality_digits says how many suffice).  Its entries
-    are read from the stored slot integers (_stored_entries), with no
-    PadicNum arithmetic; an exact one goes through _integrality_entry.
+    are read from the stored slot integers (_stored_reading) and decided
+    by _integral_entry; an exact one goes through _integrality_entry.
 
     Integrality is a weak test of the constants.  The slot series
     A_j^(k) for k >= n-2 are themselves p-integral at the built-in
@@ -538,7 +519,8 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     if len(alphas) != dec.n - 1:
         raise ValueError("need %d alpha values" % (dec.n - 1))
     entry_of = (lambda j, m: _integrality_entry(dec, j, m, alphas)) \
-        if dec.digits is None else _stored_entries(dec, alphas)
+        if dec.digits is None else \
+        partial(_integral_entry, _stored_reading(dec, alphas))
     entries = []
     min_val = None
     first_bad = None
@@ -576,6 +558,8 @@ def integrality_digits(alphas: Sequence, headroom: int) -> int:
 def _check_prime_order(dec: FrobeniusDecomposition, p: int, M: int):
     if p != dec.p:
         raise ValueError("decomposition was solved at p=%d" % dec.p)
+    if M < 1:
+        raise InsufficientOrder("need t-order at least 1")
     if M > dec.order:
         raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
 
@@ -598,7 +582,7 @@ def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,
     target = INFINITY
     for k, al in enumerate(alphas, start=1):
         c = dec.slot(k, j, m)
-        if _is_exact_zero(c):
+        if isinstance(c, (int, Fraction)) and c == 0:
             continue
         if isinstance(al, PadicNum) and not al.is_exact:
             if isinstance(c, PadicNum):
@@ -625,67 +609,81 @@ def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,
     return int(value.valuation), int(value.abs_precision)
 
 
-def _stored_entries(dec: FrobeniusDecomposition, alphas: Sequence):
-    """(j, m) -> _integrality_entry(dec, j, m, alphas) for a
-    fixed-precision dec, read from the stored integers X_k = p^scale c_k
-    mod p^(scale + D), D = dec.digits.
+def _stored_reading(dec: FrobeniusDecomposition, alphas: Sequence):
+    """(j, m) -> None, for no term on the support, or (val, prec,
+    target) of sum_k alpha_k c_k, alpha_0 = 1, c_k the t^m coefficient
+    of A_j^(k) in a fixed-precision dec, stored as X_k = p^scale c_k mod
+    p^(scale + D), D = dec.digits.
 
-    Each alpha_k (alpha_0 = 1) is prepared once as its valuation a_k,
-    absolute precision A_k (infinite when exact) and a residue of
-    alpha_k / p^e, e = min a_k <= 0; an exact zero drops out, as its
-    products do in PadicNum.  PadicNum's own rules give the entry's
-    precision: a sum keeps the least precision of its terms, and the
-    product of alpha_k with a slot coefficient c_k of valuation v_k is
-    known to a_k + D, and to v_k + A_k when alpha_k is inexact.  So over
-    the terms on the support P = min(a_k + D, v_k + A_k), and
-    p^(scale - e) times the entry is sum_k (alpha_k / p^e) X_k, known
-    mod p^(P + scale - e), which gives the valuation.  The same tests as
-    in _integrality_entry then decide or raise PrecisionExhausted.
+    Each alpha_k is prepared once as its valuation a_k, absolute
+    precision A_k (infinite when exact) and a residue of alpha_k / p^e,
+    e = min a_k <= 0; an exact zero drops out, as in PadicNum.  By
+    PadicNum's rules alpha_k c_k is known to a_k + D, and to v_k + A_k
+    for an inexact alpha_k, and a sum to the least of its terms: prec
+    (an inexact zero c_k has v_k >= D and A_k >= a_k, so only X_k != 0
+    lowers it).  val is that of sum_k (alpha_k / p^e) X_k mod p^(prec +
+    scale - e), p^(scale - e) times the sum; None when 0.  target, the
+    precision exact slots give, is the least v_k + A_k over inexact
+    alpha_k: INFINITY for none, None (unknown) where one meets X_k = 0.
     """
     p, digits, scale = dec.p, dec.digits, dec.scale
     padics = [(k, al if isinstance(al, PadicNum)
                else PadicNum.from_exact(al, p))
               for k, al in enumerate([1] + list(alphas))]
     padics = [(k, al) for k, al in padics if not al.is_exact_zero]
+    if any(al.p != p for _, al in padics):
+        raise ValueError("alphas must be %d-adic" % p)
     e = min(al.valuation for _, al in padics)
     top = scale + digits - e + max(al.valuation for _, al in padics)
     pows = [p ** i for i in range(top + 1)]
     stored = pows[scale + digits]
-    # (k, a_k + D, A_k, alpha_k / p^e mod p^top)
-    terms = [(k, al.valuation + digits, al.abs_precision,
-              al._scaled_residue(e, top)) for k, al in padics]
+    # per j: (support, t^m coefficient, a_k + D, A_k, alpha_k / p^e)
+    terms = [[(dec.support[k][j], dec.slots[k][j].known,
+               al.valuation + digits, al.abs_precision,
+               al._scaled_residue(e, top)) for k, al in padics]
+             for j in range(dec.n)]
 
-    def entry(j: int, m: int):
-        acc = 0
-        prec = target = INFINITY
-        for k, kept, A, r in terms:
-            if not dec.support[k][j][m]:
+    def read(j: int, m: int):
+        acc, prec, target, known = 0, INFINITY, INFINITY, True
+        for live, coeff, kept, A, r in terms[j]:
+            if not live[m]:
                 continue
-            x = dec.slots[k][j].known(m)
-            prec = min(prec, kept)
+            x = coeff(m)
+            if kept < prec:
+                prec = kept
             acc += r * x
             if A != INFINITY:
-                if not x:
-                    raise PrecisionExhausted(j, m)
-                target = min(target,
-                             A + bisect_left(pows, math.gcd(x, stored))
-                             - scale)
+                if x:
+                    target = min(target, A - scale
+                                 + bisect_left(pows, math.gcd(x, stored)))
+                else:
+                    known = False
         if prec == INFINITY:
             return None
-        prec = min(prec, target)
+        if target < prec:
+            prec = target
         # prec >= e - scale, as v_k >= -scale and A_k >= a_k >= e
         width = prec + scale - e
         g = math.gcd(acc, pows[width])
         val = None if g == pows[width] else bisect_left(pows, g) + e - scale
-        if target == INFINITY:
-            if val is None:
-                raise PrecisionExhausted(j, m)
-            return val, None
-        if prec < target or (val is None and prec < 1):
-            raise PrecisionExhausted(j, m)
-        return val, prec
+        return val, prec, target if known else None
 
-    return entry
+    return read
+
+
+def _integral_entry(read, j: int, m: int):
+    """_integrality_entry(dec, j, m, alphas) decided on read =
+    _stored_reading(dec, alphas): the (val, prec) exact slots give, or
+    PrecisionExhausted."""
+    reading = read(j, m)
+    if reading is None:
+        return None
+    val, prec, target = reading
+    if target == INFINITY and val is not None:
+        return val, None
+    if target is None or prec < target or (val is None and prec < 1):
+        raise PrecisionExhausted(j, m)
+    return val, prec
 
 
 def _divisors(x: int):
@@ -796,24 +794,29 @@ def _analytic_bounds(L: MumOperator, p: int, digits: int) -> list:
 
 def _analytic_rows(dec: FrobeniusDecomposition, p: int, M: int,
                    digits: int):
-    """Yield (weighted, s, j, m) for s = 1..digits, j < n and deg(s) <
+    """Iterate (weighted, s, j, m) for s = 1..digits, j < n and deg(s) <
     m < M, where weighted holds the products D^e(s) A_j^(k), formed once
     per s, with D^e(s) = D^e(s') D^(e(s) - e(s')) from the last s' used;
-    each row [t^m] D^e(s) A_j must vanish mod p^s."""
+    each row [t^m] D^e(s) A_j must vanish mod p^s.  Checks its arguments
+    before any row is read; ValueError for negative digits."""
     _check_prime_order(dec, p, M)
-    if digits < 1:
-        return
-    lead = PowerSeries(dec.operator.leading(), M)
-    power, done = PowerSeries.one(M), 0
-    for s, (e, deg) in enumerate(_analytic_bounds(dec.operator, p, digits),
-                                 start=1):
-        if deg + 1 >= M:
-            continue
-        power, done = power * lead ** (e - done), e
-        weighted = dec._times(power.coeffs, deg + 1, M)
-        for j in range(dec.n):
-            for m in range(deg + 1, M):
-                yield weighted, s, j, m
+    if digits < 0:
+        raise ValueError("need analytic digits >= 0")
+    bounds = _analytic_bounds(dec.operator, p, digits) if digits else []
+
+    def rows():
+        lead = PowerSeries(dec.operator.leading(), M)
+        power, done = PowerSeries.one(M), 0
+        for s, (e, deg) in enumerate(bounds, start=1):
+            if deg + 1 >= M:
+                continue
+            power, done = power * lead ** (e - done), e
+            weighted = dec._times(power.coeffs, deg + 1, M)
+            for j in range(dec.n):
+                for m in range(deg + 1, M):
+                    yield weighted, s, j, m
+
+    return rows()
 
 
 @dataclass
@@ -836,28 +839,28 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
     valuation); ``rows`` counts the rows decided.  A row whose value is
     an inexact zero known to fewer than s digits, for want of alpha
     digits or of slot digits, raises PrecisionExhausted.
+
+    Rows are read from the products D^e(s) A_j^(k) of _analytic_rows as
+    check_integrality reads entries: _stored_reading, built once per s,
+    or _integrality_entry when exact.  Only the decision differs.
     """
     if len(alphas) != dec.n - 1:
         raise ValueError("need %d alpha values" % (dec.n - 1))
-    rows = 0
+    rows, product, read = 0, None, None
     for weighted, s, j, m in _analytic_rows(dec, p, M, digits):
-        value = weighted.slot(0, j, m)
-        for k, al in enumerate(alphas, start=1):
-            c = weighted.slot(k, j, m)
-            if not _is_exact_zero(c):
-                value = value + al * c
-        if isinstance(value, PadicNum) and not value.is_exact:
-            if value.is_zero():
-                if value.abs_precision < s:
-                    raise PrecisionExhausted(j, m)
-                val = value.abs_precision
-            else:
-                val = int(value.valuation)
-        else:
-            q = value.exact if isinstance(value, PadicNum) else value
-            val = vp(q, p)
+        if weighted is not product:
+            product = weighted
+            read = partial(_integrality_entry, weighted, alphas=alphas) \
+                if dec.digits is None else _stored_reading(weighted, alphas)
+        reading = read(j, m)
         rows += 1
-        if val < s:
+        if reading is None:
+            continue
+        val, prec = reading[:2]
+        if val is None:
+            if prec < s:
+                raise PrecisionExhausted(j, m)
+        elif val < s:
             return AnalyticReport(p=p, M=M, digits=digits,
                                   verdict="non-analytic", rows=rows,
                                   first_failing=(s, j, m, val))
@@ -928,10 +931,6 @@ def recover_alpha(dec: FrobeniusDecomposition, p: int, M: int,
                   _analytic_rows(dec, p, M, analytic_digits))
     rows = [row for row in (_congruence_row(*spec) for spec in specs)
             if row is not None]
-    if not rows:
-        return CongruenceSolution(prime=p, representative=[],
-                                  exponents=[], modulus_exponent=0,
-                                  generators=[])
     return solve_affine_congruences(
         CongruenceSystem(p, dec.n - 1, tuple(rows)))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,14 +36,6 @@ def _strip(poly: Sequence[int]) -> list:
     while poly and poly[-1] == 0:
         poly.pop()
     return poly
-
-
-def _json_int(x, field: str) -> int:
-    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
-        return int(x)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise ValueError("%s must be an integer, not %r" % (field, x))
 
 
 @dataclass
@@ -90,24 +81,6 @@ class MumOperator:
             "coeffs": [[str(x) for x in c] for c in self.coeffs],
         }
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MumOperator":
-        """The operator to_json wrote.  "n" and every coefficient must be
-        an int or an integer string; anything else raises ValueError
-        naming the field."""
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("operator JSON must be an object")
-        rows = payload.get("coeffs")
-        if not isinstance(rows, list) or not all(isinstance(c, list)
-                                                 for c in rows):
-            raise ValueError("coeffs must be a list of lists")
-        coeffs = [[_json_int(x, "coeffs[%d][%d]" % (i, k))
-                   for k, x in enumerate(c)] for i, c in enumerate(rows)]
-        if len(coeffs) != _json_int(payload.get("n"), "n") + 1:
-            raise ValueError("coefficient count does not match order")
-        return cls(coeffs)
 
     def __repr__(self):
         def poly_str(c):

@@ -1,16 +1,29 @@
 """Combinatorial identities and degree bookkeeping that only the tests
 read: Stirling numbers of the second kind, falling factorials, the
 Stirling expansion of the eta basis, the polytope degrees behind the
-divisibility of expansion coefficients, and an enumerate-then-filter
-expansion of t^a x^w / f^m."""
+divisibility of expansion coefficients, an enumerate-then-filter
+expansion of t^a x^w / f^m, the t -> 0 limits of the simplicial
+coefficients, the Cartier re-indexing of a coefficient map, the
+hyperoctahedral constant-term series F_u, and the operator JSON reader
+that inverts MumOperator.to_json."""
 
+import json
 import math
+import re
 import threading
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from padicfrob.expansion import CoeffMap, normalize_shift
+from padicfrob.expansion import (
+    BoxTooLarge,
+    CoeffMap,
+    _as_box,
+    normalize_shift,
+)
+from padicfrob.mum import MumOperator
 from padicfrob.padic_core import multinomial
+from padicfrob.qseries import PowerSeries
 
 _stirling_lock = threading.Lock()
 _stirling_rows: list[list[int]] = [[1]]  # row m holds S(m, 0..m)
@@ -152,3 +165,94 @@ def expand_then_filter(family: str, m: int, numerator, box,
                 out.setdefault(u, [0] * M)[a + k] += \
                     binom * multinomial(parts)
     return out
+
+
+def simplicial_limit_coeff(U: Sequence[int], V: Sequence[int],
+                           N: int):
+    """t -> 0 limit of t^{-N|V|} times the x^{NV} coefficient:
+    multinomial(NV) prod (N V_i)^{U_i} with 0^0 = 1."""
+    U = normalize_shift(U)
+    V = normalize_shift(V)
+    out = multinomial([N * v for v in V])
+    for ui, vi in zip(U, V):
+        out *= (N * vi) ** ui
+    return out
+
+
+def cartier_truncated(cm: CoeffMap, p: int, box=None) -> CoeffMap:
+    """Re-index c_u -> c_{pu} on a window whose p-dilate fits in cm."""
+    lo, hi = cm.box
+    if box is None:
+        box = (tuple(-((-a) // p) for a in lo),
+               tuple(b // p for b in hi))
+    box = _as_box(box, cm.n)
+    tlo, thi = box
+    if any(t * p < a for t, a in zip(tlo, lo)) or \
+            any(t * p > b for t, b in zip(thi, hi)):
+        raise BoxTooLarge("p-dilated target box leaves the source box")
+    data = {}
+    for u in cm.data:
+        if all(x % p == 0 for x in u):
+            v = tuple(x // p for x in u)
+            if all(tlo[i] <= v[i] <= thi[i] for i in range(cm.n)):
+                data[v] = cm.data[u]
+    return CoeffMap(family=cm.family, n=cm.n, box=box,
+                    order=cm.order, data=data)
+
+
+@dataclass
+class HyperoctConstants:
+    """F_u(t) for the hyperoctahedral family, with support size."""
+
+    u: tuple
+    n: int
+    series: PowerSeries
+    ell: int
+
+
+def hyperoct_constant_term(u: Sequence[int], n: int,
+                           M: int) -> HyperoctConstants:
+    """F_u(t) = sum_m t^{2|m|} (2|m|)!/(m_1!..m_n!)^2 prod m_i^{u_i},
+    from the product over i of the weight series sum_k k^{u_i}/k!^2 s^k
+    in s = t^2."""
+    u = tuple(u)
+    if len(u) != n or any(x < 0 for x in u):
+        raise ValueError("u must be a length-n nonnegative vector")
+    half = (M + 1) // 2
+    acc = PowerSeries.one(half)
+    for wi in u:
+        # 0^0 = 1 keeps the m_i = 0 term when u_i = 0
+        acc = acc * PowerSeries([Fraction(k ** wi, math.factorial(k) ** 2)
+                                 for k in range(half)], half)
+    coeffs = [0] * M
+    for k in range(half):
+        val = acc.known(k) * math.factorial(2 * k)
+        coeffs[2 * k] = int(val) if val.denominator == 1 else val
+    return HyperoctConstants(u=u, n=n, series=PowerSeries(coeffs, M),
+                             ell=sum(1 for x in u if x > 0))
+
+
+def _json_int(x, field: str) -> int:
+    if isinstance(x, str) and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError("%s must be an integer, not %r" % (field, x))
+
+
+def operator_from_json(text: str) -> MumOperator:
+    """The operator MumOperator.to_json wrote.  "n" and every coefficient
+    must be an int or an integer string; anything else raises ValueError
+    naming the field."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("operator JSON must be an object")
+    rows = payload.get("coeffs")
+    if not isinstance(rows, list) or not all(isinstance(c, list)
+                                             for c in rows):
+        raise ValueError("coeffs must be a list of lists")
+    coeffs = [[_json_int(x, "coeffs[%d][%d]" % (i, k))
+               for k, x in enumerate(c)] for i, c in enumerate(rows)]
+    if len(coeffs) != _json_int(payload.get("n"), "n") + 1:
+        raise ValueError("coefficient count does not match order")
+    return MumOperator(coeffs)

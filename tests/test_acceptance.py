@@ -11,10 +11,7 @@ import time
 from fractions import Fraction
 
 from padicfrob import cli
-from padicfrob.expansion import (
-    alternating_identity_check,
-    hyperoct_constant_term,
-)
+from padicfrob.expansion import alternating_identity_check
 from padicfrob.frobenius import (
     analytic_bound,
     check_analytic,
@@ -36,6 +33,8 @@ from padicfrob.zeta_gamma import (
     alpha_simplicial,
     evaluate_zeta_poly,
 )
+
+from combinatorics import hyperoct_constant_term
 
 F = Fraction
 CHECKS = {name: (fn, full) for name, fn, _, full in cli.SELFTEST_CHECKS}

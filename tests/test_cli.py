@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -12,11 +14,12 @@ from padicfrob.frobenius import PrecisionExhausted
 from padicfrob.mum import (
     GUESS_GUARD,
     KNOWN_HYPEROCT_OPERATORS,
-    MumOperator,
     apply_operator,
     period_series_hyperoctahedral,
 )
 from padicfrob.padic_core import InconsistentSystem
+
+from combinatorics import operator_from_json
 
 
 def run(capsys, *argv):
@@ -176,7 +179,7 @@ def test_guess_hyperoct_beyond_printed(capsys, n):
     assert code == 0
     payload = json.loads(out)
     assert payload["matches_printed"] is None
-    op = MumOperator.from_json(json.dumps(payload["operator"]))
+    op = operator_from_json(json.dumps(payload["operator"]))
     assert op.order == n and op.is_mum_normalized()
     M = (n + 1) * (2 * n + 3) + GUESS_GUARD + 20
     image = apply_operator(op, period_series_hyperoctahedral(n, M))
@@ -258,6 +261,26 @@ def test_frozen_job_matches_bytes(capsys, job):
     code, out, _ = run(capsys, *job.split())
     assert code == (1 if "--perturb" in job else 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN[job]
+
+
+def test_traced_names_resolve(monkeypatch):
+    # perfbench/spans.py, read without writing a bytecode cache, names
+    # the functions and class methods that run.py --trace 1 rebinds; each
+    # must still exist where it names it, or a moved name breaks tracing
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for short, names in spans.TRACED_FUNCTIONS.items():
+        module = importlib.import_module("padicfrob." + short)
+        for name in names:
+            assert callable(getattr(module, name, None)), (short, name)
+    for (short, cls_name), names in spans.TRACED_METHODS.items():
+        cls = getattr(importlib.import_module("padicfrob." + short),
+                      cls_name)
+        for name in names:
+            assert name in vars(cls), (short, cls_name, name)
 
 
 def test_selftest_failure_path(capsys, monkeypatch):

@@ -10,12 +10,9 @@ from padicfrob.expansion import (
     BoxTooLarge,
     alternating_identity_check,
     brute_force_expand,
-    cartier_truncated,
-    hyperoct_constant_term,
     mu_at_zero,
     normalize_shift,
     simplicial_coeff_series,
-    simplicial_limit_coeff,
     to_laurent,
 )
 from padicfrob.mum import (
@@ -25,13 +22,16 @@ from padicfrob.mum import (
 from padicfrob.qseries import PowerSeries
 
 from combinatorics import (
+    cartier_truncated,
     check_divisibility,
     eta_from_omega,
     expand_then_filter,
     homogenize,
+    hyperoct_constant_term,
     hyperoct_degree,
     omega_ell_coefficients,
     simplicial_degree,
+    simplicial_limit_coeff,
     simplicial_limit_coeff_falling,
     stirling2,
 )

@@ -29,6 +29,7 @@ from padicfrob.mum import (
     standard_basis,
 )
 from padicfrob.padic_core import (
+    CongruenceSolution,
     CongruenceSystem,
     InconsistentSystem,
     PadicNum,
@@ -42,6 +43,12 @@ from padicfrob.zeta_gamma import (
 )
 
 GEOM_L = MumOperator([[0, -1], [1, -1]])  # (1-t)theta - t, F_0 = 1/(1-t)
+
+
+def _assembled(dec, alphas, j, m):
+    """The t^m coefficient of A_j at the given alpha_1..alpha_{n-1}."""
+    return frobenius._alpha_linear([dec.slot(k, j, m) for k in range(dec.n)],
+                                   alphas)
 
 
 def test_order_one_closed_form():
@@ -61,10 +68,9 @@ def test_constant_terms_are_alpha():
         for j in range(3):
             assert dec.slots[s][j].known(0) == (1 if s == j else 0)
     alphas = [Fraction(2, 3), Fraction(-7)]
-    a = dec.assemble(alphas)
-    assert a[0].known(0) == 1
-    assert a[1].known(0) == alphas[0]
-    assert a[2].known(0) == alphas[1]
+    assert _assembled(dec, alphas, 0, 0) == 1
+    assert _assembled(dec, alphas, 1, 0) == alphas[0]
+    assert _assembled(dec, alphas, 2, 0) == alphas[1]
 
 
 def test_matches_cramer_solve():
@@ -83,9 +89,10 @@ def test_matches_cramer_solve():
         r0, r1 = f0, (f1 + f0 * alpha1) * p
         want0 = (r0 * B11 - B01 * r1) * det.invert()
         want1 = (B00 * r1 - r0 * B10) * det.invert()
-        got0, got1 = dec.assemble([alpha1])
-        assert all(got0.known(c) == want0.known(c) for c in range(M))
-        assert all(got1.known(c) == want1.known(c) for c in range(M))
+        assert all(_assembled(dec, [alpha1], 0, c) == want0.known(c)
+                   for c in range(M))
+        assert all(_assembled(dec, [alpha1], 1, c) == want1.known(c)
+                   for c in range(M))
 
 
 def test_full_identity_holds_for_any_alpha():
@@ -432,15 +439,6 @@ def test_hyperoct_true_alpha_integral():
     rep = check_integrality(dec, alphas, p, M)
     assert rep.verdict == "integral"
     assert verify_frobenius_property(dec, alphas, M)
-
-
-def test_coefficient_accessor_matches_series():
-    dec = solve_A_series(simplicial_operator(3), 5, 15)
-    alphas = [Fraction(1, 2), Fraction(-3)]
-    series = dec.assemble(alphas)
-    for j in range(3):
-        for m in range(15):
-            assert dec.coefficient(j, m, alphas) == series[j].known(m)
 
 
 # -- fixed precision against the exact oracle ---------------------------
@@ -815,6 +813,77 @@ def test_check_analytic_matches_row_by_row_sums(L, p, M, shift):
                 assert _analytic(check_analytic, dec, al, p, M, digits) == \
                     _analytic(_check_analytic_row_by_row, dec, al, p, M,
                               digits)
+
+
+def test_check_analytic_uses_no_padic_arithmetic(monkeypatch):
+    # at fixed precision every row is read from the stored integers: with
+    # PadicNum's sum and product refused, the report is still that of the
+    # rows summed one by one, at the closed forms and at the alpha_3
+    # control
+    L, p, M = simplicial_operator(4), 7, 140
+    alphas = _closed_forms(L, p, N_CLI)
+    bad = alphas[:2] + [alphas[2] + 1]
+    fixed = solve_A_series(L, p, M, digits=N_CLI)
+    want = [_check_analytic_row_by_row(fixed, al, p, M, 3)
+            for al in (alphas, bad)]
+    assert [rep.verdict for rep in want] == ["analytic", "non-analytic"]
+
+    def refuse(*args):
+        raise AssertionError("PadicNum arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(PadicNum, name, refuse)
+    with pytest.raises(AssertionError):
+        _check_analytic_row_by_row(fixed, alphas, p, M, 1)
+    assert [check_analytic(fixed, al, p, M, 3)
+            for al in (alphas, bad)] == want
+
+
+def test_fixed_precision_rejects_other_primes():
+    # the stored integers are residues at dec.p: an alpha at another
+    # prime is refused by both conditions, as PadicNum's sum refuses it
+    L, p, M = simplicial_operator(4), 7, 60
+    fixed = solve_A_series(L, p, M, digits=N_CLI)
+    alphas = [0, 0, PadicNum.from_rational(Fraction(1, 3), 5, 6)]
+    with pytest.raises(ValueError, match="7-adic"):
+        check_integrality(fixed, alphas, p, M)
+    with pytest.raises(ValueError, match="7-adic"):
+        check_analytic(fixed, alphas, p, M, 1)
+
+
+def test_t_order_below_one_rejected():
+    # every condition needs t-order >= 1, as solve_A_series does; an
+    # order-one operator has no unknowns and recovers the empty coset
+    L, p = simplicial_operator(3), 5
+    dec = solve_A_series(L, p, 12)
+    alphas = [Fraction(0)] * 2
+    for M in (0, -3):
+        with pytest.raises(InsufficientOrder):
+            check_integrality(dec, alphas, p, M)
+        with pytest.raises(InsufficientOrder):
+            recover_alpha(dec, p, M)
+        with pytest.raises(InsufficientOrder):
+            check_analytic(dec, alphas, p, M, 1)
+    geom = solve_A_series(GEOM_L, p, 20)
+    assert recover_alpha(geom, p, 20) == CongruenceSolution(p, [], [], 0, [])
+
+
+def test_negative_analytic_digits_rejected():
+    # rejected before any row is read: 2 slot digits cannot decide the
+    # integrality rows, which recover_alpha reads first
+    L, p, M = simplicial_operator(4), 7, 60
+    dec = solve_A_series(L, p, M, digits=2)
+    alphas = _closed_forms(L, p, N_CLI)
+    for digits in (-1, -4):
+        with pytest.raises(ValueError):
+            check_analytic(dec, alphas, p, M, digits)
+        with pytest.raises(ValueError):
+            recover_alpha(dec, p, M, analytic_digits=digits)
+    assert check_analytic(dec, alphas, p, M, 0) == AnalyticReport(
+        p=p, M=M, digits=0, verdict="analytic", rows=0)
+    fine = solve_A_series(L, p, M, basis=dec.basis, digits=N_CLI)
+    assert recover_alpha(fine, p, M, analytic_digits=0) == \
+        recover_alpha(fine, p, M)
 
 
 def test_exponents_at_infinity_found_once(monkeypatch):

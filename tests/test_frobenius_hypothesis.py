@@ -3,8 +3,10 @@
 per-operation Fraction recursion, the exact solve satisfies the
 defining identity, and the fixed-precision solve agrees with it slot by
 slot.  On these and on the small built-in operators, recover_alpha and
-check_integrality give the same answer on both solves."""
+check_integrality give the same answer on both solves, and check_analytic
+gives the report of its rows summed one by one."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from padicfrob import frobenius  # noqa: E402
 from padicfrob.frobenius import (  # noqa: E402
     PrecisionExhausted,
+    check_analytic,
     check_integrality,
     recover_alpha,
     solve_A_series,
@@ -29,6 +32,13 @@ from padicfrob.mum import (  # noqa: E402
     standard_basis,
 )
 from padicfrob.padic_core import InconsistentSystem, PadicNum  # noqa: E402
+
+from test_frobenius import (  # noqa: E402
+    N_CLI,
+    _analytic,
+    _check_analytic_row_by_row,
+    _closed_forms,
+)
 
 
 def _operator(shifts) -> MumOperator:
@@ -239,3 +249,69 @@ def test_integrality_readout_matches_exact(L, M, digits, alphas):
         assert got == _integrality(exact, alphas, p, M)
     else:
         assert got == raised
+
+
+# both n = 4 families and simplicial n = 3 at p = 7, mod t^120: past
+# deg(3) for each, so S = 1..3 all read rows
+ANALYTIC_OPERATORS = (simplicial_operator(4), KNOWN_HYPEROCT_OPERATORS[4],
+                      simplicial_operator(3))
+ANALYTIC_M = 120
+
+
+@functools.lru_cache(maxsize=32)
+def _analytic_solve(case: int, digits):
+    """The exact solve of ANALYTIC_OPERATORS[case] (digits None) or the
+    fixed-precision one on its basis, solved once per test run."""
+    if digits is None:
+        return solve_A_series(ANALYTIC_OPERATORS[case], 7, ANALYTIC_M)
+    exact = _analytic_solve(case, None)
+    return solve_A_series(exact.operator, 7, ANALYTIC_M, basis=exact.basis,
+                          digits=digits)
+
+
+@functools.lru_cache(maxsize=4)
+def _analytic_closed_forms(case: int) -> tuple:
+    return tuple(_closed_forms(ANALYTIC_OPERATORS[case], 7, N_CLI))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=st.integers(0, len(ANALYTIC_OPERATORS) - 1),
+       digits=st.one_of(st.none(), st.integers(1, 8)),
+       S=st.integers(1, 3),
+       alphas=st.lists(st.one_of(st.none(), ALPHAS), min_size=3,
+                       max_size=3))
+def test_check_analytic_matches_row_by_row(case, digits, S, alphas):
+    # the report, or the raised (j, m), of rows summed one by one; a
+    # None alpha is the closed form, so that the rows past the first run
+    # too
+    dec = _analytic_solve(case, digits)
+    closed = _analytic_closed_forms(case)
+    alphas = [c if a is None else a for a, c in zip(alphas, closed)]
+    alphas = alphas[:dec.n - 1]
+    assert _analytic(check_analytic, dec, alphas, 7, ANALYTIC_M, S) == \
+        _analytic(_check_analytic_row_by_row, dec, alphas, 7, ANALYTIC_M, S)
+
+
+def test_check_analytic_live_zero_under_inexact_alpha(monkeypatch):
+    # a product on the support stored as 0, reached by an inexact alpha,
+    # has no known valuation, so the reading's target is unknown (None):
+    # check_analytic still gives the row-by-row report, and the case
+    # does read such rows
+    readings = []
+    stored_reading = frobenius._stored_reading
+
+    def recording(dec, alphas):
+        read = stored_reading(dec, alphas)
+        return lambda j, m: readings.append(read(j, m)) or readings[-1]
+
+    monkeypatch.setattr(frobenius, "_stored_reading", recording)
+    for case in range(2):
+        dec = _analytic_solve(case, 3)
+        alphas = list(_analytic_closed_forms(case))
+        assert not alphas[-1].is_exact
+        readings.clear()
+        got = check_analytic(dec, alphas, 7, ANALYTIC_M, 3)
+        assert got == _check_analytic_row_by_row(dec, alphas, 7, ANALYTIC_M,
+                                                 3)
+        assert got.verdict == "analytic"
+        assert any(r is not None and r[2] is None for r in readings)
