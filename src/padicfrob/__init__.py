@@ -16,10 +16,8 @@ from .padic_core import (  # noqa: F401
     InconsistentSystem,
     PadicNum,
     PrecisionError,
-    Rational,
     bernoulli,
     multinomial,
-    padic_from_rational,
     solve_affine_congruences,
     vp,
 )

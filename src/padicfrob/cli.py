@@ -298,7 +298,7 @@ def cmd_verify(args) -> int:
         else:
             alphas[j - 1] = PadicNum.from_exact(value, p)
             note = "alpha_%d set to %s" % (j, value)
-    report = _decide(lambda dec: check_integrality(dec, alphas, p, M),
+    report = _decide(lambda dec: check_integrality(dec, alphas, M),
                      L, p, M, integrality_digits(alphas, N))
     if args.format == "json":
         print(report.to_json())
@@ -324,7 +324,7 @@ def cmd_recover(args) -> int:
     family, n, p, M, N, L = _family_job(args)
     # the congruence rows read slot values mod Z_p; N digits also tell
     # every slot coefficient of valuation below N from zero
-    sol = _decide(lambda dec: recover_alpha(dec, p, M), L, p, M, N)
+    sol = _decide(lambda dec: recover_alpha(dec, M), L, p, M, N)
     polys = _alpha_polys(family, n)
     Nc = max(N, sol.modulus_exponent + 2)
     closed = [evaluate_zeta_poly(poly, p, Nc) for poly in polys]
@@ -545,7 +545,7 @@ def _check_frobenius_integral(jobs):
         alphas = [evaluate_zeta_poly(poly, p, N)
                   for poly in _alpha_polys(family, n)]
         dec = solve_A_series(L, p, M, digits=integrality_digits(alphas, N))
-        report = check_integrality(dec, alphas, p, M)
+        report = check_integrality(dec, alphas, M)
         if report.verdict != "integral":
             return False, "%s n=%d verdict %s" % (family, n, report.verdict)
     return True, ""
@@ -568,7 +568,7 @@ def _check_integrality_negative():
     alphas = [evaluate_zeta_poly(poly, p, N) for poly in alpha_simplicial(4)]
     alphas[0] = alphas[0] + 1
     dec = solve_A_series(L, p, M, digits=integrality_digits(alphas, N))
-    report = check_integrality(dec, alphas, p, M)
+    report = check_integrality(dec, alphas, M)
     if report.verdict != "non-integral":
         return False, "corrupted alpha_1 went undetected"
     return True, ""

@@ -26,9 +26,11 @@ Two conditions on the constants are checked against these series:
 integrality of the coefficients (check_integrality), which leaves the
 top constants free, and the analytic-element condition
 (check_analytic, see analytic_bound), which pins them.  Both read a
-coefficient through one reader per mode (_integrality_entry exact,
-_stored_reading on the stored integers) and raise PrecisionExhausted,
-never other digits, where the slot digits fall short of the exact mode.
+coefficient through _reading, whose reader per mode (_exact_reading on
+the rationals, _stored_reading on the stored integers) gives one shape
+of reading, and each condition decides on that reading alone: it raises
+PrecisionExhausted, never other digits, where the slot digits fall
+short of the exact mode.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, compress, islice
 from operator import add, mul, or_
 from typing import Sequence
@@ -91,8 +93,9 @@ class FrobeniusDecomposition:
     the integer p^scale c mod p^(scale + N), so it is known mod p^N, and
     support[k][j][m] says whether any term of the recursion reached it;
     off the support c is an exact zero.  slot() reads one coefficient in
-    either mode; at fixed precision check_integrality, check_analytic and
-    recover_alpha read the stored integers and the support directly.
+    either mode.  At fixed precision _stored_reading, the reader of
+    check_integrality and check_analytic, and the rows of recover_alpha
+    read the stored integers and the support directly.
     """
 
     p: int
@@ -446,8 +449,7 @@ def _verify_frobenius_detail(dec: FrobeniusDecomposition,
     if dec.digits is not None:
         raise ValueError("the defining identity needs an exact "
                          "decomposition (digits=None)")
-    if len(alphas) != dec.n - 1:
-        raise ValueError("need %d alpha values" % (dec.n - 1))
+    _check_alphas(dec, alphas)
     L, n, p = dec.operator, dec.n, dec.p
     for i in range(n):
         yi_p = dec.basis.y(i).substitute_tp(p)
@@ -495,7 +497,7 @@ class IntegralityReport:
 
 
 def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
-                      p: int, M: int) -> IntegralityReport:
+                      M: int) -> IntegralityReport:
     """Decide whether every assembled A_j coefficient through t^M lies
     in Z_p.
 
@@ -505,9 +507,8 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     valuation is provably negative; anything else raises
     PrecisionExhausted.  A fixed-precision decomposition gives the
     report the exact slots give, or PrecisionExhausted where its digits
-    fall short (integrality_digits says how many suffice).  Its entries
-    are read from the stored slot integers (_stored_reading) and decided
-    by _integral_entry; an exact one goes through _integrality_entry.
+    fall short (integrality_digits says how many suffice).  In either
+    mode each entry is read by _reading and decided by _integral_entry.
 
     Integrality is a weak test of the constants.  The slot series
     A_j^(k) for k >= n-2 are themselves p-integral at the built-in
@@ -515,18 +516,14 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     no change of alpha_{n-2} or alpha_{n-1} inside Z_p alters the
     verdict at any t-order.  The rows of check_analytic pin those.
     """
-    _check_prime_order(dec, p, M)
-    if len(alphas) != dec.n - 1:
-        raise ValueError("need %d alpha values" % (dec.n - 1))
-    entry_of = (lambda j, m: _integrality_entry(dec, j, m, alphas)) \
-        if dec.digits is None else \
-        partial(_integral_entry, _stored_reading(dec, alphas))
+    _check_order(dec, M)
+    read = _reading(dec, alphas)
     entries = []
     min_val = None
     first_bad = None
     for j in range(dec.n):
         for m in range(M):
-            entry = entry_of(j, m)
+            entry = _integral_entry(read, j, m)
             if entry is None:
                 continue
             val, prec = entry
@@ -538,7 +535,7 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
             if val < 0 and first_bad is None:
                 first_bad = (j, m, val)
     verdict = "integral" if first_bad is None else "non-integral"
-    return IntegralityReport(p=p, M=M, verdict=verdict,
+    return IntegralityReport(p=dec.p, M=M, verdict=verdict,
                              min_valuation=min_val, entries=entries,
                              first_failing=first_bad)
 
@@ -555,58 +552,56 @@ def integrality_digits(alphas: Sequence, headroom: int) -> int:
                           default=0)
 
 
-def _check_prime_order(dec: FrobeniusDecomposition, p: int, M: int):
-    if p != dec.p:
-        raise ValueError("decomposition was solved at p=%d" % dec.p)
+def _check_order(dec: FrobeniusDecomposition, M: int):
     if M < 1:
         raise InsufficientOrder("need t-order at least 1")
     if M > dec.order:
         raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
 
 
-def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,
-                       alphas: Sequence):
-    """(val, prec) of the assembled t^m coefficient of A_j as exact slots
-    give it, or None for an exact zero.  prec is None when no inexact
-    alpha reaches the coefficient, whose valuation is then exact; val
-    is None for an inexact zero.
+def _check_alphas(dec: FrobeniusDecomposition, alphas: Sequence):
+    """ValueError unless there are n - 1 alphas, every PadicNum one at
+    dec.p.  Exact slots would take on the prime of an alpha, so no
+    reading can be left to refuse another."""
+    if len(alphas) != dec.n - 1:
+        raise ValueError("need %d alpha values" % (dec.n - 1))
+    if any(isinstance(al, PadicNum) and al.p != dec.p for al in alphas):
+        raise ValueError("alphas must be %d-adic" % dec.p)
 
-    An inexact alpha_k reaching slot coefficient c gives the entry
-    precision prec(alpha_k) + v(c).  A fixed-precision slot must support
-    that, and must tell its valuation; otherwise, as for an entry whose
-    value the slot digits alone leave at zero, this raises
-    PrecisionExhausted rather than report other digits.
-    """
+
+def _reading(dec: FrobeniusDecomposition, alphas: Sequence):
+    """The reader (j, m) -> None or (val, prec, target) of dec's mode at
+    checked alphas: _exact_reading on exact slots, _stored_reading on
+    the stored integers of a fixed-precision dec."""
+    _check_alphas(dec, alphas)
+    reader = _exact_reading if dec.digits is None else _stored_reading
+    return reader(dec, alphas)
+
+
+def _exact_reading(dec: FrobeniusDecomposition, alphas: Sequence):
+    """(j, m) -> None, for an exact zero (a cancellation included), or
+    the (val, prec, target) _stored_reading gives of sum_k alpha_k c_k,
+    alpha_0 = 1, c_k the rational t^m coefficient of A_j^(k) in an exact
+    dec.
+
+    The sum is formed by PadicNum's rules (_alpha_linear): exact, with
+    prec = target = INFINITY, unless an inexact alpha_k meets c_k != 0;
+    then it is known to prec, the least prec(alpha_k) + v(c_k), which is
+    the precision exact slots give, so target = prec.  val is None for
+    an inexact zero."""
     p = dec.p
-    value = dec.slot(0, j, m)
-    target = INFINITY
-    for k, al in enumerate(alphas, start=1):
-        c = dec.slot(k, j, m)
-        if isinstance(c, (int, Fraction)) and c == 0:
-            continue
-        if isinstance(al, PadicNum) and not al.is_exact:
-            if isinstance(c, PadicNum):
-                if c.is_zero():
-                    raise PrecisionExhausted(j, m)
-                v = c.valuation
-            else:
-                v = vp(c, p)
-            target = min(target, al.abs_precision + v)
-        value = value + al * c
-    if not isinstance(value, PadicNum) or value.is_exact:
+
+    def read(j: int, m: int):
+        value = _alpha_linear([dec.slot(k, j, m) for k in range(dec.n)],
+                              alphas)
+        if isinstance(value, PadicNum) and not value.is_exact:
+            prec = int(value.abs_precision)
+            return (None if value.is_zero() else int(value.valuation),
+                    prec, prec)
         q = value.exact if isinstance(value, PadicNum) else value
-        return None if q == 0 else (vp(q, p), None)
-    if target == INFINITY:
-        if value.is_zero():
-            raise PrecisionExhausted(j, m)
-        return int(value.valuation), None
-    if value.abs_precision < target:
-        raise PrecisionExhausted(j, m)
-    if value.is_zero():
-        if value.abs_precision < 1:
-            raise PrecisionExhausted(j, m)
-        return None, int(value.abs_precision)
-    return int(value.valuation), int(value.abs_precision)
+        return None if q == 0 else (vp(q, p), INFINITY, INFINITY)
+
+    return read
 
 
 def _stored_reading(dec: FrobeniusDecomposition, alphas: Sequence):
@@ -631,8 +626,6 @@ def _stored_reading(dec: FrobeniusDecomposition, alphas: Sequence):
                else PadicNum.from_exact(al, p))
               for k, al in enumerate([1] + list(alphas))]
     padics = [(k, al) for k, al in padics if not al.is_exact_zero]
-    if any(al.p != p for _, al in padics):
-        raise ValueError("alphas must be %d-adic" % p)
     e = min(al.valuation for _, al in padics)
     top = scale + digits - e + max(al.valuation for _, al in padics)
     pows = [p ** i for i in range(top + 1)]
@@ -672,9 +665,11 @@ def _stored_reading(dec: FrobeniusDecomposition, alphas: Sequence):
 
 
 def _integral_entry(read, j: int, m: int):
-    """_integrality_entry(dec, j, m, alphas) decided on read =
-    _stored_reading(dec, alphas): the (val, prec) exact slots give, or
-    PrecisionExhausted."""
+    """The entry check_integrality reports at (j, m), decided on read =
+    _reading(dec, alphas): None for an exact zero, (val, None) for a
+    value known exactly, else (val, prec) as exact slots give it; and
+    PrecisionExhausted where prec falls short of that target, or the
+    target is unknown, or an inexact zero is known to no digit."""
     reading = read(j, m)
     if reading is None:
         return None
@@ -792,28 +787,30 @@ def _analytic_bounds(L: MumOperator, p: int, digits: int) -> list:
             for s in range(1, digits + 1)]
 
 
-def _analytic_rows(dec: FrobeniusDecomposition, p: int, M: int,
-                   digits: int):
+def _analytic_rows(dec: FrobeniusDecomposition, M: int, digits: int):
     """Iterate (weighted, s, j, m) for s = 1..digits, j < n and deg(s) <
-    m < M, where weighted holds the products D^e(s) A_j^(k), formed once
-    per s, with D^e(s) = D^e(s') D^(e(s) - e(s')) from the last s' used;
-    each row [t^m] D^e(s) A_j must vanish mod p^s.  Checks its arguments
+    m < M, 0 <= m, where weighted holds the products D^e(s) A_j^(k),
+    formed once per s, with D^e(s) = D^e(s') D^(e(s) - e(s')) from the
+    last s' used; each row [t^m] D^e(s) A_j must vanish mod p^s.  A
+    negative deg(s), from exponents at infinity with p rho_max < rho_min,
+    makes every row from t^0 on a condition.  Checks its arguments
     before any row is read; ValueError for negative digits."""
-    _check_prime_order(dec, p, M)
+    _check_order(dec, M)
     if digits < 0:
         raise ValueError("need analytic digits >= 0")
-    bounds = _analytic_bounds(dec.operator, p, digits) if digits else []
+    bounds = _analytic_bounds(dec.operator, dec.p, digits) if digits else []
 
     def rows():
         lead = PowerSeries(dec.operator.leading(), M)
         power, done = PowerSeries.one(M), 0
         for s, (e, deg) in enumerate(bounds, start=1):
-            if deg + 1 >= M:
+            lo = max(deg + 1, 0)
+            if lo >= M:
                 continue
             power, done = power * lead ** (e - done), e
-            weighted = dec._times(power.coeffs, deg + 1, M)
+            weighted = dec._times(power.coeffs, lo, M)
             for j in range(dec.n):
-                for m in range(deg + 1, M):
+                for m in range(lo, M):
                     yield weighted, s, j, m
 
     return rows()
@@ -830,7 +827,7 @@ class AnalyticReport:
 
 
 def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
-                   p: int, M: int, digits: int) -> AnalyticReport:
+                   M: int, digits: int) -> AnalyticReport:
     """Decide, at the given alpha_1..alpha_{n-1}, whether [t^m] D^e(s)
     A_j vanishes mod p^s for s = 1..digits, every j and deg(s) < m < M
     (bounds from analytic_bound).
@@ -841,30 +838,28 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
     digits or of slot digits, raises PrecisionExhausted.
 
     Rows are read from the products D^e(s) A_j^(k) of _analytic_rows as
-    check_integrality reads entries: _stored_reading, built once per s,
-    or _integrality_entry when exact.  Only the decision differs.
+    check_integrality reads entries, through _reading built once per s.
+    Only the decision differs.
     """
-    if len(alphas) != dec.n - 1:
-        raise ValueError("need %d alpha values" % (dec.n - 1))
+    # checked before any row, so a report with no rows checks them too
+    _check_alphas(dec, alphas)
     rows, product, read = 0, None, None
-    for weighted, s, j, m in _analytic_rows(dec, p, M, digits):
+    for weighted, s, j, m in _analytic_rows(dec, M, digits):
         if weighted is not product:
-            product = weighted
-            read = partial(_integrality_entry, weighted, alphas=alphas) \
-                if dec.digits is None else _stored_reading(weighted, alphas)
+            product, read = weighted, _reading(weighted, alphas)
         reading = read(j, m)
         rows += 1
         if reading is None:
             continue
-        val, prec = reading[:2]
+        val, prec, _ = reading
         if val is None:
             if prec < s:
                 raise PrecisionExhausted(j, m)
         elif val < s:
-            return AnalyticReport(p=p, M=M, digits=digits,
+            return AnalyticReport(p=dec.p, M=M, digits=digits,
                                   verdict="non-analytic", rows=rows,
                                   first_failing=(s, j, m, val))
-    return AnalyticReport(p=p, M=M, digits=digits, verdict="analytic",
+    return AnalyticReport(p=dec.p, M=M, digits=digits, verdict="analytic",
                           rows=rows)
 
 
@@ -907,7 +902,7 @@ def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int):
             bisect_left(pows, mod))
 
 
-def recover_alpha(dec: FrobeniusDecomposition, p: int, M: int,
+def recover_alpha(dec: FrobeniusDecomposition, M: int,
                   analytic_digits: int = 0):
     """Impose vp(assembled A_j coefficient) >= 0 for every j and every
     t-degree below M and solve the resulting affine congruence system
@@ -926,13 +921,13 @@ def recover_alpha(dec: FrobeniusDecomposition, p: int, M: int,
     a-priori guarantee.  A fixed-precision decomposition gives the same
     coset, or raises PrecisionExhausted.
     """
-    _check_prime_order(dec, p, M)
+    _check_order(dec, M)
     specs = chain(((dec, 0, j, m) for j in range(dec.n) for m in range(M)),
-                  _analytic_rows(dec, p, M, analytic_digits))
+                  _analytic_rows(dec, M, analytic_digits))
     rows = [row for row in (_congruence_row(*spec) for spec in specs)
             if row is not None]
     return solve_affine_congruences(
-        CongruenceSystem(p, dec.n - 1, tuple(rows)))
+        CongruenceSystem(dec.p, dec.n - 1, tuple(rows)))
 
 
 def nonuniqueness_witness(L: MumOperator, lam, p: int, M: int,

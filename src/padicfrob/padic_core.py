@@ -23,10 +23,6 @@ from fractions import Fraction
 from itertools import count, takewhile
 from typing import Iterable, Sequence, Union
 
-# Exact rationals are plain stdlib fractions: arbitrary-size reduced
-# numerator/denominator pairs with positive denominator.
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 INFINITY = math.inf
@@ -419,11 +415,6 @@ class PadicNum:
         return "%s + O(%d^%s)" % (body, self.p, self.prec)
 
 
-def padic_from_rational(q: RationalLike, p: int, N: int) -> PadicNum:
-    """Exact rational to truncated p-adic with relative precision N."""
-    return PadicNum.from_rational(q, p, N)
-
-
 # -- p-adic logarithm and exponential ----------------------------------
 
 
@@ -437,11 +428,11 @@ def _ilog(n: int, p: int) -> int:
     return out
 
 
-def padic_log(x: PadicNum, N: int | None = None) -> PadicNum:
+def padic_log(x: PadicNum) -> PadicNum:
     """log of a 1-unit: requires x = 1 + u with vp(u) >= 1, p odd.
 
     The series sum (-1)^(i+1) u^i / i is truncated once the tail bound
-    j*vp(u) - floor(log_p j) clears the target precision.
+    j*vp(u) - floor(log_p j) clears the target precision, that of u.
     """
     p = x.p
     if p == 2:
@@ -451,7 +442,7 @@ def padic_log(x: PadicNum, N: int | None = None) -> PadicNum:
         return PadicNum.from_exact(0, p)
     if u.valuation < 1:
         raise ValueError("argument is not a 1-unit")
-    target = u.abs_precision if N is None else min(N, u.abs_precision)
+    target = u.abs_precision
     if target is INFINITY:
         raise ValueError("need a finite target precision for an exact argument")
     out = PadicNum.from_exact(0, p)
@@ -465,8 +456,9 @@ def padic_log(x: PadicNum, N: int | None = None) -> PadicNum:
     return out.with_abs_precision(target)
 
 
-def padic_exp(x: PadicNum, N: int | None = None) -> PadicNum:
-    """exp of x with vp(x) >= 1, p odd; inverse of padic_log on 1-units."""
+def padic_exp(x: PadicNum) -> PadicNum:
+    """exp of x with vp(x) >= 1, p odd, to the precision of x; inverse of
+    padic_log on 1-units."""
     p = x.p
     if p == 2:
         raise ValueError("p must be odd")
@@ -474,7 +466,7 @@ def padic_exp(x: PadicNum, N: int | None = None) -> PadicNum:
         return PadicNum.from_exact(1, p)
     if x.valuation < 1:
         raise ValueError("argument must have valuation at least 1")
-    target = x.abs_precision if N is None else min(N, x.abs_precision)
+    target = x.abs_precision
     if target is INFINITY:
         raise ValueError("need a finite target precision for an exact argument")
     out = PadicNum.from_exact(1, p)

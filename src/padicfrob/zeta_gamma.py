@@ -38,7 +38,6 @@ from .padic_core import (
     PrecisionError,
     bernoulli,
     padic_exp,
-    padic_from_rational,
     padic_log,
     require_odd_prime,
     vp,
@@ -303,7 +302,7 @@ def gammap_int(z: int, p: int, N: int) -> PadicNum:
             acc = acc * j % mod
     if z % 2:
         acc = -acc % mod
-    return padic_from_rational(Fraction(acc), p, N)
+    return PadicNum.from_rational(acc, p, N)
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +370,7 @@ def _gamma_log_solve(p: int, D: int, s: int) -> tuple:
     T = _tail_valuation(p, s, D + 1)
     E = T + 2
     nodes = _gamma_node_values(p, s, D, E)
-    ws = [padic_log(padic_from_rational(Fraction(g), p, E)) for g in nodes]
+    ws = [padic_log(PadicNum.from_rational(g, p, E)) for g in nodes]
     reduced, _ = _echelon_mod([[k ** m for m in range(1, D + 1)]
                                + [int(j == k) for j in range(1, D + 1)]
                                for k in range(1, D + 1)], D, p ** E)

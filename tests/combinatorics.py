@@ -4,8 +4,10 @@ Stirling expansion of the eta basis, the polytope degrees behind the
 divisibility of expansion coefficients, an enumerate-then-filter
 expansion of t^a x^w / f^m, the t -> 0 limits of the simplicial
 coefficients, the Cartier re-indexing of a coefficient map, the
-hyperoctahedral constant-term series F_u, and the operator JSON reader
-that inverts MumOperator.to_json."""
+hyperoctahedral constant-term series F_u, the operator JSON reader
+that inverts MumOperator.to_json, and _integrality_entry, the
+per-entry integrality readout in PadicNum arithmetic that marks where a
+fixed-precision reading must raise."""
 
 import json
 import math
@@ -21,8 +23,9 @@ from padicfrob.expansion import (
     _as_box,
     normalize_shift,
 )
+from padicfrob.frobenius import FrobeniusDecomposition, PrecisionExhausted
 from padicfrob.mum import MumOperator
-from padicfrob.padic_core import multinomial
+from padicfrob.padic_core import INFINITY, PadicNum, multinomial, vp
 from padicfrob.qseries import PowerSeries
 
 _stirling_lock = threading.Lock()
@@ -256,3 +259,48 @@ def operator_from_json(text: str) -> MumOperator:
     if len(coeffs) != _json_int(payload.get("n"), "n") + 1:
         raise ValueError("coefficient count does not match order")
     return MumOperator(coeffs)
+
+
+def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,
+                       alphas: Sequence):
+    """(val, prec) of the assembled t^m coefficient of A_j as exact slots
+    give it, or None for an exact zero.  prec is None when no inexact
+    alpha reaches the coefficient, whose valuation is then exact; val
+    is None for an inexact zero.
+
+    An inexact alpha_k reaching slot coefficient c gives the entry
+    precision prec(alpha_k) + v(c).  A fixed-precision slot must support
+    that, and must tell its valuation; otherwise, as for an entry whose
+    value the slot digits alone leave at zero, this raises
+    PrecisionExhausted rather than report other digits.
+    """
+    p = dec.p
+    value = dec.slot(0, j, m)
+    target = INFINITY
+    for k, al in enumerate(alphas, start=1):
+        c = dec.slot(k, j, m)
+        if isinstance(c, (int, Fraction)) and c == 0:
+            continue
+        if isinstance(al, PadicNum) and not al.is_exact:
+            if isinstance(c, PadicNum):
+                if c.is_zero():
+                    raise PrecisionExhausted(j, m)
+                v = c.valuation
+            else:
+                v = vp(c, p)
+            target = min(target, al.abs_precision + v)
+        value = value + al * c
+    if not isinstance(value, PadicNum) or value.is_exact:
+        q = value.exact if isinstance(value, PadicNum) else value
+        return None if q == 0 else (vp(q, p), None)
+    if target == INFINITY:
+        if value.is_zero():
+            raise PrecisionExhausted(j, m)
+        return int(value.valuation), None
+    if value.abs_precision < target:
+        raise PrecisionExhausted(j, m)
+    if value.is_zero():
+        if value.abs_precision < 1:
+            raise PrecisionExhausted(j, m)
+        return None, int(value.abs_precision)
+    return int(value.valuation), int(value.abs_precision)

@@ -100,18 +100,18 @@ def test_criterion_4_simplicial_integrality_desk_scale():
     p, M, N = 7, 70, 12
     dec = solve_A_series(simplicial_operator(4), p, M)
     alphas = [evaluate_zeta_poly(a, p, N) for a in alpha_simplicial(4)]
-    report = check_integrality(dec, alphas, p, M)
+    report = check_integrality(dec, alphas, M)
     assert report.verdict == "integral", report.first_failing
     assert report.min_valuation >= 0
-    rep = check_integrality(dec, [alphas[0] + 1] + alphas[1:], p, M)
+    rep = check_integrality(dec, [alphas[0] + 1] + alphas[1:], M)
     assert rep.verdict == "non-integral" and rep.min_valuation <= -1, \
         "alpha_1 + 1 stayed %s with min valuation %s" \
         % (rep.verdict, rep.min_valuation)
-    good = check_analytic(dec, alphas, p, M, 1)
+    good = check_analytic(dec, alphas, M, 1)
     assert good.verdict == "analytic" and good.rows > 0, good.first_failing
     for tag, a3 in (("alpha_3 + 1", alphas[2] + 1),
                     ("alpha_3 = 0", PadicNum.from_exact(0, p))):
-        rep = check_analytic(dec, alphas[:2] + [a3], p, M, 1)
+        rep = check_analytic(dec, alphas[:2] + [a3], M, 1)
         assert rep.verdict == "non-analytic", \
             "%s satisfied the analytic condition mod %d within t-order %d" \
             % (tag, p, M)
@@ -132,18 +132,18 @@ def test_criterion_5_hyperoct_integrality_desk_scale():
     polys = alpha_hyperoctahedral(3)
     assert polys[2] == ZetaPoly.gen(3) / -3
     alphas = [evaluate_zeta_poly(a, p, N) for a in polys]
-    report = check_integrality(dec, alphas, p, M)
+    report = check_integrality(dec, alphas, M)
     assert report.verdict == "integral", report.first_failing
     assert report.min_valuation >= 0
-    rep = check_integrality(dec, [alphas[0] + 1] + alphas[1:], p, M)
+    rep = check_integrality(dec, [alphas[0] + 1] + alphas[1:], M)
     assert rep.verdict == "non-integral" and rep.min_valuation <= -1, \
         "alpha_1 + 1 stayed %s with min valuation %s" \
         % (rep.verdict, rep.min_valuation)
-    good = check_analytic(dec, alphas, p, M, 1)
+    good = check_analytic(dec, alphas, M, 1)
     assert good.verdict == "analytic" and good.rows > 0, good.first_failing
     for tag, a3 in (("alpha_3 + 1", alphas[2] + 1),
                     ("alpha_3 = 0", PadicNum.from_exact(0, p))):
-        rep = check_analytic(dec, alphas[:2] + [a3], p, M, 1)
+        rep = check_analytic(dec, alphas[:2] + [a3], M, 1)
         assert rep.verdict == "non-analytic", \
             "%s satisfied the analytic condition mod %d within t-order %d" \
             % (tag, p, M)
@@ -163,7 +163,7 @@ def test_criterion_6_alpha_recovery():
                       ("hyperoctahedral", KNOWN_HYPEROCT_OPERATORS[4])):
         M = analytic_bound(L, p, 3)[1] + 2
         dec = solve_A_series(L, p, M)
-        sol = recover_alpha(dec, p, M, analytic_digits=3)
+        sol = recover_alpha(dec, M, analytic_digits=3)
         polys = alpha_simplicial(4) if family == "simplicial" \
             else alpha_hyperoctahedral(3)
         closed = [evaluate_zeta_poly(a, p, max(N, sol.modulus_exponent + 2))

@@ -42,6 +42,8 @@ from padicfrob.zeta_gamma import (
     evaluate_zeta_poly,
 )
 
+from combinatorics import _integrality_entry
+
 GEOM_L = MumOperator([[0, -1], [1, -1]])  # (1-t)theta - t, F_0 = 1/(1-t)
 
 
@@ -192,7 +194,7 @@ def test_integrality_simplicial_true_alpha():
     p, M, N = 7, 40, 12
     dec = solve_A_series(simplicial_operator(4), p, M)
     alphas = [evaluate_zeta_poly(q, p, N) for q in alpha_simplicial(4)]
-    rep = check_integrality(dec, alphas, p, M)
+    rep = check_integrality(dec, alphas, M)
     assert rep.verdict == "integral"
     assert rep.min_valuation == 0
     assert rep.first_failing is None
@@ -203,8 +205,7 @@ def test_integrality_detects_alpha1_shift():
     # alpha_1 off its true value 0 breaks integrality
     p, M = 7, 40
     dec = solve_A_series(simplicial_operator(4), p, M)
-    rep = check_integrality(dec, [Fraction(1), Fraction(0), Fraction(0)],
-                            p, M)
+    rep = check_integrality(dec, [Fraction(1), Fraction(0), Fraction(0)], M)
     assert rep.verdict == "non-integral"
     assert rep.min_valuation <= -1
     j, m, val = rep.first_failing
@@ -216,16 +217,16 @@ def test_integrality_verdict_stable_under_larger_M():
     dec = solve_A_series(simplicial_operator(4), p, 60)
     alphas = [evaluate_zeta_poly(q, p, 10) for q in alpha_simplicial(4)]
     for M in (35, 50, 60):
-        assert check_integrality(dec, alphas, p, M).verdict == "integral"
+        assert check_integrality(dec, alphas, M).verdict == "integral"
     for M in (40, 60):
-        rep = check_integrality(dec, [1, 0, 0], p, M)
+        rep = check_integrality(dec, [1, 0, 0], M)
         assert rep.verdict == "non-integral"
 
 
 def test_integrality_report_json():
     p, M = 5, 12
     dec = solve_A_series(simplicial_operator(3), p, M)
-    rep = check_integrality(dec, [Fraction(0), Fraction(0)], p, M)
+    rep = check_integrality(dec, [Fraction(0), Fraction(0)], M)
     payload = json.loads(rep.to_json())
     assert payload["p"] == p and payload["M"] == M
     assert payload["verdict"] == "integral"
@@ -241,14 +242,14 @@ def test_integrality_precision_exhausted():
     # one usable digit on alpha_1 is eaten by the 7^-2 denominators
     blunt = PadicNum.inexact_zero(p, 1)
     with pytest.raises(PrecisionExhausted) as info:
-        check_integrality(dec, [blunt, Fraction(0), Fraction(0)], p, M)
+        check_integrality(dec, [blunt, Fraction(0), Fraction(0)], M)
     assert info.value.m <= 35
 
 
 def test_recover_alpha_simplicial():
     p, M = 7, 70
     dec = solve_A_series(simplicial_operator(4), p, M)
-    sol = recover_alpha(dec, p, M)
+    sol = recover_alpha(dec, M)
     # integrality pins alpha_1 to 0 mod 49; the top two alphas stay free
     assert sol.exponents[0] == 2
     assert sol.representative[0] % 49 == 0
@@ -281,7 +282,7 @@ def test_analytic_bound_order_one_closed_form():
     assert analytic_bound(GEOM_L, p, 3) == (2 * p, 2 * p + p - 1)
     dec = solve_A_series(GEOM_L, p, M)
     assert dec.slots[0][0].known(p - 1) != 0
-    rep = check_analytic(dec, [], p, M, 3)
+    rep = check_analytic(dec, [], M, 3)
     assert rep.verdict == "analytic" and rep.rows > 0
 
 
@@ -315,13 +316,13 @@ def test_analytic_true_alpha_and_corruption():
     p, M, N = 7, 70, 12
     dec = solve_A_series(KNOWN_HYPEROCT_OPERATORS[4], p, M)
     alphas = [evaluate_zeta_poly(q, p, N) for q in alpha_hyperoctahedral(3)]
-    rep = check_analytic(dec, alphas, p, M, 2)
+    rep = check_analytic(dec, alphas, M, 2)
     assert rep.verdict == "analytic" and rep.first_failing is None
     for k in (1, 2):
         shifted = list(alphas)
         shifted[k] = shifted[k] + p
-        assert check_integrality(dec, shifted, p, M).verdict == "integral"
-        bad = check_analytic(dec, shifted, p, M, 2)
+        assert check_integrality(dec, shifted, M).verdict == "integral"
+        bad = check_analytic(dec, shifted, M, 2)
         assert bad.verdict == "non-analytic"
         s, j, m, val = bad.first_failing
         assert s == 2 and val < 2
@@ -334,16 +335,16 @@ def test_analytic_precision_exhausted():
     alphas = [evaluate_zeta_poly(q, p, 12) for q in alpha_hyperoctahedral(3)]
     # one digit of alpha_3 decides the rows mod p but not mod p^2
     blunt = alphas[:2] + [alphas[2].with_abs_precision(1)]
-    assert check_analytic(dec, blunt, p, M, 1).verdict == "analytic"
+    assert check_analytic(dec, blunt, M, 1).verdict == "analytic"
     with pytest.raises(PrecisionExhausted) as info:
-        check_analytic(dec, blunt, p, M, 2)
+        check_analytic(dec, blunt, M, 2)
     assert info.value.m > analytic_bound(dec.operator, p, 2)[1]
 
 
 def test_recover_alpha_hyperoct():
     p, M = 7, 70
     dec = solve_A_series(KNOWN_HYPEROCT_OPERATORS[4], p, M)
-    sol = recover_alpha(dec, p, M)
+    sol = recover_alpha(dec, M)
     assert sol.exponents[0] >= 2
     assert sol.representative[0] % p ** sol.exponents[0] == 0
 
@@ -361,12 +362,12 @@ def test_recover_alpha_inconsistent_constant_row():
         slots=[[PowerSeries(bad, M)] + dec.slots[0][1:]] + dec.slots[1:],
         order=M)
     with pytest.raises(InconsistentSystem):
-        recover_alpha(broken, p, M)
+        recover_alpha(broken, M)
 
 
 def test_recover_alpha_order_one_vacuous():
     dec = solve_A_series(GEOM_L, 5, 20)
-    sol = recover_alpha(dec, 5, 20)
+    sol = recover_alpha(dec, 20)
     assert sol.representative == []
 
 
@@ -378,13 +379,13 @@ def test_insufficient_order_paths():
         solve_A_series(simplicial_operator(2), 5, 20, basis=sb)
     dec = solve_A_series(simplicial_operator(2), 5, 10)
     with pytest.raises(InsufficientOrder):
-        check_integrality(dec, [Fraction(0)], 5, 11)
+        check_integrality(dec, [Fraction(0)], 11)
     with pytest.raises(InsufficientOrder):
-        recover_alpha(dec, 5, 11)
+        recover_alpha(dec, 11)
     with pytest.raises(InsufficientOrder):
-        check_analytic(dec, [Fraction(0)], 5, 11, 1)
+        check_analytic(dec, [Fraction(0)], 11, 1)
     with pytest.raises(InsufficientOrder):
-        recover_alpha(dec, 5, 11, analytic_digits=1)
+        recover_alpha(dec, 11, analytic_digits=1)
 
 
 def test_integrality_rejects_wrong_alpha_count():
@@ -396,15 +397,19 @@ def test_integrality_rejects_wrong_alpha_count():
     for dec in (exact, fixed):
         for alphas in ([], [0, 0], [0, 0, 0, 0]):
             with pytest.raises(ValueError):
-                check_integrality(dec, alphas, 7, 30)
+                check_integrality(dec, alphas, 30)
 
 
-def test_prime_mismatch_rejected():
-    dec = solve_A_series(simplicial_operator(2), 5, 10)
-    with pytest.raises(ValueError):
-        check_integrality(dec, [Fraction(0)], 7, 10)
-    with pytest.raises(ValueError):
-        check_analytic(dec, [Fraction(0)], 7, 10, 1)
+def test_analytic_rejects_wrong_alpha_count():
+    # both modes, before any row: with S = 0 there is none to read
+    exact = solve_A_series(simplicial_operator(4), 7, 30)
+    fixed = solve_A_series(simplicial_operator(4), 7, 30, basis=exact.basis,
+                           digits=N_CLI)
+    for dec in (exact, fixed):
+        for digits in (0, 1):
+            for alphas in ([], [0, 0], [0, 0, 0, 0]):
+                with pytest.raises(ValueError, match="alpha values"):
+                    check_analytic(dec, alphas, 30, digits)
 
 
 def test_nonuniqueness_witness_family():
@@ -436,7 +441,7 @@ def test_hyperoct_true_alpha_integral():
     dec = solve_A_series(KNOWN_HYPEROCT_OPERATORS[4], p, M)
     alphas = [evaluate_zeta_poly(q, p, N)
               for q in alpha_hyperoctahedral(3)]
-    rep = check_integrality(dec, alphas, p, M)
+    rep = check_integrality(dec, alphas, M)
     assert rep.verdict == "integral"
     assert verify_frobenius_property(dec, alphas, M)
 
@@ -468,9 +473,9 @@ def _closed_forms(L, p, N):
     return [evaluate_zeta_poly(q, p, N) for q in polys]
 
 
-def _integrality(dec, alphas, p, M):
+def _integrality(dec, alphas, M):
     try:
-        return check_integrality(dec, alphas, p, M).to_json()
+        return check_integrality(dec, alphas, M).to_json()
     except PrecisionExhausted as exc:
         return exc.j, exc.m
 
@@ -480,7 +485,7 @@ def _entry_by_entry(dec, alphas, M):
     for j in range(dec.n):
         for m in range(M):
             try:
-                frobenius._integrality_entry(dec, j, m, alphas)
+                _integrality_entry(dec, j, m, alphas)
             except PrecisionExhausted as exc:
                 return exc.j, exc.m
     return None
@@ -502,10 +507,10 @@ def test_fixed_precision_matches_exact(L, p, M, shift):
         fixed = solve_A_series(L, p, M, basis=sb,
                                digits=integrality_digits(alphas, N_CLI))
         assert _entry_by_entry(fixed, alphas, M) is None
-        assert check_integrality(fixed, alphas, p, M).to_json() == \
-            check_integrality(exact, alphas, p, M).to_json()
+        assert check_integrality(fixed, alphas, M).to_json() == \
+            check_integrality(exact, alphas, M).to_json()
     coarse = solve_A_series(L, p, M, basis=sb, digits=N_CLI)
-    assert recover_alpha(coarse, p, M) == recover_alpha(exact, p, M)
+    assert recover_alpha(coarse, M) == recover_alpha(exact, M)
 
 
 def test_fixed_precision_coefficients_and_zeros():
@@ -535,14 +540,14 @@ def test_fixed_precision_analytic_verdicts(L, p, M, shift):
     alphas = _closed_forms(L, p, N_CLI)
     bad = alphas[:2] + [alphas[2] + 1]
     for al in (alphas, bad):
-        assert check_analytic(fixed, al, p, M, 3) == \
-            check_analytic(exact, al, p, M, 3)
-    assert check_analytic(fixed, bad, p, M, 1).verdict == "non-analytic"
+        assert check_analytic(fixed, al, M, 3) == \
+            check_analytic(exact, al, M, 3)
+    assert check_analytic(fixed, bad, M, 1).verdict == "non-analytic"
     # a row enters the congruence system only when an alpha term is
     # nonzero, which 3 digits cannot tell for every coefficient
     coarse = solve_A_series(L, p, M, basis=sb, digits=N_CLI)
-    assert recover_alpha(coarse, p, M, analytic_digits=3) == \
-        recover_alpha(exact, p, M, analytic_digits=3)
+    assert recover_alpha(coarse, M, analytic_digits=3) == \
+        recover_alpha(exact, M, analytic_digits=3)
 
 
 def test_fixed_precision_short_digits_raise():
@@ -552,23 +557,23 @@ def test_fixed_precision_short_digits_raise():
     # entries reached by alpha_3 need its 14 digits on top of the slot
     # valuation; 12 slot digits cannot supply them
     with pytest.raises(PrecisionExhausted):
-        check_integrality(fixed, alphas, p, M)
+        check_integrality(fixed, alphas, M)
     # the readout raises at the entry where _integrality_entry does
     for digits in (3, N_CLI):
         short = solve_A_series(L, p, M, basis=fixed.basis, digits=digits)
         raised = _entry_by_entry(short, alphas, M)
         assert raised is not None
-        assert _integrality(short, alphas, p, M) == raised
+        assert _integrality(short, alphas, M) == raised
     with pytest.raises(PrecisionExhausted):
         check_analytic(solve_A_series(L, p, M, basis=fixed.basis, digits=2),
-                       alphas, p, M, 3)
+                       alphas, M, 3)
     blunt = solve_A_series(L, p, M, basis=fixed.basis, digits=2)
     # rows mod p^3 need 3 digits; and whether a row has an alpha term at
     # all needs every slot coefficient told from zero
     with pytest.raises(PrecisionExhausted):
-        recover_alpha(blunt, p, M, analytic_digits=3)
+        recover_alpha(blunt, M, analytic_digits=3)
     with pytest.raises(PrecisionExhausted):
-        recover_alpha(blunt, p, M)
+        recover_alpha(blunt, M)
     with pytest.raises(ValueError):
         verify_frobenius_property(fixed, alphas, M)
     with pytest.raises(ValueError):
@@ -647,7 +652,7 @@ def test_integrality_readout_raises_where_entries_do(L, p, M, digits, alphas,
                                                      where):
     dec = solve_A_series(L, p, M, digits=digits)
     assert _entry_by_entry(dec, alphas, M) == where
-    assert _integrality(dec, alphas, p, M) == where
+    assert _integrality(dec, alphas, M) == where
 
 
 def test_integrality_digits():
@@ -664,12 +669,6 @@ def test_solve_rejects_bad_prime():
         with pytest.raises(BadPrime):
             solve_A_series(simplicial_operator(4), p, 30)
     assert issubclass(BadPrime, ValueError)
-
-
-def test_recover_alpha_prime_mismatch_rejected():
-    dec = solve_A_series(simplicial_operator(2), 5, 20)
-    with pytest.raises(ValueError):
-        recover_alpha(dec, 7, 20)
 
 
 def _analytic_specs(dec, p, M, digits):
@@ -731,7 +730,7 @@ def test_congruence_rows_match_rational_build(L, p, M, monkeypatch):
     for digits in (None, N_CLI):
         dec = solve_A_series(L, p, M, basis=sb, digits=digits)
         for analytic_digits in (0, 1, 2, 3):
-            recover_alpha(dec, p, M, analytic_digits=analytic_digits)
+            recover_alpha(dec, M, analytic_digits=analytic_digits)
             want = CongruenceSystem.build(
                 p, _rational_rows(dec, p, M, analytic_digits))
             assert systems.pop() == want
@@ -763,9 +762,9 @@ def test_products_match_row_by_row_sums():
                             assert product.support[k][j][m] == live
 
 
-def _check_analytic_row_by_row(dec, alphas, p, M, digits):
+def _check_analytic_row_by_row(dec, alphas, M, digits):
     """check_analytic with every row summed from the slots on its own."""
-    rows = 0
+    p, rows = dec.p, 0
     for s, j, m, weights in _analytic_specs(dec, p, M, digits):
         value = 0
         for k, al in enumerate([1] + list(alphas)):
@@ -810,9 +809,8 @@ def test_check_analytic_matches_row_by_row_sums(L, p, M, shift):
     for dec in decs:
         for digits in (1, 2, 3):
             for al in (alphas, bad):
-                assert _analytic(check_analytic, dec, al, p, M, digits) == \
-                    _analytic(_check_analytic_row_by_row, dec, al, p, M,
-                              digits)
+                assert _analytic(check_analytic, dec, al, M, digits) == \
+                    _analytic(_check_analytic_row_by_row, dec, al, M, digits)
 
 
 def test_check_analytic_uses_no_padic_arithmetic(monkeypatch):
@@ -824,7 +822,7 @@ def test_check_analytic_uses_no_padic_arithmetic(monkeypatch):
     alphas = _closed_forms(L, p, N_CLI)
     bad = alphas[:2] + [alphas[2] + 1]
     fixed = solve_A_series(L, p, M, digits=N_CLI)
-    want = [_check_analytic_row_by_row(fixed, al, p, M, 3)
+    want = [_check_analytic_row_by_row(fixed, al, M, 3)
             for al in (alphas, bad)]
     assert [rep.verdict for rep in want] == ["analytic", "non-analytic"]
 
@@ -834,21 +832,76 @@ def test_check_analytic_uses_no_padic_arithmetic(monkeypatch):
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(PadicNum, name, refuse)
     with pytest.raises(AssertionError):
-        _check_analytic_row_by_row(fixed, alphas, p, M, 1)
-    assert [check_analytic(fixed, al, p, M, 3)
+        _check_analytic_row_by_row(fixed, alphas, M, 1)
+    assert [check_analytic(fixed, al, M, 3)
             for al in (alphas, bad)] == want
 
 
 def test_fixed_precision_rejects_other_primes():
-    # the stored integers are residues at dec.p: an alpha at another
-    # prime is refused by both conditions, as PadicNum's sum refuses it
+    # the stored integers are residues at dec.p, and exact slots would
+    # take on the prime of the alpha: an alpha at another prime is
+    # refused by both conditions in both modes and by the defining
+    # identity, as PadicNum's sum refuses it
     L, p, M = simplicial_operator(4), 7, 60
-    fixed = solve_A_series(L, p, M, digits=N_CLI)
+    exact = solve_A_series(L, p, M)
+    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=N_CLI)
     alphas = [0, 0, PadicNum.from_rational(Fraction(1, 3), 5, 6)]
+    for dec in (exact, fixed):
+        with pytest.raises(ValueError, match="7-adic"):
+            check_integrality(dec, alphas, M)
+        with pytest.raises(ValueError, match="7-adic"):
+            check_analytic(dec, alphas, M, 1)
     with pytest.raises(ValueError, match="7-adic"):
-        check_integrality(fixed, alphas, p, M)
-    with pytest.raises(ValueError, match="7-adic"):
-        check_analytic(fixed, alphas, p, M, 1)
+        verify_frobenius_property(exact, alphas, 20)
+
+
+def test_exact_cancellation_left_out(capsys, monkeypatch):
+    # alpha_1 = -77/60 = -c_0/c_1 at (j, m) = (1, 5) cancels that entry
+    # exactly: the exact report leaves it out, while 30 slot digits
+    # cannot tell the cancellation from a value they do not reach
+    L, p, M = simplicial_operator(4), 7, 30
+    alpha1 = Fraction(-77, 60)
+    exact = solve_A_series(L, p, M)
+    assert alpha1 == -exact.slot(0, 1, 5) / exact.slot(1, 1, 5)
+    rep = check_integrality(exact, [alpha1, 0, 0], M)
+    assert rep.verdict == "integral" and len(rep.entries) == 21
+    assert (1, 5) not in [(e["j"], e["m"]) for e in rep.entries]
+    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=30)
+    with pytest.raises(PrecisionExhausted) as exc:
+        check_integrality(fixed, [alpha1, 0, 0], M)
+    assert (exc.value.j, exc.value.m) == (1, 5)
+    # the CLI sets alpha_1 beside the closed forms, and cli._decide
+    # answers from the exact solve once the fixed one raises
+    digits = []
+    solve = cli.solve_A_series
+
+    def recording(*args, **kwargs):
+        digits.append(kwargs.get("digits"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_A_series", recording)
+    code = cli.main(["verify", "--family", "simplicial", "--n", "4",
+                     "--t-order", "30", "--perturb", "alpha1=-77/60"])
+    assert code == 0
+    assert len(digits) == 2 and digits[0] is not None and digits[1] is None
+    alphas = [PadicNum.from_exact(alpha1, p)] + _closed_forms(L, p, N_CLI)[1:]
+    assert capsys.readouterr().out == \
+        check_integrality(exact, alphas, M).to_json() + "\n"
+
+
+def test_analytic_rows_start_at_t0():
+    # theta^2 - t (theta - 1)^2 has both exponents at infinity -1, so
+    # deg(1) = -2 at p = 3: every row from t^0 on is a condition, and no
+    # row lies before it
+    L, p, M = MumOperator([[0, -1], [0, 2], [1, -1]]), 3, 5
+    assert analytic_bound(L, p, 1) == (0, -2)
+    exact = solve_A_series(L, p, M)
+    for dec in (exact, solve_A_series(L, p, M, basis=exact.basis, digits=4)):
+        assert check_analytic(dec, [0], M, 1) == AnalyticReport(
+            p=p, M=M, digits=1, verdict="non-analytic", rows=1,
+            first_failing=(1, 0, 0, 0))
+        with pytest.raises(InconsistentSystem):
+            recover_alpha(dec, M, analytic_digits=1)
 
 
 def test_t_order_below_one_rejected():
@@ -859,13 +912,13 @@ def test_t_order_below_one_rejected():
     alphas = [Fraction(0)] * 2
     for M in (0, -3):
         with pytest.raises(InsufficientOrder):
-            check_integrality(dec, alphas, p, M)
+            check_integrality(dec, alphas, M)
         with pytest.raises(InsufficientOrder):
-            recover_alpha(dec, p, M)
+            recover_alpha(dec, M)
         with pytest.raises(InsufficientOrder):
-            check_analytic(dec, alphas, p, M, 1)
+            check_analytic(dec, alphas, M, 1)
     geom = solve_A_series(GEOM_L, p, 20)
-    assert recover_alpha(geom, p, 20) == CongruenceSolution(p, [], [], 0, [])
+    assert recover_alpha(geom, 20) == CongruenceSolution(p, [], [], 0, [])
 
 
 def test_negative_analytic_digits_rejected():
@@ -876,14 +929,14 @@ def test_negative_analytic_digits_rejected():
     alphas = _closed_forms(L, p, N_CLI)
     for digits in (-1, -4):
         with pytest.raises(ValueError):
-            check_analytic(dec, alphas, p, M, digits)
+            check_analytic(dec, alphas, M, digits)
         with pytest.raises(ValueError):
-            recover_alpha(dec, p, M, analytic_digits=digits)
-    assert check_analytic(dec, alphas, p, M, 0) == AnalyticReport(
+            recover_alpha(dec, M, analytic_digits=digits)
+    assert check_analytic(dec, alphas, M, 0) == AnalyticReport(
         p=p, M=M, digits=0, verdict="analytic", rows=0)
     fine = solve_A_series(L, p, M, basis=dec.basis, digits=N_CLI)
-    assert recover_alpha(fine, p, M, analytic_digits=0) == \
-        recover_alpha(fine, p, M)
+    assert recover_alpha(fine, M, analytic_digits=0) == \
+        recover_alpha(fine, M)
 
 
 def test_exponents_at_infinity_found_once(monkeypatch):
@@ -898,7 +951,7 @@ def test_exponents_at_infinity_found_once(monkeypatch):
     monkeypatch.setattr(frobenius, "_exponents_at_infinity",
                         lambda op: calls.append(op) or find(op))
     dec = solve_A_series(L, p, M, digits=N_CLI)
-    sol = recover_alpha(dec, p, M, analytic_digits=3)
+    sol = recover_alpha(dec, M, analytic_digits=3)
     assert sol.exponents == [4, 4, 3, 2, 0, 1]
     assert len(calls) == 1
 
@@ -908,12 +961,12 @@ def test_analytic_powers_built_incrementally():
     # formed from scratch for every s give
     L, p, M = simplicial_operator(7), 11, 254
     dec = solve_A_series(L, p, M, digits=N_CLI)
-    got = recover_alpha(dec, p, M, analytic_digits=3)
+    got = recover_alpha(dec, M, analytic_digits=3)
 
-    def from_scratch(dec, p, M, digits):
+    def from_scratch(dec, M, digits):
         lead = PowerSeries(dec.operator.leading(), M)
         for s in range(1, digits + 1):
-            e, deg = analytic_bound(dec.operator, p, s)
+            e, deg = analytic_bound(dec.operator, dec.p, s)
             if deg + 1 >= M:
                 continue
             power = PowerSeries.one(M)
@@ -926,7 +979,7 @@ def test_analytic_powers_built_incrementally():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frobenius, "_analytic_rows", from_scratch)
-        want = recover_alpha(dec, p, M, analytic_digits=3)
+        want = recover_alpha(dec, M, analytic_digits=3)
     assert got.exponents == want.exponents == [4, 4, 3, 2, 0, 1]
     assert got.representative == want.representative
     assert got.generators == want.generators
@@ -937,9 +990,9 @@ def test_recover_alpha_rows_past_the_digits_raise():
     # the analytic rows mod p, not those mod p^2
     p, M = 5, 20
     dec = solve_A_series(GEOM_L, p, M, digits=1)
-    assert recover_alpha(dec, p, M, analytic_digits=1).representative == []
+    assert recover_alpha(dec, M, analytic_digits=1).representative == []
     with pytest.raises(PrecisionExhausted):
-        recover_alpha(dec, p, M, analytic_digits=2)
+        recover_alpha(dec, M, analytic_digits=2)
 
 
 def test_recover_alpha_inconsistent_analytic_constant_row():
@@ -956,6 +1009,6 @@ def test_recover_alpha_inconsistent_analytic_constant_row():
             p=p, operator=GEOM_L, basis=dec.basis, order=M,
             slots=[[PowerSeries(coeffs, M)]], digits=dec.digits,
             scale=dec.scale, support=dec.support)
-        assert recover_alpha(broken, p, M).representative == []
+        assert recover_alpha(broken, M).representative == []
         with pytest.raises(InconsistentSystem):
-            recover_alpha(broken, p, M, analytic_digits=1)
+            recover_alpha(broken, M, analytic_digits=1)

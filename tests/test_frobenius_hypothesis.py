@@ -33,6 +33,7 @@ from padicfrob.mum import (  # noqa: E402
 )
 from padicfrob.padic_core import InconsistentSystem, PadicNum  # noqa: E402
 
+from combinatorics import _integrality_entry  # noqa: E402
 from test_frobenius import (  # noqa: E402
     N_CLI,
     _analytic,
@@ -178,9 +179,9 @@ def test_fixed_precision_agrees_with_exact(shifts, M, digits):
                         assert got.agrees(want, digits)
 
 
-def _recovered(dec, p, M, analytic_digits):
+def _recovered(dec, M, analytic_digits):
     try:
-        return recover_alpha(dec, p, M, analytic_digits=analytic_digits)
+        return recover_alpha(dec, M, analytic_digits=analytic_digits)
     except InconsistentSystem as exc:
         return exc.index
 
@@ -194,19 +195,18 @@ def test_recover_alpha_fixed_matches_exact(L, p, M, digits,
     # violated row, of the exact solve; or PrecisionExhausted, where the
     # CLI answers from the exact solve
     sb = standard_basis(L, M)
-    want = _recovered(solve_A_series(L, p, M, basis=sb), p, M,
-                      analytic_digits)
+    want = _recovered(solve_A_series(L, p, M, basis=sb), M, analytic_digits)
     fixed = solve_A_series(L, p, M, basis=sb, digits=digits)
     try:
-        got = _recovered(fixed, p, M, analytic_digits)
+        got = _recovered(fixed, M, analytic_digits)
     except PrecisionExhausted:
         return
     assert got == want
 
 
-def _integrality(dec, alphas, p, M):
+def _integrality(dec, alphas, M):
     try:
-        return check_integrality(dec, alphas, p, M).to_json()
+        return check_integrality(dec, alphas, M).to_json()
     except PrecisionExhausted as exc:
         return exc.j, exc.m
 
@@ -216,7 +216,7 @@ def _entry_by_entry(dec, alphas, M):
     for j in range(dec.n):
         for m in range(M):
             try:
-                frobenius._integrality_entry(dec, j, m, alphas)
+                _integrality_entry(dec, j, m, alphas)
             except PrecisionExhausted as exc:
                 return exc.j, exc.m
     return None
@@ -243,10 +243,10 @@ def test_integrality_readout_matches_exact(L, M, digits, alphas):
     alphas = alphas[:L.order - 1]
     exact = solve_A_series(L, p, M)
     fixed = solve_A_series(L, p, M, basis=exact.basis, digits=digits)
-    got = _integrality(fixed, alphas, p, M)
+    got = _integrality(fixed, alphas, M)
     raised = _entry_by_entry(fixed, alphas, M)
     if raised is None:
-        assert got == _integrality(exact, alphas, p, M)
+        assert got == _integrality(exact, alphas, M)
     else:
         assert got == raised
 
@@ -288,8 +288,31 @@ def test_check_analytic_matches_row_by_row(case, digits, S, alphas):
     closed = _analytic_closed_forms(case)
     alphas = [c if a is None else a for a, c in zip(alphas, closed)]
     alphas = alphas[:dec.n - 1]
-    assert _analytic(check_analytic, dec, alphas, 7, ANALYTIC_M, S) == \
-        _analytic(_check_analytic_row_by_row, dec, alphas, 7, ANALYTIC_M, S)
+    assert _analytic(check_analytic, dec, alphas, ANALYTIC_M, S) == \
+        _analytic(_check_analytic_row_by_row, dec, alphas, ANALYTIC_M, S)
+
+
+def _decided(entry, *args):
+    try:
+        return entry(*args)
+    except PrecisionExhausted as exc:
+        return "raised", exc.j, exc.m
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=st.integers(0, len(ANALYTIC_OPERATORS) - 1),
+       alphas=st.lists(ALPHAS, min_size=3, max_size=3))
+def test_exact_reading_decides_as_integrality_entry(case, alphas):
+    # on the exact solve, every entry decided on _exact_reading is the
+    # one _integrality_entry gives: the same value, or a raise at the
+    # same (j, m)
+    dec = _analytic_solve(case, None)
+    alphas = alphas[:dec.n - 1]
+    read = frobenius._exact_reading(dec, alphas)
+    for j in range(dec.n):
+        for m in range(ANALYTIC_M):
+            assert _decided(frobenius._integral_entry, read, j, m) == \
+                _decided(_integrality_entry, dec, j, m, alphas)
 
 
 def test_check_analytic_live_zero_under_inexact_alpha(monkeypatch):
@@ -310,8 +333,7 @@ def test_check_analytic_live_zero_under_inexact_alpha(monkeypatch):
         alphas = list(_analytic_closed_forms(case))
         assert not alphas[-1].is_exact
         readings.clear()
-        got = check_analytic(dec, alphas, 7, ANALYTIC_M, 3)
-        assert got == _check_analytic_row_by_row(dec, alphas, 7, ANALYTIC_M,
-                                                 3)
+        got = check_analytic(dec, alphas, ANALYTIC_M, 3)
+        assert got == _check_analytic_row_by_row(dec, alphas, ANALYTIC_M, 3)
         assert got.verdict == "analytic"
         assert any(r is not None and r[2] is None for r in readings)

@@ -22,7 +22,6 @@ from padicfrob.padic_core import (
     bernoulli,
     multinomial,
     padic_exp,
-    padic_from_rational,
     padic_log,
     solve_affine_congruences,
     vp,
@@ -109,18 +108,18 @@ class TestEchelonMod:
 class TestPadicNum:
     def test_from_rational_half(self):
         # oracle: extended gcd gives 2 * 313 = 626 = 1 mod 625
-        x = padic_from_rational(F(1, 2), 5, 4)
+        x = PadicNum.from_rational(F(1, 2), 5, 4)
         assert x.valuation == 0
         assert x.residue(4) == 313
         assert x.abs_precision == 4
 
     def test_from_rational_ten(self):
-        x = padic_from_rational(10, 5, 4)
+        x = PadicNum.from_rational(10, 5, 4)
         assert x.valuation == 1
         assert x.abs_precision == 5  # relative precision convention
 
     def test_zero_is_exact(self):
-        assert padic_from_rational(0, 7, 3).is_exact_zero
+        assert PadicNum.from_rational(0, 7, 3).is_exact_zero
 
     def test_add_min_precision(self):
         a = PadicNum.from_rational(3, 7, 5)
@@ -174,7 +173,7 @@ class TestPadicNum:
             a / PadicNum.inexact_zero(7, 3)
 
     def test_agrees(self):
-        a = padic_from_rational(F(1, 2), 5, 4)
+        a = PadicNum.from_rational(F(1, 2), 5, 4)
         assert a.agrees(313, 4)
         assert a.agrees(313 + 625, 4)
         assert not a.agrees(314, 4)

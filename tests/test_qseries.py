@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padicfrob import qseries
-from padicfrob.padic_core import PadicNum, padic_from_rational
+from padicfrob.padic_core import PadicNum
 from padicfrob.qseries import (
     BadConstantTerm,
     LogSeries,
@@ -123,8 +123,8 @@ class TestInvertExpLog:
 
     def test_padic_coefficients(self):
         p, N = 5, 8
-        f = PowerSeries([padic_from_rational(F(1, 2), p, N),
-                         padic_from_rational(F(3), p, N)], 6)
+        f = PowerSeries([PadicNum.from_rational(F(1, 2), p, N),
+                         PadicNum.from_rational(F(3), p, N)], 6)
         g = f * f.invert()
         one = PowerSeries.one(6)
         assert g.eq_mod(one, 6)
