@@ -64,7 +64,7 @@ from .mum import (
     period_series_simplicial,
     simplicial_operator,
 )
-from .padic_core import InconsistentSystem, PadicNum, is_prime
+from .padic_core import InconsistentSystem, PadicNum, require_odd_prime
 from .qseries import PowerSeries
 from .zeta_gamma import (
     alpha_hyperoctahedral,
@@ -94,8 +94,7 @@ class UsageError(Exception):
 
 
 def _check_family_prime(family: str, n: int, p: int):
-    if not is_prime(p) or p == 2:
-        raise UsageError("p = %d is not an odd prime" % p)
+    require_odd_prime(p)
     bound = n + 1 if family == "simplicial" else n
     if p <= bound:
         raise UsageError("need p > %d for the %s family at n = %d"

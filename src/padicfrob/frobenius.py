@@ -250,7 +250,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
                    digits: int | None = None) -> FrobeniusDecomposition:
     """Solve the log-free part of A(y_i(t^p)) = p^i sum alpha_k y_{i-k}
     for every alpha-slot mod t^M: exactly over Q when digits is None,
-    else with every coefficient known mod p^digits.
+    else with every coefficient known mod p^digits.  A given basis must
+    be L's, known mod t^M.
 
     The matrix entry multiplying A_j in equation i is
     B_ij = p^j sum_m C(j,m) (theta^(j-m) F_{i-m})(t^p), which reduces
@@ -288,6 +289,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     n = L.order
     if basis is None:
         basis = standard_basis(L, M)
+    elif basis.operator != L:
+        raise ValueError("basis is of another operator")
     elif basis.order < M:
         raise InsufficientOrder("basis known mod t^%d, need t^%d"
                                 % (basis.order, M))
@@ -444,8 +447,7 @@ def _verify_frobenius_detail(dec: FrobeniusDecomposition,
     E_k = I_k - p^i y_{i-k} (no y term for k > i), the identity is
     sum_k alpha_k E_k = 0 and its image under L is sum_k alpha_k L(I_k)
     = 0.  The alphas enter once per coefficient (_alpha_linear)."""
-    if M > dec.order:
-        raise InsufficientOrder("decomposition known mod t^%d" % dec.order)
+    _check_order(dec, M)
     if dec.digits is not None:
         raise ValueError("the defining identity needs an exact "
                          "decomposition (digits=None)")
@@ -771,7 +773,6 @@ def analytic_bound(L: MumOperator, p: int, s: int) -> tuple:
 
     Raises BadPrime unless p is an odd prime.
     """
-    require_odd_prime(p)
     if s < 1:
         raise ValueError("need s >= 1")
     return _analytic_bounds(L, p, s)[-1]
@@ -921,7 +922,6 @@ def recover_alpha(dec: FrobeniusDecomposition, M: int,
     a-priori guarantee.  A fixed-precision decomposition gives the same
     coset, or raises PrecisionExhausted.
     """
-    _check_order(dec, M)
     specs = chain(((dec, 0, j, m) for j in range(dec.n) for m in range(M)),
                   _analytic_rows(dec, M, analytic_digits))
     rows = [row for row in (_congruence_row(*spec) for spec in specs)

@@ -630,10 +630,12 @@ class CongruenceSystem:
 
     Each condition is a row (a, b, e): the congruence sum_i a_i alpha_i
     = b mod p^e, with 0 <= a_i, b < p^e and e the least exponent that
-    makes p^e c0 and every p^e c_i p-integral.  A row with e = 0 binds
-    nothing but keeps its place, so the index InconsistentSystem
-    reports counts it.  build() reduces rational rows (c0, coefficients)
-    once; recover_alpha builds the reduced rows straight from the slot
+    makes p^e c0 and every p^e c_i p-integral.  The index
+    InconsistentSystem reports is the least index of the conditions
+    that solve_affine_congruences combined into the violated row; a
+    row with e = 0 binds nothing but keeps its place in that count.
+    build() reduces rational rows (c0, coefficients) once;
+    recover_alpha builds the reduced rows straight from the slot
     residues.
     """
 
@@ -675,7 +677,8 @@ class CongruenceSolution:
 
 
 class InconsistentSystem(Exception):
-    """No p-integral solution exists; carries a violated condition index."""
+    """No p-integral solution exists; index is the least condition
+    combined into the violated row (see CongruenceSystem)."""
 
     def __init__(self, index: int):
         super().__init__("inconsistent condition (first violated index %d)" % index)
@@ -694,128 +697,80 @@ def _reduced_condition(c0: RationalLike, coeffs: Sequence[RationalLike],
     return tuple(a), b, e
 
 
-def _smith_solve(rows, rhs, prov, k, p, E):
-    """Diagonalize A mod p^E by row and column operations.
-
-    rows/rhs/prov describe the system A gamma-ish = b with provenance
-    sets per row.  Returns (pivot valuations d, unknown-transform M with
-    alpha = M gamma, reduced rhs, provenance, leftover row check data).
-    Over the local ring Z/p^E the minimal-valuation entry of the
-    remaining submatrix clears its whole row and column, so the result
-    is genuinely diagonal.
-    """
-    mod = p ** E
-    A = [list(r) for r in rows]
-    b = list(rhs)
-    prov = list(prov)
-    nrows = len(A)
-    M = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    d = []
-    r = 0
-    while r < min(nrows, k):
-        best = None
-        best_v = E
-        for i in range(r, nrows):
-            for j in range(r, k):
-                a = A[i][j] % mod
-                if a:
-                    v = vp(a, p)
-                    if v < best_v:
-                        best_v, best = v, (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        A[r], A[i0] = A[i0], A[r]
-        b[r], b[i0] = b[i0], b[r]
-        prov[r], prov[i0] = prov[i0], prov[r]
-        if j0 != r:
-            for row in A:
-                row[r], row[j0] = row[j0], row[r]
-            for row in M:
-                row[r], row[j0] = row[j0], row[r]
-        v = best_v
-        pv = p ** v
-        inv = pow(A[r][r] // pv % mod, -1, mod)
-        A[r] = [x * inv % mod for x in A[r]]
-        A[r][r] = pv
-        b[r] = b[r] * inv % mod
-        for i in range(nrows):
-            if i == r:
-                continue
-            a = A[i][r] % mod
-            if a == 0:
-                continue
-            q = a // pv
-            A[i] = [(x - q * y) % mod for x, y in zip(A[i], A[r])]
-            b[i] = (b[i] - q * b[r]) % mod
-            prov[i] = prov[i] | prov[r]
-        for j in range(k):
-            if j == r:
-                continue
-            a = A[r][j] % mod
-            if a == 0:
-                continue
-            q = a // pv
-            for row in A:
-                row[j] = (row[j] - q * row[r]) % mod
-            for row in M:
-                row[j] = (row[j] - q * row[r]) % mod
-        d.append(v)
-        r += 1
-    leftovers = [(b[i] % mod, prov[i]) for i in range(r, nrows)]
-    return d, M, b[:r], prov[:r], leftovers
-
-
 def solve_affine_congruences(system: CongruenceSystem) -> CongruenceSolution:
     """Describe all alpha in Z_p^k satisfying every integrality condition.
 
     The reduced rows (a, b, e) with e > 0, each scaled to the common
-    modulus p^E, E = max e, are solved by Smith normal form over Z/p^E,
-    which yields the exact solution coset.  Raises InconsistentSystem,
-    with the index of a violated row, when no solution exists.
+    modulus p^E, E = max e, are brought to Smith normal form over Z/p^E
+    in one pass, which yields the exact solution coset.  Step r moves
+    the first entry of least valuation d (row-major over rows and
+    columns >= r) to (r, r) and clears column r in the rows below it;
+    the column operations that clear row r go only into M, where
+    alpha = M gamma, since no later step reads row r.  first[i] is the
+    least index of the conditions combined into row i.  Raises
+    InconsistentSystem with that index for the first leftover row
+    (past the rank) with b != 0, else for the first pivot row with
+    p^d not dividing b.
     """
     p = system.prime
     k = system.unknowns
     E = max((e for _, _, e in system.conditions), default=0)
+    M = [[int(i == j) for j in range(k)] for i in range(k)]
     if E == 0:
-        return CongruenceSolution(p, [0] * k, [0] * k, 0,
-                                  [[1 if i == j else 0 for j in range(k)]
-                                   for i in range(k)])
+        return CongruenceSolution(p, [0] * k, [0] * k, 0, M)
     mod = p ** E
-    rows, rhs, prov = [], [], []
-    for idx, (a, b, e) in enumerate(system.conditions):
-        if e == 0:
-            continue
-        scale = p ** (E - e)
-        rows.append([x * scale for x in a])
-        rhs.append(b * scale)
-        prov.append(frozenset([idx]))
-    d, M, b_red, prov_red, leftovers = _smith_solve(rows, rhs, prov, k, p, E)
-    for bval, pset in leftovers:
-        if bval:
-            raise InconsistentSystem(min(pset, default=0))
+    A, b, first = [], [], []
+    for idx, (a, c, e) in enumerate(system.conditions):
+        if e:
+            scale = p ** (E - e)
+            A.append([x * scale for x in a])
+            b.append(c * scale)
+            first.append(idx)
+    d = []
+    for r in range(min(len(A), k)):
+        v, i0, j0 = E, None, None
+        for i in range(r, len(A)):
+            for j in range(r, k):
+                if A[i][j] and vp(A[i][j], p) < v:
+                    v, i0, j0 = vp(A[i][j], p), i, j
+        if i0 is None:
+            break
+        for xs in (A, b, first):
+            xs[r], xs[i0] = xs[i0], xs[r]
+        for row in A[r:] + M:
+            row[r], row[j0] = row[j0], row[r]
+        pv = p ** v
+        inv = pow(A[r][r] // pv, -1, mod)
+        pivot = [x * inv % mod for x in A[r]]
+        b[r] = b[r] * inv % mod
+        for i in range(r + 1, len(A)):
+            q = A[i][r] // pv
+            if q:
+                A[i] = [(x - q * y) % mod for x, y in zip(A[i], pivot)]
+                b[i] = (b[i] - q * b[r]) % mod
+                first[i] = min(first[i], first[r])
+        for j in range(r + 1, k):
+            q = pivot[j] // pv
+            if q:
+                for row in M:
+                    row[j] = (row[j] - q * row[r]) % mod
+        d.append(v)
     rank = len(d)
-    gamma = [0] * k
+    for i in range(rank, len(A)):
+        if b[i]:
+            raise InconsistentSystem(first[i])
     for i in range(rank):
-        if b_red[i] % p ** d[i]:
-            raise InconsistentSystem(min(prov_red[i], default=0))
-        gamma[i] = b_red[i] // p ** d[i] % p ** (E - d[i])
-    rep = [sum(M[i][j] * gamma[j] for j in range(k)) % mod for i in range(k)]
+        if b[i] % p ** d[i]:
+            raise InconsistentSystem(first[i])
+    gamma = [b[i] // p ** d[i] for i in range(rank)] + [0] * (k - rank)
+    rep = [sum(m * g for m, g in zip(row, gamma)) % mod for row in M]
+    # a free column (past the rank) is a generator as it stands
+    d += [E] * (k - rank)
     gens = []
-    for i in range(rank):
-        if d[i] > 0:
-            g = [M[row][i] * p ** (E - d[i]) % mod for row in range(k)]
-            if any(g):
-                gens.append(g)
-    for i in range(rank, k):
-        g = [M[row][i] % mod for row in range(k)]
+    for j in range(k):
+        g = [row[j] * p ** (E - d[j]) % mod for row in M]
         if any(g):
             gens.append(g)
-    exps = []
-    for i in range(k):
-        e_i = E
-        for g in gens:
-            if g[i] % mod:
-                e_i = min(e_i, vp(g[i] % mod, p))
-        exps.append(e_i)
+    exps = [min((vp(g[i], p) for g in gens if g[i]), default=E)
+            for i in range(k)]
     return CongruenceSolution(p, rep, exps, E, gens)

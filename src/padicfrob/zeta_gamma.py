@@ -16,7 +16,7 @@ production route and two independent oracles compute it:
   log Gamma_p at 0 from point values Gamma_p(k p^s) and read off
   zeta_p(m) = -m c_m.
 
-The three routes, gammap_taylor, evaluate_zeta_poly and
+The three routes, gammap_int, gammap_taylor, evaluate_zeta_poly and
 gamma_ratio_congruence_check raise padic_core.BadPrime unless p is an
 odd prime.
 
@@ -293,6 +293,7 @@ def zetap_bernoulli(m: int, p: int, r: int) -> PadicNum:
 
 def gammap_int(z: int, p: int, N: int) -> PadicNum:
     """Morita Gamma_p(z) = (-1)^z prod_{0<j<z, p not| j} j, mod p^N."""
+    require_odd_prime(p)
     if z < 0:
         raise ValueError("z must be a nonnegative integer")
     mod = p ** N

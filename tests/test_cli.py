@@ -106,6 +106,15 @@ def test_verify_bad_prime(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["alpha", "verify"])
+def test_family_rejects_non_odd_prime(capsys, command):
+    for p in ("9", "2"):
+        code, out, err = run(capsys, command, "--family", "simplicial",
+                             "--n", "4", "--p", p)
+        assert (code, out) == (2, "")
+        assert err == "error: p = %s is not an odd prime\n" % p
+
+
 def test_verify_table_format(capsys):
     code, out, _ = run(capsys, "verify", "--family", "hyperoctahedral",
                        "--n", "4", "--t-order", "30", "--format", "table")

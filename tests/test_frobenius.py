@@ -671,6 +671,15 @@ def test_solve_rejects_bad_prime():
     assert issubclass(BadPrime, ValueError)
 
 
+def test_solve_rejects_basis_of_another_operator():
+    # the slots solve for L: a basis of another operator is refused up
+    # front in either pairing, so no decomposition carries one
+    small, large = simplicial_operator(2), simplicial_operator(3)
+    for L, other in ((small, large), (large, small)):
+        with pytest.raises(ValueError, match="another operator"):
+            solve_A_series(L, 7, 30, basis=standard_basis(other, 30))
+
+
 def _analytic_specs(dec, p, M, digits):
     """(s, j, m, weights) of the analytic rows: [t^m] D^e(s) A_j is the
     sum of c [t^(m-i)] A_j over the terms (i, c) of D^e(s)."""
@@ -680,7 +689,7 @@ def _analytic_specs(dec, p, M, digits):
         d_pow = PowerSeries(dec.operator.leading(), M) ** e
         weights = [(i, c) for i, c in enumerate(d_pow.coeffs) if c]
         specs += [(s, j, m, weights) for j in range(dec.n)
-                  for m in range(deg + 1, M)]
+                  for m in range(max(deg + 1, 0), M)]
     return specs
 
 
@@ -902,11 +911,16 @@ def test_analytic_rows_start_at_t0():
             first_failing=(1, 0, 0, 0))
         with pytest.raises(InconsistentSystem):
             recover_alpha(dec, M, analytic_digits=1)
+        # the row-by-row reference starts at t^0 too
+        for al in ([0], [1], [Fraction(1, 3)]):
+            assert _analytic(check_analytic, dec, al, M, 1) == \
+                _analytic(_check_analytic_row_by_row, dec, al, M, 1)
 
 
 def test_t_order_below_one_rejected():
-    # every condition needs t-order >= 1, as solve_A_series does; an
-    # order-one operator has no unknowns and recovers the empty coset
+    # every condition and the defining identity need t-order >= 1, as
+    # solve_A_series does; an order-one operator has no unknowns and
+    # recovers the empty coset
     L, p = simplicial_operator(3), 5
     dec = solve_A_series(L, p, 12)
     alphas = [Fraction(0)] * 2
@@ -917,6 +931,8 @@ def test_t_order_below_one_rejected():
             recover_alpha(dec, M)
         with pytest.raises(InsufficientOrder):
             check_analytic(dec, alphas, M, 1)
+        with pytest.raises(InsufficientOrder):
+            verify_frobenius_property(dec, alphas, M)
     geom = solve_A_series(GEOM_L, p, 20)
     assert recover_alpha(geom, 20) == CongruenceSolution(p, [], [], 0, [])
 

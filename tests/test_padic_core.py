@@ -1,5 +1,6 @@
 """Tests for exact rational and truncated p-adic arithmetic."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from padicfrob.padic_core import (
     _bernoulli_by_tangents,
     _bernoulli_by_zeta,
     _echelon_mod,
+    _ilog,
     _two_pi,
     _residue_of_rational,
     _residues_of_rationals,
@@ -344,6 +346,18 @@ class TestCongruences:
             solve_affine_congruences(s)
         assert err.value.index in (0, 1)
 
+    def test_inconsistent_index_is_least_combined_condition(self):
+        # the violated row's index is the least of the conditions
+        # combined into it, rows past the rank are checked before the
+        # pivot rows, and a row with e = 0 keeps its place
+        cases = [((((1,), 1, 1), ((1,), 2, 1)), 0),
+                 ((((0,), 0, 0), ((1,), 1, 1), ((1,), 2, 1)), 1),
+                 ((((5,), 1, 2), ((0,), 3, 2)), 1)]
+        for conds, index in cases:
+            with pytest.raises(InconsistentSystem) as err:
+                solve_affine_congruences(CongruenceSystem(5, 1, conds))
+            assert err.value.index == index
+
     def test_vacuous_conditions(self):
         s = CongruenceSystem.build(5, [(F(3), [F(2), F(1)])])
         sol = solve_affine_congruences(s)
@@ -380,3 +394,51 @@ class TestCongruences:
             for i in range(k):
                 diff = planted[i] - sol.representative[i]
                 assert diff % p ** sol.exponents[i] == 0
+
+    def test_exhaustive_coset_is_exact(self):
+        # every alpha mod p^E is tried: the system is inconsistent
+        # exactly when none solves it, else the solutions are exactly
+        # rep + span(generators) mod p^E, and exponents[i] is the most
+        # digits of alpha_i the solutions share
+        rng = random.Random(29)
+        for trial in range(120):
+            p = rng.choice([3, 5])
+            k = rng.randint(1, 3)
+            E = rng.randint(1, _ilog(20000, p) // k)
+            planted = [rng.randrange(p ** E) for _ in range(k)] \
+                if trial % 2 else None
+            conds = []
+            for _ in range(rng.randint(1, 5)):
+                e = rng.randint(0, E)
+                a = [rng.randrange(p ** e) * p ** rng.choice([0, 0, 1, e])
+                     % p ** e for _ in range(k)]
+                b = rng.randrange(p ** e) if planted is None else \
+                    sum(x * y for x, y in zip(a, planted)) % p ** e
+                conds.append((tuple(a), b, e))
+            E = max(e for _, _, e in conds)
+            mod = p ** E
+            system = CongruenceSystem(p, k, tuple(conds))
+            sols = {alpha for alpha in itertools.product(range(mod), repeat=k)
+                    if all((sum(x * y for x, y in zip(a, alpha)) - b)
+                           % p ** e == 0 for a, b, e in conds)}
+            if not sols:
+                with pytest.raises(InconsistentSystem):
+                    solve_affine_congruences(system)
+                continue
+            sol = solve_affine_congruences(system)
+            assert sol.modulus_exponent == E
+            span, todo = {(0,) * k}, [(0,) * k]
+            while todo:
+                h = todo.pop()
+                for g in sol.generators:
+                    nxt = tuple((x + y) % mod for x, y in zip(h, g))
+                    if nxt not in span:
+                        span.add(nxt)
+                        todo.append(nxt)
+            rep = sol.representative
+            assert sols == {tuple((r + x) % mod for r, x in zip(rep, h))
+                            for h in span}
+            for i in range(k):
+                assert sol.exponents[i] == min(
+                    [vp(alpha[i] - rep[i], p) for alpha in sols
+                     if alpha[i] != rep[i]] + [E])

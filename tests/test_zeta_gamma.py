@@ -181,8 +181,9 @@ class TestZetaWashington:
     lambda p: zetap_interpolated(3, p, 3),
     lambda p: zetap_bernoulli(3, p, 2),
     lambda p: evaluate_zeta_poly(ZetaPoly.gen(3), p, 3),
+    lambda p: gammap_int(5, p, 3),
 ], ids=["zetap", "zetap_interpolated", "zetap_bernoulli",
-        "evaluate_zeta_poly"])
+        "evaluate_zeta_poly", "gammap_int"])
 def test_rejects_bad_prime(call):
     for p in (9, 15, 4, 2, 1):
         with pytest.raises(BadPrime):
