@@ -35,6 +35,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from typing import Callable, NamedTuple
 
 from .expansion import (
     alternating_identity_check,
@@ -56,7 +57,6 @@ from .mum import (
     GUESS_GUARD,
     KNOWN_HYPEROCT_OPERATORS,
     AmbiguousNullspace,
-    MumOperator,
     NoOperatorFound,
     apply_operator,
     guess_operator,
@@ -93,9 +93,36 @@ class UsageError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
+class Family(NamedTuple):
+    """What the CLI knows of a family, each entry a function of the
+    order n: the MUM operator, the period series mod t^M, the symbolic
+    closed-form alpha_1..alpha_{n-1}, and the bound p must exceed."""
+    operator: Callable
+    series: Callable
+    alphas: Callable
+    bound: Callable
+
+
+# The one place that knows the families.  Entries look their functions
+# up when called, so a name rebound on this module is the one that runs.
+FAMILIES = {
+    "simplicial": Family(
+        operator=lambda n: simplicial_operator(n),
+        series=lambda n, M: period_series_simplicial(n, M),
+        alphas=lambda n: alpha_simplicial(n),
+        bound=lambda n: n + 1),
+    "hyperoctahedral": Family(
+        operator=lambda n: KNOWN_HYPEROCT_OPERATORS.get(n)
+        or _guess_family("hyperoctahedral", n)[0],
+        series=lambda n, M: period_series_hyperoctahedral(n, M),
+        alphas=lambda n: alpha_hyperoctahedral(n - 1),
+        bound=lambda n: n),
+}
+
+
 def _check_family_prime(family: str, n: int, p: int):
     require_odd_prime(p)
-    bound = n + 1 if family == "simplicial" else n
+    bound = FAMILIES[family].bound(n)
     if p <= bound:
         raise UsageError("need p > %d for the %s family at n = %d"
                          % (bound, family, n))
@@ -110,31 +137,25 @@ def _family(args, allow_file: bool = False) -> str:
     return fam
 
 
-def _alpha_polys(family: str, n: int) -> list:
-    if family == "simplicial":
-        return alpha_simplicial(n)
-    return alpha_hyperoctahedral(n - 1)
+def _order(n, missing: str = "--n is required", least: int = 2) -> int:
+    """An operator order n: present and at least ``least``."""
+    if n is None:
+        raise UsageError(missing)
+    if n < least:
+        raise UsageError("need n >= %d" % least)
+    return n
 
 
-def _operator_for(family: str, n: int) -> MumOperator:
-    if family == "simplicial":
-        return simplicial_operator(n)
-    if n in KNOWN_HYPEROCT_OPERATORS:
-        return KNOWN_HYPEROCT_OPERATORS[n]
-    return _guess_family(family, n)[0]
-
-
-def _period_series(family: str, n: int, M: int) -> PowerSeries:
-    if family == "simplicial":
-        return period_series_simplicial(n, M)
-    return period_series_hyperoctahedral(n, M)
+def _closed_forms(polys: list, p: int, N: int) -> list:
+    """The closed-form alphas, each zeta polynomial evaluated mod p^N."""
+    return [evaluate_zeta_poly(poly, p, N) for poly in polys]
 
 
 def _guess_family(family: str, n: int):
     """(operator, degree) guessed from the family's period series."""
     dmax = 2 * n + 2
     need = (n + 1) * (dmax + 1) + GUESS_GUARD
-    return _guess_sweep(_period_series(family, n, need), n, dmax)
+    return _guess_sweep(FAMILIES[family].series(n, need), n, dmax)
 
 
 def _guess_sweep(f: PowerSeries, n: int, dmax: int):
@@ -159,26 +180,18 @@ def _guess_sweep(f: PowerSeries, n: int, dmax: int):
                           "<= %d" % (n, dmax))
 
 
-def _render_padic(v: PadicNum) -> str:
+def _padic_view(v: PadicNum):
+    """(JSON payload, table text) of a p-adic value."""
     if v.is_exact:
-        return "%s (exact)" % v.exact
+        return {"exact": str(v.exact)}, "%s (exact)" % v.exact
     k = int(v.abs_precision)
-    return "%d + O(%d^%d)" % (v.residue(k), v.p, k)
-
-
-def _padic_payload(v: PadicNum) -> dict:
-    if v.is_exact:
-        return {"exact": str(v.exact)}
-    k = int(v.abs_precision)
-    return {"precision": k, "residue": v.residue(k)}
+    return ({"precision": k, "residue": v.residue(k)},
+            "%d + O(%d^%d)" % (v.residue(k), v.p, k))
 
 
 def _emit(args, payload: dict, lines: list):
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    print(json.dumps(payload, sort_keys=True) if args.format == "json"
+          else "\n".join(lines))
 
 
 # -- alpha --------------------------------------------------------------
@@ -189,52 +202,42 @@ def cmd_alpha(args) -> int:
     if family == "simplicial":
         if args.jmax is not None:
             raise UsageError("--jmax applies to the hyperoctahedral family")
-        if args.n is None:
-            raise UsageError("--n is required for the simplicial family")
-        if args.n < 2:
-            raise UsageError("need n >= 2")
-        polys = alpha_simplicial(args.n)
-        head = "family: simplicial, n = %d" % args.n
-        payload = {"family": family, "n": args.n}
+        n = _order(args.n, "--n is required for the simplicial family")
+        head = "family: simplicial, n = %d" % n
+        payload = {"family": family, "n": n}
     else:
         if args.jmax is not None:
             J = args.jmax
         elif args.n is not None:
-            if args.n < 2:
-                raise UsageError("need n >= 2")
-            J = args.n - 1
+            J = _order(args.n) - 1
         else:
             J = DEFAULT_JMAX
         if J < 1:
             raise UsageError("need jmax >= 1")
-        polys = alpha_hyperoctahedral(J)
+        n = J + 1  # the order whose constants are alpha_1..alpha_J
         head = "family: hyperoctahedral, jmax = %d" % J
         payload = {"family": family, "jmax": J}
+    polys = FAMILIES[family].alphas(n)
 
-    rows = [{"j": j, "symbolic": poly.format()}
-            for j, poly in enumerate(polys, 1)]
-    numeric = None
+    numeric = [None] * len(polys)
     if args.p is not None:
         p = args.p
         N = args.precision if args.precision is not None else DEFAULT_PRECISION
         if N < 1:
             raise UsageError("need precision >= 1")
-        nref = args.n if args.n is not None else 2
-        _check_family_prime(family, nref, p)
-        numeric = [evaluate_zeta_poly(poly, p, N) for poly in polys]
-        for row, v in zip(rows, numeric):
-            row["numeric"] = _padic_payload(v)
+        _check_family_prime(family, 2 if args.n is None else args.n, p)
+        numeric = _closed_forms(polys, p, N)
         head += ", p = %d, precision %d" % (p, N)
-        payload["p"] = p
-        payload["precision"] = N
-    payload["alphas"] = rows
+        payload.update(p=p, precision=N)
 
-    lines = [head]
-    for j, poly in enumerate(polys, 1):
-        line = "alpha_%d = %s" % (j, poly.format())
-        if numeric is not None:
-            line += " = %s" % _render_padic(numeric[j - 1])
-        lines.append(line)
+    rows, lines = [], [head]
+    for j, (poly, v) in enumerate(zip(polys, numeric), 1):
+        rows.append({"j": j, "symbolic": poly.format()})
+        lines.append("alpha_%d = %s" % (j, poly.format()))
+        if v is not None:
+            rows[-1]["numeric"], text = _padic_view(v)
+            lines[-1] += " = %s" % text
+    payload["alphas"] = rows
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -242,26 +245,28 @@ def cmd_alpha(args) -> int:
 # -- verify -------------------------------------------------------------
 
 
-def _parse_perturb(text: str, count: int):
+def _perturb(text: str, alphas: list, p: int) -> str:
+    """Move one alpha in place by a --perturb value (alphaJ: shift by
+    +1, alphaJ=RATIONAL: set to it); the note that names the move."""
     m = re.fullmatch(r"alpha(\d+)(?:=(-?\d+(?:/\d+)?))?", text)
     if not m:
         raise UsageError("--perturb takes alphaJ or alphaJ=RATIONAL, "
                          "got %r" % text)
     j = int(m.group(1))
-    if not 1 <= j <= count:
-        raise UsageError("alpha_%d out of range 1..%d" % (j, count))
-    value = Fraction(m.group(2)) if m.group(2) is not None else None
-    return j, value
+    if not 1 <= j <= len(alphas):
+        raise UsageError("alpha_%d out of range 1..%d" % (j, len(alphas)))
+    if m.group(2) is None:
+        alphas[j - 1] = alphas[j - 1] + 1
+        return "alpha_%d shifted by +1" % j
+    value = Fraction(m.group(2))
+    alphas[j - 1] = PadicNum.from_exact(value, p)
+    return "alpha_%d set to %s" % (j, value)
 
 
 def _family_job(args):
-    """family, n, p, M, N and the operator of a verify or recover job."""
+    """family, n, p, M and N of a verify or recover job."""
     family = _family(args)
-    if args.n is None:
-        raise UsageError("--n is required")
-    n = args.n
-    if n < 2:
-        raise UsageError("need n >= 2")
+    n = _order(args.n)
     p = args.p if args.p is not None else DEFAULT_P
     _check_family_prime(family, n, p)
     M = args.t_order if args.t_order is not None else 10 * p
@@ -270,7 +275,7 @@ def _family_job(args):
         raise UsageError("need t-order >= 1")
     if N < 1:
         raise UsageError("need precision >= 1")
-    return family, n, p, M, N, _operator_for(family, n)
+    return family, n, p, M, N
 
 
 def _decide(consume, L, p: int, M: int, digits: int):
@@ -284,35 +289,33 @@ def _decide(consume, L, p: int, M: int, digits: int):
         return consume(solve_A_series(L, p, M, basis=dec.basis))
 
 
-def cmd_verify(args) -> int:
-    family, n, p, M, N, L = _family_job(args)
-    alphas = [evaluate_zeta_poly(poly, p, N)
-              for poly in _alpha_polys(family, n)]
-    note = "closed-form constants"
-    if args.perturb:
-        j, value = _parse_perturb(args.perturb, len(alphas))
-        if value is None:
-            alphas[j - 1] = alphas[j - 1] + 1
-            note = "alpha_%d shifted by +1" % j
-        else:
-            alphas[j - 1] = PadicNum.from_exact(value, p)
-            note = "alpha_%d set to %s" % (j, value)
+def _integrality(family: str, n: int, p: int, M: int, N: int,
+                 perturb=None):
+    """(report, note): check_integrality mod t^M of the family's
+    decomposition at its closed-form constants mod p^N, one of them
+    moved by a --perturb value; note names the constants."""
+    L = FAMILIES[family].operator(n)
+    alphas = _closed_forms(FAMILIES[family].alphas(n), p, N)
+    note = (_perturb(perturb, alphas, p) if perturb
+            else "closed-form constants")
     report = _decide(lambda dec: check_integrality(dec, alphas, M),
                      L, p, M, integrality_digits(alphas, N))
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        lines = ["family: %s, n = %d, p = %d, t-order %d, precision %d"
-                 % (family, n, p, M, N),
-                 "constants: %s" % note,
-                 "verdict: %s" % report.verdict,
-                 "minimum coefficient valuation: %s" % report.min_valuation]
-        if report.first_failing is not None:
-            j, m, val = report.first_failing
-            lines.append("first failing coefficient: A_%d at t^%d "
-                         "(valuation %d)" % (j, m, val))
-        for line in lines:
-            print(line)
+    return report, note
+
+
+def cmd_verify(args) -> int:
+    family, n, p, M, N = _family_job(args)
+    report, note = _integrality(family, n, p, M, N, args.perturb)
+    lines = ["family: %s, n = %d, p = %d, t-order %d, precision %d"
+             % (family, n, p, M, N),
+             "constants: %s" % note,
+             "verdict: %s" % report.verdict,
+             "minimum coefficient valuation: %s" % report.min_valuation]
+    if report.first_failing is not None:
+        j, m, val = report.first_failing
+        lines.append("first failing coefficient: A_%d at t^%d "
+                     "(valuation %d)" % (j, m, val))
+    print(report.to_json() if args.format == "json" else "\n".join(lines))
     return EXIT_OK if report.verdict == "integral" else EXIT_CHECK_FAILED
 
 
@@ -320,16 +323,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    family, n, p, M, N, L = _family_job(args)
+    family, n, p, M, N = _family_job(args)
+    L = FAMILIES[family].operator(n)
     # the congruence rows read slot values mod Z_p; N digits also tell
     # every slot coefficient of valuation below N from zero
     sol = _decide(lambda dec: recover_alpha(dec, M), L, p, M, N)
-    polys = _alpha_polys(family, n)
-    Nc = max(N, sol.modulus_exponent + 2)
-    closed = [evaluate_zeta_poly(poly, p, Nc) for poly in polys]
+    polys = FAMILIES[family].alphas(n)
+    closed = _closed_forms(polys, p, max(N, sol.modulus_exponent + 2))
 
     rows = []
-    all_match = True
     lines = ["family: %s, n = %d, p = %d, t-order %d"
              % (family, n, p, M),
              "congruence lattice modulus exponent: %d"
@@ -342,7 +344,6 @@ def cmd_recover(args) -> int:
             continue
         rep = sol.representative[j - 1] % p ** e
         match = bool(closed[j - 1].agrees(rep, e))
-        all_match = all_match and match
         rows.append({"j": j, "exponent": e, "match": match, "residue": rep})
         lines.append("alpha_%d = %d (mod %d^%d)  closed form %s: %s"
                      % (j, rep, p, e, polys[j - 1].format(),
@@ -359,7 +360,8 @@ def cmd_recover(args) -> int:
         "closed_form": rows,
     }
     _emit(args, payload, lines)
-    return EXIT_OK if all_match else EXIT_CHECK_FAILED
+    mismatch = any(row["match"] is False for row in rows)
+    return EXIT_CHECK_FAILED if mismatch else EXIT_OK
 
 
 # -- guess --------------------------------------------------------------
@@ -387,19 +389,12 @@ def cmd_guess(args) -> int:
         if args.operator_file is None:
             raise UsageError("--family file requires --operator-file")
         f, n_file = _series_from_file(args.operator_file)
-        n = args.n if args.n is not None else n_file
-        if n is None:
-            raise UsageError("operator file lacks 'n'; pass --n")
-        if n < 1:
-            raise UsageError("need n >= 1")
+        n = _order(args.n if args.n is not None else n_file,
+                   "operator file lacks 'n'; pass --n", 1)
         op, d = _guess_sweep(f, n, max(0, f.order // (n + 1) - 1))
         source = "file:%s" % args.operator_file
     else:
-        if args.n is None:
-            raise UsageError("--n is required")
-        n = args.n
-        if n < 2:
-            raise UsageError("need n >= 2")
+        n = _order(args.n)
         op, d = _guess_family(family, n)
         source = "%s period series" % family
 
@@ -421,9 +416,7 @@ def cmd_guess(args) -> int:
         lines.append("matches printed operator: %s"
                      % ("yes" if matches else "NO"))
     _emit(args, payload, lines)
-    if matches is False:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if matches is False else EXIT_OK
 
 
 # -- selftest -----------------------------------------------------------
@@ -522,10 +515,9 @@ def _check_mu_values(cases=(
 
 def _check_operators_annihilate(M, ns, hns):
     for family, orders in (("simplicial", ns), ("hyperoctahedral", hns)):
+        fam = FAMILIES[family]
         for n in orders:
-            L = _operator_for(family, n)
-            f = _period_series(family, n, M)
-            if not apply_operator(L, f).is_zero():
+            if not apply_operator(fam.operator(n), fam.series(n, M)).is_zero():
                 return False, "%s n=%d" % (family, n)
     return True, ""
 
@@ -538,38 +530,21 @@ def _check_guess_printed(ns):
     return True, ""
 
 
-def _check_frobenius_integral(jobs):
+def _check_integrality(jobs, perturb=None, expect="integral"):
+    """The verify job on each (family, n, p, M, N) gives ``expect``."""
     for family, n, p, M, N in jobs:
-        L = _operator_for(family, n)
-        alphas = [evaluate_zeta_poly(poly, p, N)
-                  for poly in _alpha_polys(family, n)]
-        dec = solve_A_series(L, p, M, digits=integrality_digits(alphas, N))
-        report = check_integrality(dec, alphas, M)
-        if report.verdict != "integral":
+        report, _ = _integrality(family, n, p, M, N, perturb)
+        if report.verdict != expect:
             return False, "%s n=%d verdict %s" % (family, n, report.verdict)
     return True, ""
 
 
 def _check_frobenius_identity(jobs):
     for family, n, p, M, N in jobs:
-        L = _operator_for(family, n)
-        dec = solve_A_series(L, p, M)
-        alphas = [evaluate_zeta_poly(poly, p, N)
-                  for poly in _alpha_polys(family, n)]
+        dec = solve_A_series(FAMILIES[family].operator(n), p, M)
+        alphas = _closed_forms(FAMILIES[family].alphas(n), p, N)
         if not verify_frobenius_property(dec, alphas, M):
             return False, "%s n=%d defining identity fails" % (family, n)
-    return True, ""
-
-
-def _check_integrality_negative():
-    L = simplicial_operator(4)
-    p, M, N = 7, 40, 10
-    alphas = [evaluate_zeta_poly(poly, p, N) for poly in alpha_simplicial(4)]
-    alphas[0] = alphas[0] + 1
-    dec = solve_A_series(L, p, M, digits=integrality_digits(alphas, N))
-    report = check_integrality(dec, alphas, M)
-    if report.verdict != "non-integral":
-        return False, "corrupted alpha_1 went undetected"
     return True, ""
 
 
@@ -584,7 +559,8 @@ def _check_nonuniqueness(lams):
 SEED = object()  # stands for the run's --seed in an entry's inputs
 
 # (name, check, quick inputs, full inputs), run in this order; the inputs
-# both modes share are defaults.  check(**inputs) gives (ok, detail).
+# both modes share are defaults, unless another entry runs the same
+# check on other ones.  check(**inputs) gives (ok, detail).
 SELFTEST_CHECKS = [
     ("zeta-even-vanishes", _check_zeta_even,
      {"primes": (5,)}, {"primes": (5, 7)}),
@@ -606,7 +582,7 @@ SELFTEST_CHECKS = [
      {"M": 60, "ns": (2, 3, 4, 5), "hns": (2, 3, 4, 5)}),
     ("guess-matches-printed", _check_guess_printed,
      {"ns": (4,)}, {"ns": (4, 5)}),
-    ("frobenius-integrality", _check_frobenius_integral,
+    ("frobenius-integrality", _check_integrality,
      {"jobs": (("simplicial", 2, 5, 30, 8),)},
      {"jobs": (("simplicial", 4, 7, 70, 12),
                ("hyperoctahedral", 4, 7, 70, 12))}),
@@ -614,7 +590,11 @@ SELFTEST_CHECKS = [
      {"jobs": (("simplicial", 2, 5, 20, 8),)},
      {"jobs": (("simplicial", 3, 5, 25, 8),
                ("hyperoctahedral", 4, 7, 21, 8))}),
-    ("integrality-negative-control", _check_integrality_negative, {}, {}),
+    ("integrality-negative-control", _check_integrality,
+     {"jobs": (("simplicial", 4, 7, 40, 10),), "perturb": "alpha1",
+      "expect": "non-integral"},
+     {"jobs": (("simplicial", 4, 7, 40, 10),), "perturb": "alpha1",
+      "expect": "non-integral"}),
     ("nonuniqueness-witness", _check_nonuniqueness,
      {"lams": (1,)}, {"lams": (1, 2)}),
 ]
@@ -653,72 +633,53 @@ def cmd_selftest(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
+# option -> add_argument keywords
+OPTIONS = {
+    "--family": {"choices": (*FAMILIES, "file")},
+    "--n": {"type": int},
+    "--p": {"type": int},
+    "--t-order": {"type": int,
+                  "help": "series truncation order M (default 10p)"},
+    "--precision": {"type": int,
+                    "help": "p-adic precision N (default %d)"
+                            % DEFAULT_PRECISION},
+    "--jmax": {"type": int, "help": "number of hyperoctahedral constants"},
+    "--perturb": {"help": "alphaJ (shift by +1) or alphaJ=RATIONAL"},
+    "--seed": {"type": int,
+               "help": "seed for randomized checks (default %d)"
+                       % DEFAULT_SEED},
+    "--operator-file": {"help": "JSON file with a 'series' list and 'n'"},
+    "--quick": {"action": "store_true", "help": "run the reduced check set"},
+}
+
+# (subcommand, help, handler, default --format, options in --help order)
+COMMANDS = (
+    ("alpha", "closed-form structure constants", cmd_alpha, "table",
+     "--family --n --p --precision --jmax"),
+    ("verify", "coefficient integrality check", cmd_verify, "json",
+     "--family --n --p --t-order --precision --perturb"),
+    ("recover", "solve for the constants by integrality", cmd_recover,
+     "table", "--family --n --p --t-order --precision"),
+    ("guess", "reconstruct the annihilating operator", cmd_guess, "table",
+     "--family --n --operator-file"),
+    ("selftest", "run the cross-validation suites", cmd_selftest, "table",
+     "--seed --quick"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padicfrob",
         description="p-adic Frobenius structures of Calabi-Yau type "
                     "differential operators")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, family=False, n=False, p=False, t_order=False,
-               precision=False, jmax=False, perturb=False, seed=False,
-               operator_file=False, quick=False, default_format="table"):
-        if family:
-            sp.add_argument("--family",
-                            choices=("simplicial", "hyperoctahedral", "file"))
-        if n:
-            sp.add_argument("--n", type=int)
-        if p:
-            sp.add_argument("--p", type=int)
-        if t_order:
-            sp.add_argument("--t-order", type=int, dest="t_order",
-                            help="series truncation order M (default 10p)")
-        if precision:
-            sp.add_argument("--precision", type=int,
-                            help="p-adic precision N (default %d)"
-                                 % DEFAULT_PRECISION)
-        if jmax:
-            sp.add_argument("--jmax", type=int,
-                            help="number of hyperoctahedral constants")
-        if perturb:
-            sp.add_argument("--perturb",
-                            help="alphaJ (shift by +1) or alphaJ=RATIONAL")
-        if seed:
-            sp.add_argument("--seed", type=int,
-                            help="seed for randomized checks (default %d)"
-                                 % DEFAULT_SEED)
-        if operator_file:
-            sp.add_argument("--operator-file", dest="operator_file",
-                            help="JSON file with a 'series' list and 'n'")
-        if quick:
-            sp.add_argument("--quick", action="store_true",
-                            help="run the reduced check set")
+    for name, text, handler, default_format, options in COMMANDS:
+        sp = sub.add_parser(name, help=text)
+        for option in options.split():
+            sp.add_argument(option, **OPTIONS[option])
         sp.add_argument("--format", choices=("table", "json"),
                         default=default_format)
-
-    sp = sub.add_parser("alpha", help="closed-form structure constants")
-    common(sp, family=True, n=True, p=True, precision=True, jmax=True)
-    sp.set_defaults(func=cmd_alpha)
-
-    sp = sub.add_parser("verify", help="coefficient integrality check")
-    common(sp, family=True, n=True, p=True, t_order=True, precision=True,
-           perturb=True, default_format="json")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("recover", help="solve for the constants by "
-                                        "integrality")
-    common(sp, family=True, n=True, p=True, t_order=True, precision=True)
-    sp.set_defaults(func=cmd_recover)
-
-    sp = sub.add_parser("guess", help="reconstruct the annihilating "
-                                      "operator")
-    common(sp, family=True, n=True, operator_file=True)
-    sp.set_defaults(func=cmd_guess)
-
-    sp = sub.add_parser("selftest", help="run the cross-validation suites")
-    common(sp, seed=True, quick=True)
-    sp.set_defaults(func=cmd_selftest)
-
+        sp.set_defaults(func=handler)
     return parser
 
 
@@ -726,9 +687,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except PrecisionExhausted as exc:
         print("error: precision exhausted: %s" % exc, file=sys.stderr)
         return EXIT_PRECISION
@@ -738,10 +696,8 @@ def main(argv=None) -> int:
     except (NoOperatorFound, AmbiguousNullspace) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_NO_OPERATOR
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ArithmeticError) as exc:
+    # last, as PrecisionExhausted and NoOperatorFound are ArithmeticErrors
+    except (UsageError, OSError, ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

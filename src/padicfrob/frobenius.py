@@ -563,10 +563,15 @@ def _check_order(dec: FrobeniusDecomposition, M: int):
 
 def _check_alphas(dec: FrobeniusDecomposition, alphas: Sequence):
     """ValueError unless there are n - 1 alphas, every PadicNum one at
-    dec.p.  Exact slots would take on the prime of an alpha, so no
-    reading can be left to refuse another."""
+    dec.p; TypeError for an alpha not an int, Fraction or PadicNum.
+    Exact slots would take on the prime of an alpha, so no reading can
+    be left to refuse another."""
     if len(alphas) != dec.n - 1:
         raise ValueError("need %d alpha values" % (dec.n - 1))
+    for al in alphas:
+        if type(al) is bool or not isinstance(al, (int, Fraction, PadicNum)):
+            raise TypeError("alphas must be int, Fraction or PadicNum, "
+                            "not %s" % type(al).__name__)
     if any(isinstance(al, PadicNum) and al.p != dec.p for al in alphas):
         raise ValueError("alphas must be %d-adic" % dec.p)
 

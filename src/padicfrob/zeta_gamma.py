@@ -628,9 +628,11 @@ def alpha_hyperoctahedral(J: int) -> list:
 
 def evaluate_zeta_poly(poly: ZetaPoly, p: int, N: int) -> PadicNum:
     """Substitute numeric zeta_p values (each mod p^N at least, from
-    zetap) into a zeta polynomial; an identically zero polynomial gives
-    exact zero."""
+    zetap; N >= 1) into a zeta polynomial; an identically zero
+    polynomial gives exact zero."""
     require_odd_prime(p)
+    if N < 1:
+        raise ValueError("need N >= 1")
     if poly.is_zero():
         return PadicNum.from_exact(0, p)
     acc = PadicNum.from_exact(0, p)

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -327,10 +329,40 @@ def test_parser_requires_subcommand():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, options, default_format", [
+    ("alpha", ["--family", "--n", "--p", "--precision", "--jmax"], "table"),
+    ("verify", ["--family", "--n", "--p", "--t-order", "--precision",
+                "--perturb"], "json"),
+    ("recover", ["--family", "--n", "--p", "--t-order", "--precision"],
+     "table"),
+    ("guess", ["--family", "--n", "--operator-file"], "table"),
+    ("selftest", ["--seed", "--quick"], "table")])
+def test_parser_options_in_help_order(command, options, default_format):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = [a.option_strings for a in sub.choices[command]._actions]
+    assert got == [["-h", "--help"]] + [[o] for o in options] + [["--format"]]
+    assert parser.parse_args([command]).format == default_format
+
+
+def test_parser_rejects_option_of_another_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jmax", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jmax 3" in capsys.readouterr().err
+
+
 def test_module_entry_point():
+    # pytest's pythonpath setting reaches this process only, so hand the
+    # checkout's src/ to the child explicitly
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "padicfrob", "alpha", "--family",
          "simplicial", "--n", "5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "alpha_3 = -35/108 * z3" in proc.stdout

@@ -400,6 +400,17 @@ def test_integrality_rejects_wrong_alpha_count():
                 check_integrality(dec, alphas, 30)
 
 
+def test_integrality_rejects_non_rational_alphas():
+    # both modes: a float, a string and a bool are not p-adic constants
+    exact = solve_A_series(simplicial_operator(2), 5, 20)
+    fixed = solve_A_series(simplicial_operator(2), 5, 20, basis=exact.basis,
+                           digits=8)
+    for dec in (exact, fixed):
+        for alpha in (0.1, "1", True):
+            with pytest.raises(TypeError):
+                check_integrality(dec, [alpha], 20)
+
+
 def test_analytic_rejects_wrong_alpha_count():
     # both modes, before any row: with S = 0 there is none to read
     exact = solve_A_series(simplicial_operator(4), 7, 30)

@@ -354,6 +354,13 @@ class TestEvaluateZetaPoly:
         with pytest.raises(PrecisionBudgetExceeded):
             evaluate_zeta_poly(ZetaPoly.gen(3), 5, 60)
 
+    @pytest.mark.parametrize("poly, N", [
+        (ZetaPoly.const(2), 0), (ZetaPoly.zero(), -3), (ZetaPoly.gen(3), -3)])
+    def test_rejects_precision_below_one(self, poly, N):
+        # checked before the constant and zero shortcuts skip zetap
+        with pytest.raises(ValueError, match="N >= 1"):
+            evaluate_zeta_poly(poly, 7, N)
+
 
 class TestGammaRatioCongruence:
     def test_representative_cases(self):
