@@ -225,7 +225,7 @@ def cmd_alpha(args) -> int:
         N = args.precision if args.precision is not None else DEFAULT_PRECISION
         if N < 1:
             raise UsageError("need precision >= 1")
-        _check_family_prime(family, 2 if args.n is None else args.n, p)
+        _check_family_prime(family, n, p)
         numeric = _closed_forms(polys, p, N)
         head += ", p = %d, precision %d" % (p, N)
         payload.update(p=p, precision=N)

@@ -11,8 +11,9 @@ that A_j depends on the alpha constants linearly:
 Numeric alpha values enter only where a condition reads a coefficient
 of A_j.  One traversal, _sweep, walks the recursion, with a ring fold
 for the solve, a bitmask fold for its support and a (min, +) fold for
-its static bounds.  The slot series are solved in one of two modes
-(solve_A_series):
+its static bounds, over only the t-degrees divisible by the operator's
+step g (MumOperator.step), where every series lives.  The slot series
+are solved in one of two modes (solve_A_series):
 
 - exact, over Q: the oracle, and the mode the defining identity
   (verify_frobenius_property) and nonuniqueness_witness need;
@@ -87,6 +88,11 @@ class FrobeniusDecomposition:
 
     slots[0][j] is the alpha-independent part of A_j; slots[k][j] for
     k >= 1 multiplies alpha_k.  Every series is known mod t^order.
+    step is the lattice the series live on: every coefficient at a
+    t-degree off the multiples of step is an exact zero, and the readers
+    (check_integrality, the integrality rows of recover_alpha) walk only
+    the multiples.  solve_A_series records L.step there; the default 1
+    reads every t-degree, as a hand-built decomposition needs.
 
     With digits None the coefficients are exact rationals.  With digits
     N the decomposition is fixed-precision: a coefficient c is stored as
@@ -106,6 +112,7 @@ class FrobeniusDecomposition:
     digits: int | None = None
     scale: int = 0
     support: list | None = None
+    step: int = 1
 
     def __post_init__(self):
         # p^i for i <= scale + digits; the last is the stored modulus
@@ -258,6 +265,13 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     to p^i delta_ij at t = 0, so each t-order is fixed by dividing by
     p^i.
 
+    An operator in t^g, g = L.step (n + 1 simplicial, 2
+    hyperoctahedral), has its F_k, B and every slot series in t^g, so
+    the solve runs in lattice units: unknown c stands for the t-degree
+    c g, c < ceil(M / g), and B steps by p (_frobenius_matrix).  Only
+    the returned series are expanded to t-degrees, with exact zeros off
+    the multiples of g.  An operator with no t-term has only t^0 live.
+
     Every pass is a _sweep over B with its own fold.  A bitmask sweep
     marks the coefficients a term of each slot reaches; the rest are
     exact zeros in both modes.  Exact, a ring sweep per slot solves over
@@ -270,11 +284,11 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     bounds from above the digits each X loses, through p^(v(B) + w) X_j
     and the division, which gives R = S + (largest loss) + digits.
 
-    The fixed-precision ring is one sweep over the K = ceil(M / stride)
+    The fixed-precision ring is one sweep over the K = ceil(M / (g p))
     steps, as the static sweeps are.  At step t an unknown is one
     integer with a lane of _lane_bytes(p^R, n K) bytes for each column
     (slot s, class r) some term reaches, lane (s, r) holding X at
-    t-degree t stride + r.  The fold adds the products of nonnegative
+    lattice degree t p + r.  The fold adds the products of nonnegative
     residues (_accumulate), so lanes never borrow; a lane sums at most
     n (K - 1) products below p^(2R).  The step unpacks the lanes
     (_lanes), and each live one becomes (p^i F - lane mod p^R) / p^(i+w),
@@ -286,7 +300,7 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         raise InsufficientOrder("need t-order at least 1")
     if digits is not None and digits < 1:
         raise ValueError("need digits >= 1")
-    n = L.order
+    n, g = L.order, L.step or M
     if basis is None:
         basis = standard_basis(L, M)
     elif basis.operator != L:
@@ -294,43 +308,51 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     elif basis.order < M:
         raise InsufficientOrder("basis known mod t^%d, need t^%d"
                                 % (basis.order, M))
-    fvals = [[f.known(c) for c in range(M)] for f in basis.fs[:n]]
-    bmat, stride = _frobenius_matrix(fvals, p, M)
+    # the lattice degrees c < Mg stand for the t-degrees c g < M
+    Mg = -(-M // g)
+    fvals = [[f.known(c) for c in range(0, M, g)] for f in basis.fs[:n]]
+    bmat = _frobenius_matrix(fvals, p, g)
 
     def rhs(fv):
         # rhs[s][i][c]: slot s, equation i is p^i F_{i-s}
-        return [[[p ** i * x for x in fv[i - s]] if i >= s else [0] * M
+        return [[[p ** i * x for x in fv[i - s]] if i >= s else [0] * Mg
                  for i in range(n)] for s in range(n)]
 
-    # A step of the recursion never leaves its residue class c mod
-    # stride.  The static sweeps therefore walk the K steps once, with
-    # the values of the classes at step t merged into one.
-    K = -(-M // stride)
+    def expand(xs):
+        # a lattice table as the t-degree one, exact zeros off the lattice
+        full = [0] * M
+        full[::g] = xs
+        return full
+
+    # A step of the recursion never leaves its residue class c mod p.
+    # The static sweeps therefore walk the K steps once, with the values
+    # of the classes at step t merged into one.
+    K = -(-Mg // p)
 
     def by_step(rows, merge):
-        return [[merge(row[t * stride:(t + 1) * stride]) for t in range(K)]
+        return [[merge(row[t * p:(t + 1) * p]) for t in range(K)]
                 for row in rows]
 
     # bit s of reach[i][c]: a term of slot s reaches a_i[c]; the sweep
     # carries each class in its own n-bit lane, as OR works lane by lane
     starts = [[sum(1 << s for s in range(i + 1) if fvals[i - s][c])
-               for c in range(M)] for i in range(n)]
+               for c in range(Mg)] for i in range(n)]
     packed = _sweep([[[bool(b) for b in col] for col in row] for row in bmat],
                     by_step(starts, lambda xs: sum(x << n * r
                                                    for r, x in enumerate(xs))),
                     1, [b"\1" * K] * n, _reached, lambda acc, i, t: acc, 0)
     ones = (1 << n) - 1
-    reach = [[row[c // stride] >> n * (c % stride) & ones for c in range(M)]
+    reach = [[row[c // p] >> n * (c % p) & ones for c in range(Mg)]
              for row in packed]
-    support = [[bytes(mask >> s & 1 for mask in row) for row in reach]
-               for s in range(n)]
+    live = [[bytes(mask >> s & 1 for mask in row) for row in reach]
+            for s in range(n)]
     if digits is None:
-        sol = [_sweep(bmat, init, stride, support[s], _subtract,
+        sol = [_sweep(bmat, init, p, live[s], _subtract,
                       lambda acc, i, c: Fraction(acc, p ** i), 0)
                for s, init in enumerate(rhs(fvals))]
         return FrobeniusDecomposition(
-            p=p, operator=L, basis=basis, order=M,
-            slots=[[PowerSeries(a, M) for a in s] for s in sol])
+            p=p, operator=L, basis=basis, order=M, step=g,
+            slots=[[PowerSeries(expand(a), M) for a in s] for s in sol])
 
     vb = [[[_val(b, p) for b in col] for col in row] for row in bmat]
     vf = [[_val(x, p) for x in f] for f in fvals]
@@ -347,12 +369,12 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     # lower bound on the valuations of every slot; the right-hand side
     # of a_i in slot s is p^i F_{i-s}
     floor = lowest(vb, [[i + min(vf[k][c] for k in range(i + 1))
-                         for c in range(M)] for i in range(n)],
+                         for c in range(Mg)] for i in range(n)],
                    lambda acc, i, t: acc - i)
     # precision of each X minus R, the digits it can lose negated; an
     # exact zero loses none
     kept = lowest([[[v + w for v in col] for col in row] for row in vb],
-                  [[0] * M] * n, lambda acc, i, t: acc - i - w)
+                  [[0] * Mg] * n, lambda acc, i, t: acc - i - w)
     scale = max(0, -floor)
     mod = p ** (scale - kept + digits)
     div = [p ** (i + w) for i in range(n)]
@@ -361,27 +383,27 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     rmat = [[list(islice(res, len(col))) for col in row] for row in bmat]
     res = iter(_residues_of_rationals(chain.from_iterable(fvals), p, mod,
                                       scale + w))
-    right = rhs([list(islice(res, M)) for _ in range(n)])
+    right = rhs([list(islice(res, Mg)) for _ in range(n)])
 
     # The columns (s, r), slot s and class r, that some unknown reaches,
     # as bits n r + s of the bitmask sweep; each gets a lane of width
     # bytes in every packed unknown, dead lanes held at 0.
     anywhere = reduce(or_, chain.from_iterable(packed), 0)
-    cols = [(bit % n, bit // n, bit) for bit in range(n * stride)
+    cols = [(bit % n, bit // n, bit) for bit in range(n * p)
             if anywhere >> bit & 1]
     width = _lane_bytes(mod, n * K)
-    sol = [[[0] * M for _ in range(n)] for _ in range(n)]
+    sol = [[[0] * Mg for _ in range(n)] for _ in range(n)]
 
     def step(acc, i, t):
         mask, out = packed[i][t], []
         for (s, r, bit), lane in zip(cols, _lanes(acc, len(cols), width)):
-            c = t * stride + r
-            if c >= M or not mask >> bit & 1:
+            c = t * p + r
+            if c >= Mg or not mask >> bit & 1:
                 out.append(0)
                 continue
             q, rem = divmod((right[s][i][c] - lane) % mod, div[i])
             if rem:     # the valuation floor was unsound
-                raise PrecisionExhausted(i, c)
+                raise PrecisionExhausted(i, c * g)
             sol[s][i][c] = q
             out.append(q)
         return _packed(out, width)
@@ -390,27 +412,27 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     keep = p ** (scale + digits)
     return FrobeniusDecomposition(
         p=p, operator=L, basis=basis, order=M, digits=digits, scale=scale,
-        slots=[[PowerSeries([x % keep for x in a], M) for a in s]
+        slots=[[PowerSeries(expand([x % keep for x in a]), M) for a in s]
                for s in sol],
-        support=support)
+        support=[[bytes(expand(row)) for row in slot] for slot in live],
+        step=g)
 
 
-def _frobenius_matrix(fvals: list, p: int, M: int) -> tuple:
-    """(mat, stride): mat[i][j][q-1] = B_ij[q stride] for q stride < M,
-    from fvals[k][c] = [t^c] F_k.
+def _frobenius_matrix(fvals: list, p: int, g: int) -> list:
+    """mat[i][j][q-1] = B_ij[q g p] for 1 <= q, q p < len(fvals[0]), from
+    the lattice values fvals[k][c] = [t^(c g)] F_k of an operator in t^g.
 
-    B_ij lives in degrees divisible by p: (theta^r F)[q] = q^r F[q].
-    B_i0[q] = F_i[q] and every B_ij[q] combines the F_k[q], so for an
-    operator in t^g (g = n + 1 simplicial, 2 hyperoctahedral) B lives
-    in degrees divisible by stride = g p, g the gcd of the q with some
-    F_k[q] nonzero; only those degrees are built."""
+    B_ij lives in degrees divisible by p: (theta^r F)[d] = d^r F[d], so
+    B_ij[d p] combines the F_k[d], and for an operator in t^g only the
+    degrees d = q g carry a term.  In lattice units B steps by p, and
+    the theta-weights keep the true degree: B_ij[q g p] = p^j sum_m
+    C(j,m) (q g)^(j-m) F_{i-m}[q g]."""
     n = len(fvals)
-    top = (M - 1) // p
-    g = math.gcd(*(q for f in fvals for q in range(1, top + 1) if f[q])) or 1
-    return [[[p ** j * sum(math.comb(j, m) * q ** (j - m) * fvals[i - m][q]
-                           for m in range(min(i, j) + 1))
-              for q in range(g, top + 1, g)]
-             for j in range(n)] for i in range(n)], g * p
+    top = (len(fvals[0]) - 1) // p
+    return [[[p ** j * sum(math.comb(j, m) * (q * g) ** (j - m)
+                           * fvals[i - m][q] for m in range(min(i, j) + 1))
+              for q in range(1, top + 1)]
+             for j in range(n)] for i in range(n)]
 
 
 def _alpha_linear(values: Sequence, alphas: Sequence):
@@ -500,8 +522,9 @@ class IntegralityReport:
 
 def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
                       M: int) -> IntegralityReport:
-    """Decide whether every assembled A_j coefficient through t^M lies
-    in Z_p.
+    """Decide whether every assembled A_j coefficient below t^M lies
+    in Z_p.  Only the t-degrees divisible by dec.step are read; the
+    others are exact zeros, which report no entry.
 
     A coefficient decides as integral when its valuation is provably
     >= 0 (exact value, nonzero residue, or an inexact zero with at
@@ -524,7 +547,7 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     min_val = None
     first_bad = None
     for j in range(dec.n):
-        for m in range(M):
+        for m in range(0, M, dec.step):
             entry = _integral_entry(read, j, m)
             if entry is None:
                 continue
@@ -911,7 +934,8 @@ def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int):
 def recover_alpha(dec: FrobeniusDecomposition, M: int,
                   analytic_digits: int = 0):
     """Impose vp(assembled A_j coefficient) >= 0 for every j and every
-    t-degree below M and solve the resulting affine congruence system
+    t-degree below M divisible by dec.step (the others are exact zeros,
+    which bind nothing) and solve the resulting affine congruence system
     for alpha_1..alpha_{n-1}.
 
     Integrality alone leaves alpha_k for k >= n-2 undetermined: those
@@ -927,7 +951,8 @@ def recover_alpha(dec: FrobeniusDecomposition, M: int,
     a-priori guarantee.  A fixed-precision decomposition gives the same
     coset, or raises PrecisionExhausted.
     """
-    specs = chain(((dec, 0, j, m) for j in range(dec.n) for m in range(M)),
+    specs = chain(((dec, 0, j, m) for j in range(dec.n)
+                   for m in range(0, M, dec.step)),
                   _analytic_rows(dec, M, analytic_digits))
     rows = [row for row in (_congruence_row(*spec) for spec in specs)
             if row is not None]

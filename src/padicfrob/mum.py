@@ -57,6 +57,15 @@ class MumOperator:
     def degree(self) -> int:
         return max((len(c) - 1 for c in self.coeffs if c), default=0)
 
+    @property
+    def step(self) -> int:
+        """g, the gcd of the t-degrees of the coefficients' terms (n + 1
+        simplicial, 2 hyperoctahedral), or 0 when there is no t-term.
+        The standard basis, and every series solved from it, then lives
+        in the degrees divisible by g: at t^0 alone for g = 0."""
+        return math.gcd(*(d for a in self.coeffs for d, x in enumerate(a)
+                          if x))
+
     def a(self, i: int) -> list:
         return self.coeffs[i] if 0 <= i <= self.order else []
 
@@ -212,9 +221,9 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
     Each f_c is summed as integer numerators over the lcm of the
     denominators it reads and reduced once, by the one Fraction it
     becomes; the values P_rd(x) are tabulated up front.  An operator in
-    t^g has its F_m in t^g too (every d above is a multiple of g), so
-    only the coefficients at multiples of g are computed; the others
-    are exact zeros.
+    t^g (g = L.step) has its F_m in t^g too (every d above is a multiple
+    of g), so only the coefficients at multiples of g are computed; the
+    others are exact zeros.
     """
     if M < 1:
         raise ValueError("M must be positive")
@@ -222,7 +231,7 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
     if not L.is_mum_normalized():
         raise NotMUM("need a_i(0) = 0 for i < n and a_n(0) != 0")
     d0 = L.coeffs[n][0]
-    g = math.gcd(*(d for a in L.coeffs for d, x in enumerate(a) if x)) or M
+    g = L.step or M
     # terms[r]: (d / g, [P_rd(x) for x = 0, g, 2g, ... < M]) for every
     # nonzero P_rd but P_00
     terms = []

@@ -52,6 +52,24 @@ def test_alpha_usage_error(capsys):
     assert "n >= 2" in err
 
 
+@pytest.mark.parametrize("order, bound", [
+    (["--jmax", "4", "--p", "5"], "need p > 5 for the hyperoctahedral "
+                                  "family at n = 5"),
+    (["--n", "5", "--p", "5"], "need p > 5 for the hyperoctahedral "
+                               "family at n = 5"),
+    (["--jmax", "3", "--p", "3"], "need p > 4 for the hyperoctahedral "
+                                  "family at n = 4"),
+])
+def test_alpha_checks_prime_at_order_of_constants(capsys, order, bound):
+    # alpha_1..alpha_J belong to the order n = J + 1, whether --jmax or
+    # --n gives it
+    code, out, err = run(capsys, "alpha", "--family", "hyperoctahedral",
+                         *order)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % bound
+
+
 @pytest.mark.parametrize("n", ["2", "4"])
 def test_alpha_rejects_precision_below_one(capsys, n):
     # at n = 2 every alpha is 0, so no zeta value would catch it

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -1039,3 +1040,71 @@ def test_recover_alpha_inconsistent_analytic_constant_row():
         assert recover_alpha(broken, M).representative == []
         with pytest.raises(InconsistentSystem):
             recover_alpha(broken, M, analytic_digits=1)
+
+
+THETA_SQUARED = MumOperator([[], [], [1]])  # no t-term: only t^0 is live
+
+# (operator, the step g of its t-degree lattice; None for the order M)
+LATTICE_CASES = [(GEOM_L, 1)] + \
+    [(simplicial_operator(n), n + 1) for n in (2, 3, 4, 5)] + \
+    [(KNOWN_HYPEROCT_OPERATORS[4], 2), (THETA_SQUARED, None)]
+
+
+def _outcome(read, *args):
+    """read(*args), or where it raises: the PrecisionExhausted (j, m) or
+    the InconsistentSystem index."""
+    try:
+        return read(*args)
+    except PrecisionExhausted as exc:
+        return "exhausted", exc.j, exc.m
+    except InconsistentSystem as exc:
+        return "inconsistent", exc.index
+
+
+@pytest.mark.parametrize("L, g", LATTICE_CASES)
+@pytest.mark.parametrize("digits", [None, 6])
+def test_solve_lives_on_the_operator_lattice(L, g, digits):
+    p, M = 7, 61
+    g = g or M
+    exact = solve_A_series(L, p, M)
+    dec = exact if digits is None else \
+        solve_A_series(L, p, M, basis=exact.basis, digits=digits)
+    assert L.step in (g, 0) and dec.step == g
+    for k in range(L.order):
+        for j in range(L.order):
+            for m in range(M):
+                got = dec.slot(k, j, m)
+                if m % g:
+                    assert dec.slots[k][j].known(m) == 0 and got == 0
+                    assert not isinstance(got, PadicNum)
+                    if digits is not None:
+                        assert dec.support[k][j][m] == 0
+                elif digits is not None and dec.support[k][j][m]:
+                    assert got.agrees(exact.slot(k, j, m), digits)
+                elif digits is not None:
+                    assert exact.slot(k, j, m) == 0
+    if digits is None:
+        rng = random.Random(g)
+        alphas = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+                  for _ in range(L.order - 1)]
+        assert verify_frobenius_property(dec, alphas, 25)
+
+
+@pytest.mark.parametrize("L, g", LATTICE_CASES)
+@pytest.mark.parametrize("digits", [None, 3, 8])
+def test_readers_on_the_lattice_match_every_degree(L, g, digits):
+    # the readers walk the multiples of dec.step; the same decomposition
+    # read at every t-degree gives the same entries, coset or raise
+    p, M = 7, 61
+    dec = solve_A_series(L, p, M, digits=digits)
+    every = dataclasses.replace(dec, step=1)
+    assert dec.step == (g or M)
+    families = [simplicial_operator(n) for n in (2, 3, 4, 5)] + \
+        [KNOWN_HYPEROCT_OPERATORS[4]]
+    alphas = _closed_forms(L, p, N_CLI) if L in families else \
+        [Fraction(2, 7)] * (L.order - 1)
+    for alph in (alphas, [a + 1 for a in alphas]):
+        assert _outcome(_integrality, dec, alph, M) == \
+            _outcome(_integrality, every, alph, M)
+    assert _outcome(recover_alpha, dec, M) == \
+        _outcome(recover_alpha, every, M)

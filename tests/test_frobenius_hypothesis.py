@@ -2,9 +2,10 @@
 (theta + a_i): the standard basis solves the operator and equals the
 per-operation Fraction recursion, the exact solve satisfies the
 defining identity, and the fixed-precision solve agrees with it slot by
-slot.  On these and on the small built-in operators, recover_alpha and
-check_integrality give the same answer on both solves, and check_analytic
-gives the report of its rows summed one by one."""
+slot.  On these, on the same operators in t^2 and t^3 and on the small
+built-in operators, recover_alpha and check_integrality give the same
+answer on both solves, and check_analytic gives the report of its rows
+summed one by one."""
 
 import functools
 import math
@@ -51,7 +52,21 @@ def _operator(shifts) -> MumOperator:
     return MumOperator([[0, -prod[i]] for i in range(n)] + [[1, -1]])
 
 
+def _in_t_power(L: MumOperator, g: int) -> MumOperator:
+    # L with t -> t^g: an operator off the families whose every series
+    # lives in t^g
+    coeffs = []
+    for a in L.coeffs:
+        poly = [0] * (g * len(a))
+        poly[::g] = a
+        coeffs.append(poly)
+    return MumOperator(coeffs)
+
+
 SHIFTS = st.lists(st.integers(-3, 3), min_size=2, max_size=3)
+# the operators above in t^2 and t^3
+LATTICE_OPERATORS = st.builds(_in_t_power, SHIFTS.map(_operator),
+                              st.sampled_from((2, 3)))
 PRIMES = (3, 5, 7, 11)
 # most random operators give an inconsistent system; the families give
 # cosets
@@ -115,22 +130,25 @@ def test_standard_basis_matches_per_operation_recursion(L, M):
 
 
 def _frobenius_matrix_all_q(fvals, p, M):
-    # B_ij[q] for every q <= (M-1)/p, then every g-th kept
+    # B_ij[q p] for every q <= (M-1)/p, from every t-degree of the F_k
     n = len(fvals)
-    bmat = [[[p ** j * sum(math.comb(j, m) * q ** (j - m) * fvals[i - m][q]
+    return [[[p ** j * sum(math.comb(j, m) * q ** (j - m) * fvals[i - m][q]
                            for m in range(min(i, j) + 1))
               for q in range(1, (M - 1) // p + 1)]
              for j in range(n)] for i in range(n)]
-    g = math.gcd(*(q for row in bmat for col in row
-                   for q, b in enumerate(col, start=1) if b)) or 1
-    return [[col[g - 1::g] for col in row] for row in bmat], g * p
 
 
 def _same_frobenius_matrix(L, p, M):
+    # the build on the lattice of g = L.step is the every-q build at the
+    # multiples of g, and the every-q build is zero at every other q
+    g = L.step or M
     fvals = [[f.known(c) for c in range(M)]
              for f in standard_basis(L, M).fs]
-    assert frobenius._frobenius_matrix(fvals, p, M) == \
-        _frobenius_matrix_all_q(fvals, p, M)
+    every = _frobenius_matrix_all_q(fvals, p, M)
+    assert not any(b for row in every for col in row
+                   for q, b in enumerate(col, start=1) if q % g)
+    assert frobenius._frobenius_matrix([f[::g] for f in fvals], p, g) == \
+        [[col[g - 1::g] for col in row] for row in every]
 
 
 @pytest.mark.parametrize("L", [simplicial_operator(n) for n in (2, 3, 4, 5)]
@@ -157,10 +175,30 @@ def test_exact_solve_satisfies_identity(shifts, p, M, alphas):
     assert verify_frobenius_property(dec, alphas[:L.order - 1], M)
 
 
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(L=LATTICE_OPERATORS, p=st.sampled_from(PRIMES),
+       M=st.integers(5, 60),
+       alphas=st.lists(st.integers(-5, 5), min_size=2, max_size=2))
+def test_exact_solve_satisfies_identity_in_t_power(L, p, M, alphas):
+    assert L.step in (2, 3)
+    dec = solve_A_series(L, p, M)
+    assert dec.step == L.step
+    assert verify_frobenius_property(dec, alphas[:L.order - 1], M)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(shifts=SHIFTS, M=st.integers(5, 40), digits=st.integers(1, 6))
 def test_fixed_precision_agrees_with_exact(shifts, M, digits):
-    L = _operator(shifts)
+    _fixed_agrees_with_exact(_operator(shifts), M, digits)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(L=LATTICE_OPERATORS, M=st.integers(5, 90), digits=st.integers(1, 6))
+def test_fixed_precision_agrees_with_exact_in_t_power(L, M, digits):
+    _fixed_agrees_with_exact(L, M, digits)
+
+
+def _fixed_agrees_with_exact(L, M, digits):
     n = L.order
     sb = standard_basis(L, M)
     for p in PRIMES:
@@ -191,6 +229,18 @@ def _recovered(dec, M, analytic_digits):
        digits=st.integers(1, 14), analytic_digits=st.sampled_from((0, 1, 2)))
 def test_recover_alpha_fixed_matches_exact(L, p, M, digits,
                                            analytic_digits):
+    _recover_fixed_matches_exact(L, p, M, digits, analytic_digits)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(L=LATTICE_OPERATORS, p=st.sampled_from(PRIMES), M=st.integers(5, 90),
+       digits=st.integers(1, 14), analytic_digits=st.sampled_from((0, 1, 2)))
+def test_recover_alpha_fixed_matches_exact_in_t_power(L, p, M, digits,
+                                                      analytic_digits):
+    _recover_fixed_matches_exact(L, p, M, digits, analytic_digits)
+
+
+def _recover_fixed_matches_exact(L, p, M, digits, analytic_digits):
     # the integer rows of a fixed-precision solve give the coset, or the
     # violated row, of the exact solve; or PrecisionExhausted, where the
     # CLI answers from the exact solve
@@ -237,6 +287,17 @@ ALPHAS = st.one_of(
        M=st.integers(10, 60), digits=st.integers(1, 14),
        alphas=st.lists(ALPHAS, min_size=3, max_size=3))
 def test_integrality_readout_matches_exact(L, M, digits, alphas):
+    _readout_matches_exact(L, M, digits, alphas)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(L=LATTICE_OPERATORS, M=st.integers(10, 90), digits=st.integers(1, 14),
+       alphas=st.lists(ALPHAS, min_size=3, max_size=3))
+def test_integrality_readout_matches_exact_in_t_power(L, M, digits, alphas):
+    _readout_matches_exact(L, M, digits, alphas)
+
+
+def _readout_matches_exact(L, M, digits, alphas):
     # the fixed-precision readout gives the exact solve's report byte for
     # byte, or raises where _integrality_entry on the same slots raises
     p = 7
