@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, islice
@@ -90,9 +90,8 @@ class FrobeniusDecomposition:
     k >= 1 multiplies alpha_k.  Every series is known mod t^order.
     step is the lattice the series live on: every coefficient at a
     t-degree off the multiples of step is an exact zero, and the readers
-    (check_integrality, the integrality rows of recover_alpha) walk only
-    the multiples.  solve_A_series records L.step there; the default 1
-    reads every t-degree, as a hand-built decomposition needs.
+    walk only the multiples.  solve_A_series records L.step there; the
+    default 1 reads every t-degree, as a hand-built decomposition needs.
 
     With digits None the coefficients are exact rationals.  With digits
     N the decomposition is fixed-precision: a coefficient c is stored as
@@ -140,42 +139,6 @@ class FrobeniusDecomposition:
         v = vp(x, self.p)
         return PadicNum(self.p, val=v - self.scale,
                         unit=x // self._pows[v], prec=self.digits)
-
-    def _times(self, poly: list, lo: int, M: int):
-        """The decomposition holding the t^m coefficients of poly(t)
-        A_j^(k) for lo <= m < M, poly integers low power first; those
-        below t^lo are left out, as exact zeros.  Each product is formed
-        once, as a sum of shifted copies of the series, and at fixed
-        precision a coefficient is on the support where any of its terms
-        is."""
-        terms = [(i, c) for i, c in enumerate(poly) if c]
-
-        def product(a: PowerSeries) -> list:
-            out = [0] * (M - lo)
-            for i, c in terms:
-                start = max(lo - i, 0)
-                off = start + i - lo
-                src = a.coeffs[start:M - i]
-                out[off:off + len(src)] = [x + c * y for x, y in
-                                           zip(out[off:], src)]
-            if self.digits is not None:
-                out = [x % self._pows[-1] for x in out]
-            return [0] * lo + out
-
-        window = ((1 << 8 * M) - 1) ^ ((1 << 8 * lo) - 1)
-
-        def spread(live: bytes) -> bytes:
-            mask = int.from_bytes(live[:M], "little")
-            return (reduce(or_, (mask << 8 * i for i, _ in terms), 0)
-                    & window).to_bytes(M, "little")
-
-        return FrobeniusDecomposition(
-            p=self.p, operator=self.operator, basis=self.basis, order=M,
-            digits=self.digits, scale=self.scale,
-            slots=[[PowerSeries(product(a), M) for a in row]
-                   for row in self.slots],
-            support=None if self.digits is None else
-            [[spread(live) for live in row] for row in self.support])
 
 
 # valuation of an exact zero in the static sweeps; anything at or past
@@ -258,7 +221,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     """Solve the log-free part of A(y_i(t^p)) = p^i sum alpha_k y_{i-k}
     for every alpha-slot mod t^M: exactly over Q when digits is None,
     else with every coefficient known mod p^digits.  A given basis must
-    be L's, known mod t^M.
+    be L's, known mod t^M.  BadPrime for p not prime, or dividing the
+    top coefficient of D = a_n(t), so that D mod p drops degree.
 
     The matrix entry multiplying A_j in equation i is
     B_ij = p^j sum_m C(j,m) (theta^(j-m) F_{i-m})(t^p), which reduces
@@ -296,6 +260,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     """
     if not is_prime(p):
         raise BadPrime("p = %d is not a prime" % p)
+    if L.leading()[-1] % p == 0:
+        raise BadPrime("p = %d divides the top coefficient of a_n(t)" % p)
     if M < 1:
         raise InsufficientOrder("need t-order at least 1")
     if digits is not None and digits < 1:
@@ -797,7 +763,9 @@ def analytic_bound(L: MumOperator, p: int, s: int) -> tuple:
     families at p = 11.  The degree bound is attained there after
     rounding down to the step of the t-powers that occur (n + 1 for
     simplicial, 2 for hyperoctahedral).  For (1 - t) theta - t,
-    A_0 = (1 - t^p)/(1 - t) has degree p - 1 = deg(1) exactly.
+    A_0 = (1 - t^p)/(1 - t) has degree p - 1 = deg(1) exactly.  e(s) =
+    (s - 1) p is confirmed only through s = 3: at s = 4 the closed forms
+    fail for both n = 4 families at p = 7 and simplicial n = 2 at p = 5.
 
     Raises BadPrime unless p is an odd prime.
     """
@@ -817,32 +785,63 @@ def _analytic_bounds(L: MumOperator, p: int, digits: int) -> list:
 
 
 def _analytic_rows(dec: FrobeniusDecomposition, M: int, digits: int):
-    """Iterate (weighted, s, j, m) for s = 1..digits, j < n and deg(s) <
-    m < M, 0 <= m, where weighted holds the products D^e(s) A_j^(k),
-    formed once per s, with D^e(s) = D^e(s') D^(e(s) - e(s')) from the
-    last s' used; each row [t^m] D^e(s) A_j must vanish mod p^s.  A
-    negative deg(s), from exponents at infinity with p rho_max < rho_min,
-    makes every row from t^0 on a condition.  Checks its arguments
-    before any row is read; ValueError for negative digits."""
+    """Iterate (s, lo, weighted) for each s = 1..digits with rows: [t^m]
+    D^e(s) A_j must vanish mod p^s for lo = max(deg(s) + 1, 0) <= m < M.
+    weighted is dec with slots D^e(s) A_j^(k) in that window and exact
+    zeros elsewhere, reduced mod p^(scale + digits) at fixed precision,
+    where a term of D^e(s) meeting a live coefficient makes one live.
+    ValueError for negative digits, before any block.
+
+    A block is the last (dec before the first) times D^(e(s) - e(s')),
+    formed on dec.step's lattice.  Its t^m reads t^(m - i), i <= (e(s) -
+    e(s')) deg D = deg(s) - deg(s'): only the last window, for any
+    nondecreasing e(s).  The support spreads dec's over D^e(s) itself,
+    as (1 + 2t - 10t^2)^6 lacks t^10, which two terms of its cube reach.
+    """
     _check_order(dec, M)
     if digits < 0:
         raise ValueError("need analytic digits >= 0")
     bounds = _analytic_bounds(dec.operator, dec.p, digits) if digits else []
 
-    def rows():
-        lead = PowerSeries(dec.operator.leading(), M)
-        power, done = PowerSeries.one(M), 0
+    def blocks():
+        g, mod = dec.step, None if dec.digits is None else dec._pows[-1]
+        Mg = -(-M // g)
+        lead = PowerSeries(dec.operator.leading()[::g], Mg)
+        block, power, done = dec, PowerSeries.one(Mg), 0
         for s, (e, deg) in enumerate(bounds, start=1):
             lo = max(deg + 1, 0)
             if lo >= M:
                 continue
-            power, done = power * lead ** (e - done), e
-            weighted = dec._times(power.coeffs, lo, M)
-            for j in range(dec.n):
-                for m in range(lo, M):
-                    yield weighted, s, j, m
+            first, factor = -(-lo // g), lead ** (e - done)
+            power = power * factor
 
-    return rows()
+            def product(a: PowerSeries) -> list:
+                src, out, full = a.coeffs[:M:g], [0] * Mg, [0] * M
+                for i, c in enumerate(factor.coeffs):
+                    part, r = src[max(first - i, 0):Mg - i], max(first, i)
+                    out[r:r + len(part)] = [x + c * y for x, y in
+                                            zip(out[r:], part)]
+                full[first * g::g] = [x % mod for x in out[first:]] \
+                    if mod else out[first:]
+                return full
+
+            def spread(live: bytes) -> bytes:
+                mask = int.from_bytes(live[:M:g], "little")
+                hit = reduce(or_, (mask << 8 * i for i, c in
+                                   enumerate(power.coeffs) if c), 0)
+                full = bytearray(M)
+                full[first * g::g] = hit.to_bytes(2 * Mg, "little")[first:Mg]
+                return bytes(full)
+
+            block, done = replace(
+                block, order=M,
+                slots=[[PowerSeries(product(a), M) for a in row]
+                       for row in block.slots],
+                support=None if mod is None else
+                [[spread(live) for live in row] for row in dec.support]), e
+            yield s, lo, block
+
+    return blocks()
 
 
 @dataclass
@@ -866,30 +865,30 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
     an inexact zero known to fewer than s digits, for want of alpha
     digits or of slot digits, raises PrecisionExhausted.
 
-    Rows are read from the products D^e(s) A_j^(k) of _analytic_rows as
-    check_integrality reads entries, through _reading built once per s.
-    Only the decision differs.
+    Rows are read from the blocks of _analytic_rows, at the multiples
+    of dec.step (``rows`` counts the exact zeros between), through
+    _reading built once per s.  Only the decision differs.
     """
     # checked before any row, so a report with no rows checks them too
     _check_alphas(dec, alphas)
-    rows, product, read = 0, None, None
-    for weighted, s, j, m in _analytic_rows(dec, M, digits):
-        if weighted is not product:
-            product, read = weighted, _reading(weighted, alphas)
-        reading = read(j, m)
-        rows += 1
-        if reading is None:
-            continue
-        val, prec, _ = reading
-        if val is None:
-            if prec < s:
-                raise PrecisionExhausted(j, m)
-        elif val < s:
-            return AnalyticReport(p=dec.p, M=M, digits=digits,
-                                  verdict="non-analytic", rows=rows,
-                                  first_failing=(s, j, m, val))
-    return AnalyticReport(p=dec.p, M=M, digits=digits, verdict="analytic",
-                          rows=rows)
+    rows, g = 0, dec.step
+    for s, lo, weighted in _analytic_rows(dec, M, digits):
+        read = _reading(weighted, alphas)
+        for j in range(dec.n):
+            for m in range(-(-lo // g) * g, M, g):
+                reading = read(j, m)
+                if reading is None:
+                    continue
+                val, prec, _ = reading
+                if val is None:
+                    if prec < s:
+                        raise PrecisionExhausted(j, m)
+                elif val < s:
+                    return AnalyticReport(dec.p, M, digits, "non-analytic",
+                                          rows + j * (M - lo) + m - lo + 1,
+                                          (s, j, m, val))
+        rows += dec.n * (M - lo)
+    return AnalyticReport(dec.p, M, digits, "analytic", rows)
 
 
 def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int):
@@ -951,11 +950,11 @@ def recover_alpha(dec: FrobeniusDecomposition, M: int,
     a-priori guarantee.  A fixed-precision decomposition gives the same
     coset, or raises PrecisionExhausted.
     """
-    specs = chain(((dec, 0, j, m) for j in range(dec.n)
-                   for m in range(0, M, dec.step)),
-                  _analytic_rows(dec, M, analytic_digits))
-    rows = [row for row in (_congruence_row(*spec) for spec in specs)
-            if row is not None]
+    g = dec.step
+    blocks = chain([(0, 0, dec)], _analytic_rows(dec, M, analytic_digits))
+    rows = filter(None, (_congruence_row(block, s, j, m)
+                         for s, lo, block in blocks for j in range(dec.n)
+                         for m in range(-(-lo // g) * g, M, g)))
     return solve_affine_congruences(
         CongruenceSystem(dec.p, dec.n - 1, tuple(rows)))
 

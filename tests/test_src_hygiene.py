@@ -1,18 +1,42 @@
 """Every private (``_``-prefixed) module-level function and class in
-src/padicfrob is used somewhere in src/padicfrob outside its own
-definition, so no helper lives on for the tests alone.  A use is an
-``ast.Name`` or ``ast.Attribute`` naming it; an import is not."""
+src/padicfrob, and every private method of a class there, is used
+somewhere in src/padicfrob outside its own definition, so no helper
+lives on for the tests alone.  A use is an ``ast.Name`` or
+``ast.Attribute`` naming it; an import is not.  Every private name the
+README quotes as a code span is defined in src/padicfrob."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "padicfrob"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "padicfrob"
+
+
+def _trees() -> dict:
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
 
 
 def _private_definitions(tree: ast.Module) -> list:
-    return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_")]
+    """(qualified name, node) for each private module-level function or
+    class and each private method of a module-level class."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if _is_private(node.name):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [("%s.%s" % (node.name, method.name), method)
+                      for method in node.body
+                      if isinstance(method, ast.FunctionDef)
+                      and _is_private(method.name)]
+    return found
 
 
 def _uses(tree: ast.AST) -> list:
@@ -23,14 +47,27 @@ def _uses(tree: ast.AST) -> list:
 
 
 def test_private_definitions_are_used_in_src():
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     uses = [use for tree in trees.values() for use in _uses(tree)]
     unused = []
     for module, tree in trees.items():
-        for definition in _private_definitions(tree):
+        for qualified, definition in _private_definitions(tree):
             inside = {id(node) for node in ast.walk(definition)}
             if not any(name == definition.name and id(node) not in inside
                        for name, node in uses):
-                unused.append("%s.%s" % (module, definition.name))
+                unused.append("%s.%s" % (module, qualified))
     assert unused == []
+
+
+def test_readme_private_names_are_defined_in_src():
+    defined = set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(target.id for target in node.targets
+                               if isinstance(target, ast.Name))
+    quoted = set(re.findall(r"`(_[A-Za-z]\w*)`",
+                            (ROOT / "README.md").read_text()))
+    assert quoted and sorted(quoted - defined) == []
