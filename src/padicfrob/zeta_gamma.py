@@ -6,15 +6,17 @@ production route and two independent oracles compute it:
 
 * `zetap`, the production route: Washington's formula, a finite sum of
   Bernoulli numbers over the units mod p, evaluated mod a power of p.
-  It reports the precision the interpolation route certifies
-  (`_node_schedule`), so both give the same p-adic numbers;
+  It reports the precision the interpolation route certifies on the
+  cheapest nodes (`_node_schedule`), so both give the same p-adic
+  numbers, and it answers for every odd m < p-1 at any precision;
   `evaluate_zeta_poly`, and so every numeric alpha, uses it;
 * `zetap_bernoulli`, an oracle: the Kummer-congruence limit
   -(1-p^(n-1)) B_n/n at n = 1 - m + (p-1) p^r, exact Bernoulli numbers,
   precision p^(r+1) (fewer digits in the class m = 1 mod p-1);
 * `zetap_interpolated`, an oracle: solve for the Taylor coefficients of
   log Gamma_p at 0 from point values Gamma_p(k p^s) and read off
-  zeta_p(m) = -m c_m.
+  zeta_p(m) = -m c_m.  Its sweep of D p^s Gamma_p products is the
+  only work NODE_PRODUCT_CAP bounds.
 
 The three routes, gammap_int, gammap_taylor, evaluate_zeta_poly and
 gamma_ratio_congruence_check raise padic_core.BadPrime unless p is an
@@ -49,7 +51,7 @@ from .qseries import PowerSeries
 
 # largest Bernoulli index the exact route will attempt
 EXACT_BERNOULLI_BOUND = 1600
-# cap on the length of a single Gamma_p product sweep
+# cap on the length of the interpolation oracle's Gamma_p node sweep
 NODE_PRODUCT_CAP = 10 ** 7
 
 
@@ -296,21 +298,16 @@ def gammap_int(z: int, p: int, N: int) -> PadicNum:
     require_odd_prime(p)
     if z < 0:
         raise ValueError("z must be a nonnegative integer")
-    mod = p ** N
-    acc = 1
-    for j in range(1, z):
-        if j % p:
-            acc = acc * j % mod
-    if z % 2:
-        acc = -acc % mod
-    return PadicNum.from_rational(acc, p, N)
+    if N < 1:
+        raise ValueError("need N >= 1")
+    return PadicNum.from_rational(_gamma_products(p, z, 1, N)[0], p, N)
 
 
 @lru_cache(maxsize=None)
-def _gamma_node_values(p: int, s: int, D: int, E: int) -> tuple:
-    """Gamma_p(k p^s) mod p^E for k = 1..D, via one shared sweep."""
+def _gamma_products(p: int, step: int, D: int, E: int) -> tuple:
+    """Gamma_p(k step) = (-1)^(k step) prod_{0<j<k step, p not| j} j
+    mod p^E for k = 1..D, via one shared sweep."""
     mod = p ** E
-    step = p ** s
     out = []
     acc = 1
     j = 1
@@ -320,8 +317,7 @@ def _gamma_node_values(p: int, s: int, D: int, E: int) -> tuple:
             if j % p:
                 acc = acc * j % mod
             j += 1
-        # (-1)^(k p^s) = (-1)^k since p is odd
-        out.append((-acc if k % 2 else acc) % mod)
+        out.append((-acc if stop % 2 else acc) % mod)
     return tuple(out)
 
 
@@ -359,18 +355,17 @@ def _gamma_log_solve(p: int, D: int, s: int) -> tuple:
     w_k lies in p Z_p, so each term w_k (V^-1)_mk is off by a multiple
     of p^(E+1), past the p^T cut; an entry that vanishes mod p^E
     becomes an exact 0.
+
+    Callers pass 0 < D < p-1 and s >= 2.  PrecisionBudgetExceeded when
+    the node sweep of D p^s products passes NODE_PRODUCT_CAP.
     """
-    if not 0 < D < p - 1:
-        raise ValueError("need 0 < D < p-1")
-    if s < 2:
-        raise ValueError("interpolation nodes need s >= 2")
     if D * p ** s > NODE_PRODUCT_CAP:
         raise PrecisionBudgetExceeded(
             "node sweep of %d terms exceeds cap %d" % (D * p ** s,
                                                        NODE_PRODUCT_CAP))
     T = _tail_valuation(p, s, D + 1)
     E = T + 2
-    nodes = _gamma_node_values(p, s, D, E)
+    nodes = _gamma_products(p, p ** s, D, E)
     ws = [padic_log(PadicNum.from_rational(g, p, E)) for g in nodes]
     reduced, _ = _echelon_mod([[k ** m for m in range(1, D + 1)]
                                + [int(j == k) for j in range(1, D + 1)]
@@ -448,7 +443,8 @@ def gammap_taylor(p: int, D: int, N: int) -> GammaExpansion:
 
     The node scale s is chosen so that even the worst-placed
     coefficient c_D is known mod p^N; smaller-index coefficients come
-    out sharper.  Nodes are x = k p^s for k = 1..D.
+    out sharper.  Nodes are x = k p^s for k = 1..D.  Raises
+    PrecisionBudgetExceeded where that node sweep passes the cap.
     """
     require_odd_prime(p)
     if not 0 < D < p - 1:
@@ -456,10 +452,6 @@ def gammap_taylor(p: int, D: int, N: int) -> GammaExpansion:
     if N < 1:
         raise ValueError("need N >= 1")
     s = _node_scale(p, D, D, N)
-    if D * p ** s > NODE_PRODUCT_CAP:
-        raise PrecisionBudgetExceeded(
-            "cannot reach precision %d for c_%d at p=%d within the "
-            "node cap" % (N, D, p))
     cs, _ = _gamma_log_solve(p, D, s)
     logseries = PowerSeries([0] + list(cs), D + 1)
     g = logseries.exp()
@@ -476,7 +468,8 @@ def _node_schedule(m: int, p: int, N: int):
     Needs m < p-1, so that c_m fits inside an interpolable expansion.
     The interpolation route then knows zeta_p(m) = -m c_m mod p^K with
     K = _tail_valuation(p, s, D+1) - s m >= N (_gamma_log_solve; m is
-    prime to p, so the factor -m costs no digit).
+    prime to p, so the factor -m costs no digit).  The cost is the
+    oracle's sweep length D p^s, which only that sweep caps.
     """
     require_odd_prime(p)
     if m < 2 or N < 1:
@@ -490,18 +483,16 @@ def _node_schedule(m: int, p: int, N: int):
     for D in range(m, p - 1):
         s = _node_scale(p, D, m, N)
         cost = D * p ** s
-        if cost <= NODE_PRODUCT_CAP and (best is None or cost < best[0]):
+        if best is None or cost < best[0]:
             best = (cost, D, s)
-    if best is None:
-        raise PrecisionBudgetExceeded(
-            "no node schedule reaches zeta_%d(%d) mod %d^%d" % (p, m, p, N))
     return best[1:]
 
 
 @lru_cache(maxsize=None)
 def zetap_interpolated(m: int, p: int, N: int) -> PadicNum:
     """zeta_p(m) mod p^N via the Gamma_p interpolation route, on the
-    nodes _node_schedule picks; even m returns exact zero."""
+    nodes _node_schedule picks; even m returns exact zero.  Raises
+    PrecisionBudgetExceeded where their sweep passes the node cap."""
     schedule = _node_schedule(m, p, N)
     if schedule is None:
         return PadicNum.from_exact(0, p)
@@ -555,9 +546,10 @@ def zetap(m: int, p: int, N: int) -> PadicNum:
     """zeta_p(m), at least mod p^N, by Washington's formula (_washington).
 
     Returns exactly the K >= N digits the interpolation route certifies
-    on the nodes of _node_schedule, and raises where that schedule
-    raises, so the result is the same p-adic number zetap_interpolated
-    returns, at a fraction of the cost.  Even m gives exact zero.
+    on the nodes of _node_schedule, so the result is the same p-adic
+    number zetap_interpolated returns, at a fraction of the cost.  It
+    runs no node sweep, so the node cap never refuses it: it answers
+    for every odd m < p-1 at any N.  Even m gives exact zero.
     """
     schedule = _node_schedule(m, p, N)
     if schedule is None:
@@ -591,12 +583,6 @@ def log_ratio_expansion(a, bs: Sequence, D: int) -> PowerSeries:
     return PowerSeries(coeffs[:D + 1], D + 1)
 
 
-def _as_zeta_poly(c) -> ZetaPoly:
-    if isinstance(c, ZetaPoly):
-        return c
-    return ZetaPoly.const(c)
-
-
 def alpha_simplicial(n: int) -> list:
     """Symbolic alpha_1..alpha_{n-1} for the rank-n simplicial family:
     alpha_j is the x^j coefficient of Gamma_p(x)/Gamma_p(x/(n+1))^(n+1).
@@ -604,7 +590,7 @@ def alpha_simplicial(n: int) -> list:
     if n < 2:
         raise ValueError("need n >= 2")
     ratio = log_ratio_expansion(1, [Fraction(1, n + 1)] * (n + 1), n - 1).exp()
-    return [_as_zeta_poly(ratio.known(j)) for j in range(1, n)]
+    return [ZetaPoly._coerce(ratio.known(j)) for j in range(1, n)]
 
 
 def alpha_hyperoctahedral(J: int) -> list:
@@ -620,7 +606,7 @@ def alpha_hyperoctahedral(J: int) -> list:
     for j in range(1, J + 1):
         acc = ZetaPoly.zero()
         for m in range(0, j + 1):
-            top = _as_zeta_poly(ratios[m].known(j))
+            top = ZetaPoly._coerce(ratios[m].known(j))
             acc = acc + top * (Fraction((-1) ** (j - m) * math.comb(j, m)))
         out.append(acc * Fraction(1, math.factorial(j)))
     return out
@@ -633,8 +619,6 @@ def evaluate_zeta_poly(poly: ZetaPoly, p: int, N: int) -> PadicNum:
     require_odd_prime(p)
     if N < 1:
         raise ValueError("need N >= 1")
-    if poly.is_zero():
-        return PadicNum.from_exact(0, p)
     acc = PadicNum.from_exact(0, p)
     for mono, c in sorted(poly.terms.items()):
         term = PadicNum.from_exact(c, p)
@@ -653,10 +637,12 @@ def gamma_ratio_congruence_check(V: Sequence[int], s: int, p: int, n: int,
     Taylor evaluation of the balanced ratio at x = p^(s+1), mod
     p^((s+1) n).
 
-    The left side uses exact Gamma_p products, the right side the
-    zeta-polynomial expansion with numeric zeta values, so the two
-    routes share no code.  `_corrupt`, a (degree, rational) pair, adds
-    a perturbation to the log-series for negative-control tests.
+    The left side reads exact Gamma_p(k p^(s+1)), k <= n, from one
+    cached product sweep per (p, s, n), which the node cap does not
+    bound; the right side is the zeta-polynomial expansion with
+    numeric zeta values, so the two routes share no code.  `_corrupt`,
+    a (degree, rational) pair, adds a perturbation to the log-series for
+    negative-control tests.
     """
     require_odd_prime(p)
     V = tuple(int(v) for v in V)
@@ -670,9 +656,11 @@ def gamma_ratio_congruence_check(V: Sequence[int], s: int, p: int, n: int,
     E = (s + 1) * n
     xval = s + 1
     guard = 2
-    lhs = gammap_int(p ** xval * a, p, E + guard)
+    gammas = [PadicNum.from_rational(g, p, E + guard)
+              for g in (1,) + _gamma_products(p, p ** xval, n, E + guard)]
+    lhs = gammas[a]
     for v in V:
-        lhs = lhs / gammap_int(p ** xval * v, p, E + guard)
+        lhs = lhs / gammas[v]
     Dtr = n + 1
     tail = _tail_valuation(p, xval, Dtr + 1)
     if tail < E:
@@ -685,7 +673,7 @@ def gamma_ratio_congruence_check(V: Sequence[int], s: int, p: int, n: int,
         logratio = logratio + PowerSeries(bump, Dtr + 1)
     w = PadicNum.from_exact(0, p)
     for m in range(1, Dtr + 1):
-        cm = _as_zeta_poly(logratio.known(m))
+        cm = ZetaPoly._coerce(logratio.known(m))
         if cm.is_zero():
             continue
         need = max(1, E - xval * m + guard)

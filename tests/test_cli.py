@@ -80,6 +80,27 @@ def test_alpha_rejects_precision_below_one(capsys, n):
     assert "need precision >= 1" in err
 
 
+def test_alpha_answers_every_admitted_prime(capsys):
+    # zeta_p(m) for odd m < p-1 at any precision: no node-cap refusal
+    code, out, err = run(capsys, "alpha", "--family", "hyperoctahedral",
+                         "--p", "11")
+    assert (code, err) == (0, "")
+    assert "alpha_9 = -(18*z9 + z3^3)/162 = " in out
+    refused = []
+    for family, fam in cli.FAMILIES.items():
+        for n in range(2, 13):
+            for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+                if p <= fam.bound(n):
+                    continue
+                for N in ("12", "24"):
+                    argv = ("alpha", "--family", family, "--n", str(n),
+                            "--p", str(p), "--precision", N)
+                    code, _, err = run(capsys, *argv)
+                    if code:
+                        refused.append((argv, err))
+    assert refused == []
+
+
 def test_alpha_json_numeric(capsys):
     code, out, _ = run(capsys, "alpha", "--family", "simplicial", "--n", "4",
                        "--p", "7", "--format", "json")
@@ -99,6 +120,14 @@ def test_verify_integral(capsys):
     assert report["verdict"] == "integral"
     assert report["min_valuation"] == 0
     assert report["M"] == 70 and report["p"] == 7
+
+
+def test_verify_integral_past_the_node_cap(capsys):
+    # zeta_11(7) mod 11^24 lies past the interpolation oracle's node cap
+    code, out, _ = run(capsys, "verify", "--family", "simplicial", "--n", "8",
+                       "--p", "11", "--precision", "24")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "integral"
 
 
 def test_verify_perturbed_alpha1(capsys):

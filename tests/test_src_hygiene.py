@@ -2,8 +2,10 @@
 src/padicfrob, and every private method of a class there, is used
 somewhere in src/padicfrob outside its own definition, so no helper
 lives on for the tests alone.  A use is an ``ast.Name`` or
-``ast.Attribute`` naming it; an import is not.  Every private name the
-README quotes as a code span is defined in src/padicfrob."""
+``ast.Attribute`` naming it; an import is not.  Every module-level
+name assigned there (a constant such as a cap or a bound) is read
+somewhere in src/padicfrob outside its assignment.  Every private name
+the README quotes as a code span is defined in src/padicfrob."""
 
 import ast
 import re
@@ -57,6 +59,29 @@ def test_private_definitions_are_used_in_src():
                        for name, node in uses):
                 unused.append("%s.%s" % (module, qualified))
     assert unused == []
+
+
+def test_module_level_assignments_are_read_in_src():
+    trees = _trees()
+    reads = [(name, node) for tree in trees.values()
+             for name, node in _uses(tree)
+             if not isinstance(getattr(node, "ctx", None), ast.Store)]
+    unread = []
+    for module, tree in trees.items():
+        for statement in tree.body:
+            if not isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                continue
+            inside = {id(node) for node in ast.walk(statement)}
+            targets = getattr(statement, "targets", None) or [statement.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if (isinstance(node, ast.Name)
+                            and not node.id.startswith("__")
+                            and not any(name == node.id
+                                        and id(use) not in inside
+                                        for name, use in reads)):
+                        unread.append("%s.%s" % (module, node.id))
+    assert unread == []
 
 
 def test_readme_private_names_are_defined_in_src():

@@ -26,6 +26,7 @@ from padicfrob.zeta_gamma import (
     zetap,
     zetap_bernoulli,
     zetap_interpolated,
+    _gamma_products,
     _washington,
 )
 
@@ -152,13 +153,31 @@ class TestZetaWashington:
         for m in (2, 4, 10):
             assert zetap(m, 7, 5).is_exact_zero
 
-    def test_raises_where_schedule_raises(self):
+    def test_answers_past_the_node_cap(self):
+        # the cap bounds the oracle's node sweep, which zetap never runs
+        assert zetap(3, 5, 60).abs_precision >= 60
         with pytest.raises(PrecisionBudgetExceeded):
-            zetap(3, 5, 60)
+            zetap_interpolated(3, 5, 60)
+        with pytest.raises(PrecisionBudgetExceeded):
+            gammap_taylor(5, 3, 60)
         with pytest.raises(ValueError):
             zetap(5, 5, 3)
         with pytest.raises(ValueError):
             zetap(3, 7, 0)
+
+    @pytest.mark.parametrize("m, p, N", [
+        (3, 5, 60), (9, 11, 12), (7, 11, 24), (11, 13, 12), (9, 13, 24),
+        (5, 7, 24), (3, 7, 40)])
+    def test_past_the_node_cap_matches_bernoulli(self, m, p, N):
+        with pytest.raises(PrecisionBudgetExceeded):
+            zetap_interpolated(m, p, N)
+        z = zetap(m, p, N)
+        assert z.abs_precision >= N
+        r = 0
+        while 1 - m + (p - 1) * p ** (r + 1) <= EXACT_BERNOULLI_BOUND:
+            r += 1
+        want = zetap_bernoulli(m, p, r)
+        assert z.agrees(want, want.abs_precision)
 
     def test_core_is_stable_in_precision(self):
         # the truncation point must hold in the class m = 1 mod p-1 too
@@ -211,10 +230,42 @@ class TestGammaInt:
             gb = gammap_int(b, p, 8)
             assert ga.agrees(gb, min(k, 8))
 
+    def test_rejects_precision_below_one(self):
+        # mod p^0 every product reduces to 0, which is no unit
+        for z in (0, 1, 5):
+            with pytest.raises(ValueError, match="N >= 1"):
+                gammap_int(z, 7, 0)
+
     def test_values_are_units(self):
         for p in (5, 7):
             for z in range(0, 40):
                 assert gammap_int(z, p, 6).valuation == 0
+
+
+def _morita(z, p, N):
+    """Gamma_p(z) mod p^N straight from the definition."""
+    acc = (-1) ** z
+    for j in range(1, z):
+        if j % p:
+            acc *= j
+    return acc % p ** N
+
+
+class TestGammaProducts:
+    @pytest.mark.parametrize("p, step, D, E", [
+        (5, 2, 4, 6), (7, 3, 5, 4), (5, 25, 3, 8), (7, 49, 5, 10),
+        (11, 121, 9, 5), (3, 4, 1, 7), (5, 0, 1, 3)])
+    def test_matches_definition(self, p, step, D, E):
+        # even and odd steps, and D > 1 at the node steps p^s
+        assert _gamma_products(p, step, D, E) == tuple(
+            _morita(k * step, p, E) for k in range(1, D + 1))
+
+    def test_gammap_int_matches_definition(self):
+        for p in (3, 5, 7, 11):
+            for N in (1, 2, 5, 9):
+                for z in range(0, 3 * p + 2):
+                    want = PadicNum.from_rational(_morita(z, p, N), p, N)
+                    assert gammap_int(z, p, N) == want, (z, p, N)
 
 
 class TestGammaTaylor:
@@ -350,14 +401,17 @@ class TestEvaluateZetaPoly:
         want = PadicNum.from_exact(F(-8, 25), 7) * zetap_bernoulli(3, 7, 2)
         assert val.agrees(want, 3)
 
-    def test_budget_propagates(self):
-        with pytest.raises(PrecisionBudgetExceeded):
-            evaluate_zeta_poly(ZetaPoly.gen(3), 5, 60)
+    def test_answers_past_the_node_cap(self):
+        val = evaluate_zeta_poly(ZetaPoly.gen(3) * 2, 5, 60)
+        assert val.abs_precision >= 60
+        assert val.agrees(zetap(3, 5, 60) * 2, 60)
+        with pytest.raises(ValueError):
+            evaluate_zeta_poly(ZetaPoly.gen(5), 5, 3)
 
     @pytest.mark.parametrize("poly, N", [
         (ZetaPoly.const(2), 0), (ZetaPoly.zero(), -3), (ZetaPoly.gen(3), -3)])
     def test_rejects_precision_below_one(self, poly, N):
-        # checked before the constant and zero shortcuts skip zetap
+        # checked first: constant and zero polynomials call no zetap
         with pytest.raises(ValueError, match="N >= 1"):
             evaluate_zeta_poly(poly, 7, N)
 
