@@ -373,6 +373,8 @@ def _series_from_file(path: str):
     try:
         if not isinstance(payload["series"], list):
             raise TypeError("not a list")
+        if not payload["series"]:
+            raise ValueError("the list is empty")
         coeffs = [Fraction(str(x)) for x in payload["series"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError("operator file needs a 'series' list of "

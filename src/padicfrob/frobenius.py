@@ -11,17 +11,20 @@ that A_j depends on the alpha constants linearly:
 Numeric alpha values enter only where a condition reads a coefficient
 of A_j.  One traversal, _sweep, walks the recursion, with a ring fold
 for the solve, a bitmask fold for its support and a (min, +) fold for
-its static bounds, over only the t-degrees divisible by the operator's
-step g (MumOperator.step), where every series lives.  The slot series
-are solved in one of two modes (solve_A_series):
+its loss bound, over only the t-degrees divisible by the operator's
+step g (MumOperator.step), where every series lives.  The matrix B is
+built once, as integers over one denominator per degree.  The slot
+series are solved in one of two modes (solve_A_series):
 
 - exact, over Q: the oracle, and the mode the defining identity
   (verify_frobenius_property) and nonuniqueness_witness need;
 - fixed precision, over Z/p^R: every coefficient known mod p^digits.
-  The (min, +) sweeps bound how many digits the recursion can lose and
-  fix R before any arithmetic, and coefficients off the support stay
-  exact zeros.  All slots and residue classes are solved in one sweep,
-  each unknown an integer with one lane per (slot, class) column.
+  The (min, +) sweep bounds how many digits the recursion can lose.
+  The scale S that makes every coefficient p-integral is certified by
+  the ring's own exact divisions, which leave a remainder wherever S
+  falls short, and coefficients off the support stay exact zeros.  All
+  slots and residue classes are solved in one sweep, each unknown an
+  integer with one lane per (slot, class) column.
 
 Two conditions on the constants are checked against these series:
 integrality of the coefficients (check_integrality), which leaves the
@@ -42,7 +45,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import add, mul, or_
 from typing import Sequence
 
@@ -52,8 +55,8 @@ from .padic_core import (
     BadPrime,
     CongruenceSystem,
     PadicNum,
+    _inverses,
     _reduced_condition,
-    _residues_of_rationals,
     is_prime,
     require_odd_prime,
     solve_affine_congruences,
@@ -141,13 +144,9 @@ class FrobeniusDecomposition:
                         unit=x // self._pows[v], prec=self.digits)
 
 
-# valuation of an exact zero in the static sweeps; anything at or past
-# _NONE // 2 counts as +infinity
-_NONE = 1 << 40
-
-
-def _val(x, p: int) -> int:
-    return _NONE if x == 0 else vp(x, p)
+class _ShortScale(Exception):
+    """A division of the fixed-precision ring left a remainder: the
+    scale S falls short by args[0] digits at that coefficient."""
 
 
 def _sweep(mat, init, stride: int, live, fold, finish, zero) -> list:
@@ -159,7 +158,7 @@ def _sweep(mat, init, stride: int, live, fold, finish, zero) -> list:
     where live[i][c], else zero; mat[i][j][q-1] belongs to B_ij[q stride].
     The ring folds solve (_subtract over Q, _accumulate on packed
     residues), the bitmask fold (_reached) marks the support and the
-    (min, +) fold (_lowest) bounds valuations, all over the same
+    (min, +) fold (_lowest) bounds the digits lost, all over the same
     dependencies."""
     n = len(mat)
     out = [[] for _ in range(n)]
@@ -212,7 +211,7 @@ def _reached(acc, nonzero, x):
 
 
 def _lowest(acc, v, x):
-    return min(acc, min(map(add, v, x), default=_NONE))
+    return min(acc, min(map(add, v, x), default=INFINITY))
 
 
 def solve_A_series(L: MumOperator, p: int, M: int,
@@ -236,17 +235,32 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     the returned series are expanded to t-degrees, with exact zeros off
     the multiples of g.  An operator with no t-term has only t^0 live.
 
+    B is built once (_frobenius_matrix), as integer numerators over
+    dens[c], the lcm of the F_k[c] denominators at lattice degree c.
+    The exact solve takes its Fractions from them; the fixed-precision
+    one reads B's valuations and the residues of B and of the
+    right-hand sides from them, with one batch inverse of the p-free
+    parts of the dens (_inverses), and does no Fraction arithmetic.
+
     Every pass is a _sweep over B with its own fold.  A bitmask sweep
     marks the coefficients a term of each slot reaches; the rest are
     exact zeros in both modes.  Exact, a ring sweep per slot solves over
     Q.  At fixed precision the solve is over Z/p^R: B is scaled by p^w,
     w = -min vp(B), so it is p-integral, and each unknown a is carried
     as X = p^S a.  A step is then integer multiply-adds, one reduction
-    mod p^R and an exact division by p^(i+w).  Two (min, +) sweeps over
-    the valuations of B fix S and R before any arithmetic: one bounds
-    every coefficient's valuation from below, which gives S; the other
-    bounds from above the digits each X loses, through p^(v(B) + w) X_j
-    and the division, which gives R = S + (largest loss) + digits.
+    mod p^R and an exact division by p^(i+w).  A (min, +) sweep over the
+    valuations of B bounds from above the digits each X loses, through
+    p^(v(B) + w) X_j and the division, which gives R = S + (largest
+    loss) + digits.
+
+    S starts at S_0 = max(0, -min vp(F_k[c])), and the ring's exact
+    divisions certify it.  The numerator of a_i[c] is p^(S+w+i) a_i[c],
+    and while every earlier division was exact the loss bound keeps it
+    known to at least S + digits + i + w > i + w digits.  So if p^S a_i[c]
+    is not p-integral, its division by p^(i+w) leaves a remainder, and
+    the first one in the sweep shows how far S falls short there,
+    (i + w) - vp(numerator).  The ring then reruns with S raised by that
+    much, until no division leaves a remainder.
 
     The fixed-precision ring is one sweep over the K = ceil(M / (g p))
     steps, as the static sweeps are.  At step t an unknown is one
@@ -277,7 +291,7 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     # the lattice degrees c < Mg stand for the t-degrees c g < M
     Mg = -(-M // g)
     fvals = [[f.known(c) for c in range(0, M, g)] for f in basis.fs[:n]]
-    bmat = _frobenius_matrix(fvals, p, g)
+    dens, bmat = _frobenius_matrix(fvals, p, g)
 
     def rhs(fv):
         # rhs[s][i][c]: slot s, equation i is p^i F_{i-s}
@@ -295,17 +309,14 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     # of the classes at step t merged into one.
     K = -(-Mg // p)
 
-    def by_step(rows, merge):
-        return [[merge(row[t * p:(t + 1) * p]) for t in range(K)]
-                for row in rows]
-
     # bit s of reach[i][c]: a term of slot s reaches a_i[c]; the sweep
     # carries each class in its own n-bit lane, as OR works lane by lane
     starts = [[sum(1 << s for s in range(i + 1) if fvals[i - s][c])
                for c in range(Mg)] for i in range(n)]
     packed = _sweep([[[bool(b) for b in col] for col in row] for row in bmat],
-                    by_step(starts, lambda xs: sum(x << n * r
-                                                   for r, x in enumerate(xs))),
+                    [[sum(x << n * r for r, x in
+                          enumerate(row[t * p:(t + 1) * p]))
+                      for t in range(K)] for row in starts],
                     1, [b"\1" * K] * n, _reached, lambda acc, i, t: acc, 0)
     ones = (1 << n) - 1
     reach = [[row[c // p] >> n * (c % p) & ones for c in range(Mg)]
@@ -313,6 +324,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     live = [[bytes(mask >> s & 1 for mask in row) for row in reach]
             for s in range(n)]
     if digits is None:
+        bmat = [[[Fraction(x, dens[q]) for q, x in enumerate(col, 1)]
+                 for col in row] for row in bmat]
         sol = [_sweep(bmat, init, p, live[s], _subtract,
                       lambda acc, i, c: Fraction(acc, p ** i), 0)
                for s, init in enumerate(rhs(fvals))]
@@ -320,36 +333,23 @@ def solve_A_series(L: MumOperator, p: int, M: int,
             p=p, operator=L, basis=basis, order=M, step=g,
             slots=[[PowerSeries(expand(a), M) for a in s] for s in sol])
 
-    vb = [[[_val(b, p) for b in col] for col in row] for row in bmat]
-    vf = [[_val(x, p) for x in f] for f in fvals]
+    # dens[c] = p^e_c d_c, d_c prime to p.  A Fraction F_k[c] with p
+    # in its denominator has a unit numerator, so S_0 = max e_c is
+    # -min vp(F_k[c]) or 0.
+    es = [vp(d, p) for d in dens]
+    units = [d // p ** e for d, e in zip(dens, es)]
+    vb = [[[vp(x, p) - es[q] for q, x in enumerate(col, 1)] for col in row]
+          for row in bmat]
     w = max([0] + [-v for row in vb for col in row for v in col])
-
-    # Both (min, +) sweeps are read only through their minimum over c,
-    # and a (min, +) sweep commutes with min: each runs from its inits
-    # merged by min over the classes, live where any class is.  The
-    # minimum can only fall, so it still bounds.
-    def lowest(mat, init, finish):
-        return min(min(row) for row in _sweep(
-            mat, by_step(init, min), 1, packed, _lowest, finish, _NONE))
-
-    # lower bound on the valuations of every slot; the right-hand side
-    # of a_i in slot s is p^i F_{i-s}
-    floor = lowest(vb, [[i + min(vf[k][c] for k in range(i + 1))
-                         for c in range(Mg)] for i in range(n)],
-                   lambda acc, i, t: acc - i)
     # precision of each X minus R, the digits it can lose negated; an
-    # exact zero loses none
-    kept = lowest([[[v + w for v in col] for col in row] for row in vb],
-                  [[0] * Mg] * n, lambda acc, i, t: acc - i - w)
-    scale = max(0, -floor)
-    mod = p ** (scale - kept + digits)
+    # exact zero loses none.  A step never leaves its residue class mod
+    # p, and (min, +) commutes with min, so the sweep runs once over the
+    # K steps, live where any class is; its minimum still bounds.
+    kept = min(min(row) for row in _sweep(
+        [[[v + w for v in col] for col in row] for row in vb],
+        [[0] * K] * n, 1, packed, _lowest,
+        lambda acc, i, t: acc - i - w, INFINITY))
     div = [p ** (i + w) for i in range(n)]
-    res = iter(_residues_of_rationals(chain.from_iterable(
-        chain.from_iterable(bmat)), p, mod, w))
-    rmat = [[list(islice(res, len(col))) for col in row] for row in bmat]
-    res = iter(_residues_of_rationals(chain.from_iterable(fvals), p, mod,
-                                      scale + w))
-    right = rhs([list(islice(res, Mg)) for _ in range(n)])
 
     # The columns (s, r), slot s and class r, that some unknown reaches,
     # as bits n r + s of the bitmask sweep; each gets a lane of width
@@ -357,24 +357,53 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     anywhere = reduce(or_, chain.from_iterable(packed), 0)
     cols = [(bit % n, bit // n, bit) for bit in range(n * p)
             if anywhere >> bit & 1]
-    width = _lane_bytes(mod, n * K)
-    sol = [[[0] * Mg for _ in range(n)] for _ in range(n)]
 
-    def step(acc, i, t):
-        mask, out = packed[i][t], []
-        for (s, r, bit), lane in zip(cols, _lanes(acc, len(cols), width)):
-            c = t * p + r
-            if c >= Mg or not mask >> bit & 1:
-                out.append(0)
-                continue
-            q, rem = divmod((right[s][i][c] - lane) % mod, div[i])
-            if rem:     # the valuation floor was unsound
-                raise PrecisionExhausted(i, c * g)
-            sol[s][i][c] = q
-            out.append(q)
-        return _packed(out, width)
+    def ring(scale):
+        # the slots with every unknown carried as X = p^scale a mod p^R
+        mod = p ** (scale - kept + digits)
+        inv = _inverses(units, mod)
 
-    _sweep(rmat, [[0] * K] * n, 1, packed, _accumulate, step, 0)
+        def residue(x, c, shift):
+            # x / dens[c] times p^shift mod p^R, p-integral
+            s = shift - es[c]
+            if s < 0:
+                return x // p ** -s % mod * inv[c] % mod
+            return x % mod * (p ** s * inv[c] % mod) % mod
+
+        rmat = [[[residue(x, q, w) for q, x in enumerate(col, 1)]
+                 for col in row] for row in bmat]
+        right = rhs([[residue(x.numerator * (dens[c] // x.denominator), c,
+                              scale + w) for c, x in enumerate(f)]
+                     for f in fvals])
+        width = _lane_bytes(mod, n * K)
+        sol = [[[0] * Mg for _ in range(n)] for _ in range(n)]
+
+        def step(acc, i, t):
+            mask, out = packed[i][t], []
+            for (s, r, bit), lane in zip(cols, _lanes(acc, len(cols), width)):
+                c = t * p + r
+                if c >= Mg or not mask >> bit & 1:
+                    out.append(0)
+                    continue
+                num = (right[s][i][c] - lane) % mod
+                q, rem = divmod(num, div[i])
+                if rem:
+                    raise _ShortScale(i + w - vp(num, p))
+                sol[s][i][c] = q
+                out.append(q)
+            return _packed(out, width)
+
+        _sweep(rmat, [[0] * K] * n, 1, packed, _accumulate, step, 0)
+        return sol
+
+    # S_0, raised until the ring's divisions certify it (see above)
+    scale = max(es)
+    while True:
+        try:
+            sol = ring(scale)
+            break
+        except _ShortScale as short:
+            scale += short.args[0]
     keep = p ** (scale + digits)
     return FrobeniusDecomposition(
         p=p, operator=L, basis=basis, order=M, digits=digits, scale=scale,
@@ -384,21 +413,28 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         step=g)
 
 
-def _frobenius_matrix(fvals: list, p: int, g: int) -> list:
-    """mat[i][j][q-1] = B_ij[q g p] for 1 <= q, q p < len(fvals[0]), from
-    the lattice values fvals[k][c] = [t^(c g)] F_k of an operator in t^g.
+def _frobenius_matrix(fvals: list, p: int, g: int) -> tuple:
+    """(dens, mat), integers: dens[c] is the lcm of the denominators of
+    the lattice values fvals[k][c] = [t^(c g)] F_k of an operator in t^g,
+    and mat[i][j][q-1] = B_ij[q g p] dens[q] for 1 <= q, q p <
+    len(fvals[0]).
 
     B_ij lives in degrees divisible by p: (theta^r F)[d] = d^r F[d], so
     B_ij[d p] combines the F_k[d], and for an operator in t^g only the
     degrees d = q g carry a term.  In lattice units B steps by p, and
     the theta-weights keep the true degree: B_ij[q g p] = p^j sum_m
-    C(j,m) (q g)^(j-m) F_{i-m}[q g]."""
+    C(j,m) (q g)^(j-m) F_{i-m}[q g], each F_k[q g] taken over dens[q]."""
     n = len(fvals)
+    dens = [math.lcm(*(f[c].denominator for f in fvals))
+            for c in range(len(fvals[0]))]
     top = (len(fvals[0]) - 1) // p
-    return [[[p ** j * sum(math.comb(j, m) * (q * g) ** (j - m)
-                           * fvals[i - m][q] for m in range(min(i, j) + 1))
-              for q in range(1, top + 1)]
-             for j in range(n)] for i in range(n)]
+    ints = [[f[q].numerator * (dens[q] // f[q].denominator)
+             for q in range(1, top + 1)] for f in fvals]
+    return dens, [[[p ** j * sum(math.comb(j, m) * (q * g) ** (j - m)
+                                 * ints[i - m][q - 1]
+                                 for m in range(min(i, j) + 1))
+                    for q in range(1, top + 1)]
+                   for j in range(n)] for i in range(n)]
 
 
 def _alpha_linear(values: Sequence, alphas: Sequence):

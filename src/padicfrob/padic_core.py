@@ -73,11 +73,8 @@ def _residue_of_rational(q: RationalLike, p: int, modulus: int,
 def _residues_of_rationals(qs: Iterable[RationalLike], p: int, modulus: int,
                            shift: int = 0) -> list[int]:
     """[q p^shift modulo ``modulus`` for q in qs], modulus a power of p;
-    ValueError unless every q p^shift is p-integral.
-
-    The p-free parts d_k of the denominators share one modular inverse
-    (Montgomery's trick): with P_k = d_0 ... d_k, 1/d_k = P_(k-1) / P_k,
-    and 1/P_(k-1) = d_k / P_k walks the products back from 1/P_last."""
+    ValueError unless every q p^shift is p-integral.  The p-free parts
+    of the denominators share one modular inverse (_inverses)."""
     nums, dens = [], []
     for q in qs:
         num, den, s = q.numerator, q.denominator, shift
@@ -91,14 +88,23 @@ def _residues_of_rationals(qs: Iterable[RationalLike], p: int, modulus: int,
             s = 0
         nums.append(num * p ** s)
         dens.append(den)
+    return [num % modulus * inv % modulus
+            for num, inv in zip(nums, _inverses(dens, modulus))]
+
+
+def _inverses(ds: Sequence[int], modulus: int) -> list[int]:
+    """[1/d modulo ``modulus`` for d in ds], every d a unit, from one
+    modular inverse (Montgomery's trick): with P_k = d_0 ... d_k,
+    1/d_k = P_(k-1) / P_k, and 1/P_(k-1) = d_k / P_k walks the products
+    back from 1/P_last."""
     prods = [1]
-    for den in dens:
-        prods.append(prods[-1] * den % modulus)
+    for d in ds:
+        prods.append(prods[-1] * d % modulus)
     inv = pow(prods[-1], -1, modulus)
-    out = [0] * len(nums)
-    for k in range(len(nums) - 1, -1, -1):
-        out[k] = nums[k] % modulus * inv * prods[k] % modulus
-        inv = inv * dens[k] % modulus
+    out = [0] * len(ds)
+    for k in range(len(ds) - 1, -1, -1):
+        out[k] = inv * prods[k] % modulus
+        inv = inv * ds[k] % modulus
     return out
 
 
@@ -728,18 +734,20 @@ def solve_affine_congruences(system: CongruenceSystem) -> CongruenceSolution:
             first.append(idx)
     d = []
     for r in range(min(len(A), k)):
-        v, i0, j0 = E, None, None
+        # an entry that p^v divides, 0 included, cannot beat v
+        v, pv, i0, j0 = E, mod, None, None
         for i in range(r, len(A)):
+            row = A[i]
             for j in range(r, k):
-                if A[i][j] and vp(A[i][j], p) < v:
-                    v, i0, j0 = vp(A[i][j], p), i, j
+                if row[j] % pv:
+                    v = vp(row[j], p)
+                    pv, i0, j0 = p ** v, i, j
         if i0 is None:
             break
         for xs in (A, b, first):
             xs[r], xs[i0] = xs[i0], xs[r]
         for row in A[r:] + M:
             row[r], row[j0] = row[j0], row[r]
-        pv = p ** v
         inv = pow(A[r][r] // pv, -1, mod)
         pivot = [x * inv % mod for x in A[r]]
         b[r] = b[r] * inv % mod

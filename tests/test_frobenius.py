@@ -607,11 +607,10 @@ LANE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("L,p,M,digits", LANE_CASES)
-def test_fixed_precision_lanes_match_exact(L, p, M, digits):
-    exact = solve_A_series(L, p, M)
-    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=digits)
-    n = L.order
+def _assert_slots_agree(fixed, exact, M, digits):
+    # every slot coefficient agrees with the exact one mod p^digits, and
+    # exactly the exact zeros are off the support
+    n = exact.n
     for k in range(n):
         for j in range(n):
             for m in range(M):
@@ -622,13 +621,69 @@ def test_fixed_precision_lanes_match_exact(L, p, M, digits):
                     assert got == 0 and not isinstance(got, PadicNum)
                 else:
                     assert got.agrees(want, digits), (k, j, m)
+
+
+@pytest.mark.parametrize("L,p,M,digits", LANE_CASES)
+def test_fixed_precision_lanes_match_exact(L, p, M, digits):
+    exact = solve_A_series(L, p, M)
+    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=digits)
+    _assert_slots_agree(fixed, exact, M, digits)
     if L == KNOWN_HYPEROCT_OPERATORS[4]:
         assert not any(row[m] for slot in fixed.support for row in slot
                        for m in range(1, M, 2))
 
 
+def _first_scale(L, p, M):
+    """S_0 = max(0, -min vp(F_k[c])) over k < n and c < M, the scale the
+    fixed-precision solve starts from."""
+    fs = standard_basis(L, M).fs[:L.order]
+    return max([0] + [-vp(f.known(c), p) for f in fs for c in range(M)
+                      if f.known(c)])
+
+
+@pytest.mark.parametrize("L,p,M", [
+    (MumOperator([[0, -2], [0, 3], [1, -1]]), p, 39) for p in (3, 5, 7, 11)
+] + [
+    (MumOperator([[], [0, 1], [1, -1]]), 3, 5),
+    (MumOperator([[0, -9], [0, -15], [0, -7], [1, -1]]), 3, 15),
+])
+def test_scale_certificate_raises_a_short_start(L, p, M):
+    # the slots reach below the valuations of the F_k, so S_0 leaves a
+    # remainder in the ring's divisions and the solve reruns, each time
+    # at the scale one slot coefficient needs: it ends at the least scale
+    # that makes every slot p-integral, and agrees with the exact slots
+    exact = solve_A_series(L, p, M)
+    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=6)
+    n = L.order
+    least = min(vp(exact.slot(k, j, m), p) for k in range(n)
+                for j in range(n) for m in range(M) if exact.slot(k, j, m))
+    assert fixed.scale == -least > _first_scale(L, p, M)
+    _assert_slots_agree(fixed, exact, M, 6)
+
+
+@pytest.mark.parametrize("L,p,M,scale", [
+    (KNOWN_HYPEROCT_OPERATORS[4], 7, 695, 9),
+    (KNOWN_HYPEROCT_OPERATORS[4], 7, 272, 6),
+    (simplicial_operator(4), 7, 695, None),
+    (simplicial_operator(4), 7, 272, None),
+    # the benchmark's sweep jobs
+    (simplicial_operator(4), 31, 620, None),
+    (simplicial_operator(5), 13, 390, None),
+    (KNOWN_HYPEROCT_OPERATORS[5], 11, 330, None),
+    (simplicial_operator(4), 7, 280, None),
+    (simplicial_operator(3), 5, 250, None),
+    (KNOWN_HYPEROCT_OPERATORS[4], 7, 280, None),
+])
+def test_scale_certificate_passes_at_the_start(L, p, M, scale):
+    # at the families the ring's divisions certify S_0 on the first run
+    dec = solve_A_series(L, p, M, digits=N_CLI)
+    assert dec.scale == _first_scale(L, p, M)
+    assert scale is None or dec.scale == scale
+
+
 @pytest.mark.parametrize("mod,terms", [
-    (7 ** 74, 4 * 50),      # deep-solve: n = 4, K = 50 at M = 700
+    (7 ** 62, 4 * 50),      # deep-solve: n = 4, K = 50 at M = 700
+    (7 ** 74, 4 * 50),      # the same under a looser scale
     (11 ** 30, 7 * 40),     # n = 7 with K past 2^8 / 7
     (7, 4 * 64),            # terms a power of two
     (5 ** 3, 1),            # K = 1: no products at all

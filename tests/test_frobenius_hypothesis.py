@@ -141,14 +141,21 @@ def _frobenius_matrix_all_q(fvals, p, M):
 
 def _same_frobenius_matrix(L, p, M):
     # the build on the lattice of g = L.step is the every-q build at the
-    # multiples of g, and the every-q build is zero at every other q
+    # multiples of g, and the every-q build is zero at every other q.  The
+    # build is integer numerators over one denominator per lattice
+    # degree, the lcm of that degree's F denominators.
     g = L.step or M
     fvals = [[f.known(c) for c in range(M)]
              for f in standard_basis(L, M).fs]
     every = _frobenius_matrix_all_q(fvals, p, M)
     assert not any(b for row in every for col in row
                    for q, b in enumerate(col, start=1) if q % g)
-    assert frobenius._frobenius_matrix([f[::g] for f in fvals], p, g) == \
+    lattice = [f[::g] for f in fvals]
+    dens, nums = frobenius._frobenius_matrix(lattice, p, g)
+    assert dens == [math.lcm(*(f[c].denominator for f in lattice))
+                    for c in range(len(lattice[0]))]
+    assert [[[Fraction(x, dens[q]) for q, x in enumerate(col, 1)]
+             for col in row] for row in nums] == \
         [[col[g - 1::g] for col in row] for row in every]
 
 
