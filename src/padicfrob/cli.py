@@ -281,12 +281,12 @@ def _family_job(args):
 def _decide(consume, L, p: int, M: int, digits: int):
     """consume(dec) on the fixed-precision solve at ``digits``.  Where
     those digits fall short of the exact answer (PrecisionExhausted),
-    on the exact solve, which answers or raises as it always did."""
-    dec = solve_A_series(L, p, M, digits=digits)
+    on the exact solve, which builds its own exact basis and answers or
+    raises as it always did."""
     try:
-        return consume(dec)
+        return consume(solve_A_series(L, p, M, digits=digits))
     except PrecisionExhausted:
-        return consume(solve_A_series(L, p, M, basis=dec.basis))
+        return consume(solve_A_series(L, p, M))
 
 
 def _integrality(family: str, n: int, p: int, M: int, N: int,

@@ -13,18 +13,23 @@ of A_j.  One traversal, _sweep, walks the recursion, with a ring fold
 for the solve, a bitmask fold for its support and a (min, +) fold for
 its loss bound, over only the t-degrees divisible by the operator's
 step g (MumOperator.step), where every series lives.  The matrix B is
-built once, as integers over one denominator per degree.  The slot
-series are solved in one of two modes (solve_A_series):
+built once, by one formula over the values of the F_k (_combine).  The
+slot series are solved in one of two modes (solve_A_series):
 
 - exact, over Q: the oracle, and the mode the defining identity
-  (verify_frobenius_property) and nonuniqueness_witness need;
+  (verify_frobenius_property) and nonuniqueness_witness need.  It reads
+  the exact standard basis, and B as integers over one denominator per
+  degree;
 - fixed precision, over Z/p^R: every coefficient known mod p^digits.
-  The (min, +) sweep bounds how many digits the recursion can lose.
-  The scale S that makes every coefficient p-integral is certified by
-  the ring's own exact divisions, which leave a remainder wherever S
-  falls short, and coefficients off the support stay exact zeros.  All
-  slots and residue classes are solved in one sweep, each unknown an
-  integer with one lane per (slot, class) column.
+  The F_k come as residues mod p^P, in integers only (residue_basis),
+  and B from them; the exact basis is built only where a residue 0
+  leaves open whether a value is an exact zero.  The (min, +) sweep
+  bounds how many digits the recursion can lose.  The scale S that
+  makes every coefficient p-integral is certified by the ring's own
+  exact divisions, which leave a remainder wherever S falls short, and
+  coefficients off the support stay exact zeros.  All slots and residue
+  classes are solved in one sweep, each unknown an integer with one lane
+  per (slot, class) column.
 
 Two conditions on the constants are checked against these series:
 integrality of the coefficients (check_integrality), which leaves the
@@ -49,13 +54,18 @@ from itertools import chain, compress
 from operator import add, mul, or_
 from typing import Sequence
 
-from .mum import MumOperator, StandardBasis, apply_operator, standard_basis
+from .mum import (
+    MumOperator,
+    StandardBasis,
+    apply_operator,
+    residue_basis,
+    standard_basis,
+)
 from .padic_core import (
     INFINITY,
     BadPrime,
     CongruenceSystem,
     PadicNum,
-    _inverses,
     _reduced_condition,
     is_prime,
     require_odd_prime,
@@ -104,11 +114,15 @@ class FrobeniusDecomposition:
     either mode.  At fixed precision _stored_reading, the reader of
     check_integrality and check_analytic, and the rows of recover_alpha
     read the stored integers and the support directly.
+
+    basis is the exact standard basis of an exact decomposition.  A
+    fixed-precision one solves from residues of the F_k and carries only
+    the basis it was given, else None.
     """
 
     p: int
     operator: MumOperator
-    basis: StandardBasis
+    basis: StandardBasis | None
     slots: list
     order: int
     digits: int | None = None
@@ -142,6 +156,14 @@ class FrobeniusDecomposition:
         v = vp(x, self.p)
         return PadicNum(self.p, val=v - self.scale,
                         unit=x // self._pows[v], prec=self.digits)
+
+
+# digits of X_k the first fixed-precision basis build holds beyond the
+# slot digits: a guess at what the ring needs on top of them, S + S_b -
+# w plus its loss bound, which is 1 to 48 over the families at n <= 8,
+# p <= 31, M <= min(100 p, 800) (39 at hyperoctahedral n = 4, p = 7,
+# M = 700); a short guess costs one more build
+BASIS_HEADROOM = 64
 
 
 class _ShortScale(Exception):
@@ -223,6 +245,13 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     be L's, known mod t^M.  BadPrime for p not prime, or dividing the
     top coefficient of D = a_n(t), so that D mod p drops degree.
 
+    The exact solve reads the F_k from the basis, standard_basis(L, M)
+    unless given, and the decomposition carries it.  The fixed-precision
+    one builds the F_k mod p^P itself (mum.residue_basis) and carries
+    only a given basis, which it reads for nothing but the zero pattern
+    when the residues leave one open (see below); a caller that needs
+    exact F_k builds them.
+
     The matrix entry multiplying A_j in equation i is
     B_ij = p^j sum_m C(j,m) (theta^(j-m) F_{i-m})(t^p), which reduces
     to p^i delta_ij at t = 0, so each t-order is fixed by dividing by
@@ -231,36 +260,43 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     An operator in t^g, g = L.step (n + 1 simplicial, 2
     hyperoctahedral), has its F_k, B and every slot series in t^g, so
     the solve runs in lattice units: unknown c stands for the t-degree
-    c g, c < ceil(M / g), and B steps by p (_frobenius_matrix).  Only
-    the returned series are expanded to t-degrees, with exact zeros off
-    the multiples of g.  An operator with no t-term has only t^0 live.
-
-    B is built once (_frobenius_matrix), as integer numerators over
-    dens[c], the lcm of the F_k[c] denominators at lattice degree c.
-    The exact solve takes its Fractions from them; the fixed-precision
-    one reads B's valuations and the residues of B and of the
-    right-hand sides from them, with one batch inverse of the p-free
-    parts of the dens (_inverses), and does no Fraction arithmetic.
+    c g, c < ceil(M / g), and B steps by p (_combine).  Only the
+    returned series are expanded to t-degrees, with exact zeros off the
+    multiples of g.  An operator with no t-term has only t^0 live.
 
     Every pass is a _sweep over B with its own fold.  A bitmask sweep
     marks the coefficients a term of each slot reaches; the rest are
-    exact zeros in both modes.  Exact, a ring sweep per slot solves over
-    Q.  At fixed precision the solve is over Z/p^R: B is scaled by p^w,
-    w = -min vp(B), so it is p-integral, and each unknown a is carried
-    as X = p^S a.  A step is then integer multiply-adds, one reduction
-    mod p^R and an exact division by p^(i+w).  A (min, +) sweep over the
-    valuations of B bounds from above the digits each X loses, through
-    p^(v(B) + w) X_j and the division, which gives R = S + (largest
-    loss) + digits.
+    exact zeros in both modes.  Exact, B is built once as integer
+    numerators over one denominator per degree (_frobenius_matrix), and
+    a ring sweep per slot solves over Q.
 
-    S starts at S_0 = max(0, -min vp(F_k[c])), and the ring's exact
-    divisions certify it.  The numerator of a_i[c] is p^(S+w+i) a_i[c],
-    and while every earlier division was exact the loss bound keeps it
-    known to at least S + digits + i + w > i + w digits.  So if p^S a_i[c]
-    is not p-integral, its division by p^(i+w) leaves a remainder, and
-    the first one in the sweep shows how far S falls short there,
-    (i + w) - vp(numerator).  The ring then reruns with S raised by that
-    much, until no division leaves a remainder.
+    At fixed precision the solve is over Z/p^R.  The basis comes as
+    X_k[c] = p^S_b F_k[c] mod p^P, S_b = max(0, -min vp(F_k[c])), and B
+    as Y = p^S_b B, both integers; B is scaled by p^w, w = -min vp(B),
+    so it is p-integral, and each unknown a is carried as X = p^S a.  A
+    step is then integer multiply-adds, one reduction mod p^R and an
+    exact division by p^(i+w).  A (min, +) sweep over the valuations of
+    B bounds from above the digits each X loses, through p^(v(B) + w) X_j
+    and the division, which gives R = S + (largest loss) + digits.  The
+    ring reads B p^w = Y / p^(S_b - w) mod p^R, so it needs the X_k mod
+    p^(R + S_b - w).  Those digits are known only with B's valuations,
+    so the first build takes a guess (BASIS_HEADROOM), and the basis is
+    built again when R needs more.
+
+    A nonzero residue proves an F_k or B value nonzero, with its exact
+    valuation.  A reached value whose residue reads 0 cannot be told
+    from an exact cancellation; only then the zero pattern and B's
+    valuations come from the exact basis, so that the support is
+    exactly where the exact slots are nonzero.
+
+    S starts at S_b and the ring's exact divisions certify it.  The
+    numerator of a_i[c] is p^(S+w+i) a_i[c], and while every earlier
+    division was exact the loss bound keeps it known to at least S +
+    digits + i + w > i + w digits.  So if p^S a_i[c] is not p-integral,
+    its division by p^(i+w) leaves a remainder, and the first one in the
+    sweep shows how far S falls short there, (i + w) - vp(numerator).
+    The ring then reruns with S raised by that much, until no division
+    leaves a remainder.
 
     The fixed-precision ring is one sweep over the K = ceil(M / (g p))
     steps, as the static sweeps are.  At step t an unknown is one
@@ -280,18 +316,22 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         raise InsufficientOrder("need t-order at least 1")
     if digits is not None and digits < 1:
         raise ValueError("need digits >= 1")
-    n, g = L.order, L.step or M
-    if basis is None:
-        basis = standard_basis(L, M)
-    elif basis.operator != L:
+    if basis is not None and basis.operator != L:
         raise ValueError("basis is of another operator")
-    elif basis.order < M:
+    if basis is not None and basis.order < M:
         raise InsufficientOrder("basis known mod t^%d, need t^%d"
                                 % (basis.order, M))
+    n, g = L.order, L.step or M
     # the lattice degrees c < Mg stand for the t-degrees c g < M
     Mg = -(-M // g)
-    fvals = [[f.known(c) for c in range(0, M, g)] for f in basis.fs[:n]]
-    dens, bmat = _frobenius_matrix(fvals, p, g)
+    # A step of the recursion never leaves its residue class c mod p.
+    # The static sweeps therefore walk the K steps once, with the values
+    # of the classes at step t merged into one.
+    K = -(-Mg // p)
+
+    def exact_values(sb, count):
+        # the F_k of an exact basis at the lattice degrees c < count
+        return [[f.known(c * g) for c in range(count)] for f in sb.fs[:n]]
 
     def rhs(fv):
         # rhs[s][i][c]: slot s, equation i is p^i F_{i-s}
@@ -304,26 +344,30 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         full[::g] = xs
         return full
 
-    # A step of the recursion never leaves its residue class c mod p.
-    # The static sweeps therefore walk the K steps once, with the values
-    # of the classes at step t merged into one.
-    K = -(-Mg // p)
+    def reached(fpat, bpat):
+        # bit s of reach[i][c]: a term of slot s reaches a_i[c], from the
+        # zero patterns (truth values) of the F_k and of B; the sweep
+        # carries each class in its own n-bit lane, as OR works lane by
+        # lane.  Returns the packed sweep and the per-slot support.
+        starts = [[sum(1 << s for s in range(i + 1) if fpat[i - s][c])
+                   for c in range(Mg)] for i in range(n)]
+        packed = _sweep(
+            [[[bool(b) for b in col] for col in row] for row in bpat],
+            [[sum(x << n * r for r, x in enumerate(row[t * p:(t + 1) * p]))
+              for t in range(K)] for row in starts],
+            1, [b"\1" * K] * n, _reached, lambda acc, i, t: acc, 0)
+        ones = (1 << n) - 1
+        reach = [[row[c // p] >> n * (c % p) & ones for c in range(Mg)]
+                 for row in packed]
+        return packed, [[bytes(mask >> s & 1 for mask in row)
+                         for row in reach] for s in range(n)]
 
-    # bit s of reach[i][c]: a term of slot s reaches a_i[c]; the sweep
-    # carries each class in its own n-bit lane, as OR works lane by lane
-    starts = [[sum(1 << s for s in range(i + 1) if fvals[i - s][c])
-               for c in range(Mg)] for i in range(n)]
-    packed = _sweep([[[bool(b) for b in col] for col in row] for row in bmat],
-                    [[sum(x << n * r for r, x in
-                          enumerate(row[t * p:(t + 1) * p]))
-                      for t in range(K)] for row in starts],
-                    1, [b"\1" * K] * n, _reached, lambda acc, i, t: acc, 0)
-    ones = (1 << n) - 1
-    reach = [[row[c // p] >> n * (c % p) & ones for c in range(Mg)]
-             for row in packed]
-    live = [[bytes(mask >> s & 1 for mask in row) for row in reach]
-            for s in range(n)]
     if digits is None:
+        if basis is None:
+            basis = standard_basis(L, M)
+        fvals = exact_values(basis, Mg)
+        dens, bmat = _frobenius_matrix(fvals, p, g)
+        _, live = reached(fvals, bmat)
         bmat = [[[Fraction(x, dens[q]) for q, x in enumerate(col, 1)]
                  for col in row] for row in bmat]
         sol = [_sweep(bmat, init, p, live[s], _subtract,
@@ -333,13 +377,40 @@ def solve_A_series(L: MumOperator, p: int, M: int,
             p=p, operator=L, basis=basis, order=M, step=g,
             slots=[[PowerSeries(expand(a), M) for a in s] for s in sol])
 
-    # dens[c] = p^e_c d_c, d_c prime to p.  A Fraction F_k[c] with p
-    # in its denominator has a unit numerator, so S_0 = max e_c is
-    # -min vp(F_k[c]) or 0.
-    es = [vp(d, p) for d in dens]
-    units = [d // p ** e for d, e in zip(dens, es)]
-    vb = [[[vp(x, p) - es[q] for q, x in enumerate(col, 1)] for col in row]
-          for row in bmat]
+    top = (Mg - 1) // p
+
+    def build(known):
+        # (S_b, X_k, Y = p^S_b B, reached), integers reduced mod p^known
+        sb, xs, hit = residue_basis(L, M, p, known)
+        keep = p ** known
+        ys = [[[y % keep for y in col] for col in row]
+              for row in _combine(xs, p, g, top)]
+        return sb, xs, ys, hit
+
+    held = digits + BASIS_HEADROOM
+    scale_b, xs, ys, hit = build(held)
+    fpat = xs
+    vb = [[[vp(y, p) - scale_b for y in col] for col in row] for row in ys]
+    # A reached F_k[c] whose residue reads 0, or such a B_ij[q] over a
+    # reached F_k[q], may be an exact cancellation.  B_ij[q] is a
+    # positive combination of the F_{i-m}[q], m <= min(i, j), so
+    # _combine on the reached pattern is nonzero where any term is.
+    maybe = _combine([[int(h) for h in row] for row in hit], p, g, top)
+    unsure = [c for hrow, xrow in zip(hit, xs)
+              for c, (h, x) in enumerate(zip(hrow, xrow)) if h and not x] + \
+        [q for mrow, yrow in zip(maybe, ys) for mcol, ycol in zip(mrow, yrow)
+         for q, (m, y) in enumerate(zip(mcol, ycol), 1) if m and not y]
+    if unsure:
+        # the exact F_k below the first lattice degree past those values
+        # (at the families, F_{n-1}[g] = 0 for odd n) decide them
+        low = max(unsure) + 1
+        fx = exact_values(basis or standard_basis(L, low * g), low)
+        fpat = [f + x[low:] for f, x in zip(fx, xs)]
+        for row, exact in zip(vb, _combine(fx, p, g, min(top, low - 1))):
+            for col, bs in zip(row, exact):
+                col[:len(bs)] = [vp(b, p) for b in bs]
+    packed, live = reached(fpat, [[[v < INFINITY for v in col] for col in row]
+                                  for row in vb])
     w = max([0] + [-v for row in vb for col in row for v in col])
     # precision of each X minus R, the digits it can lose negated; an
     # exact zero loses none.  A step never leaves its residue class mod
@@ -360,21 +431,15 @@ def solve_A_series(L: MumOperator, p: int, M: int,
 
     def ring(scale):
         # the slots with every unknown carried as X = p^scale a mod p^R
+        nonlocal held, xs, ys
         mod = p ** (scale - kept + digits)
-        inv = _inverses(units, mod)
-
-        def residue(x, c, shift):
-            # x / dens[c] times p^shift mod p^R, p-integral
-            s = shift - es[c]
-            if s < 0:
-                return x // p ** -s % mod * inv[c] % mod
-            return x % mod * (p ** s * inv[c] % mod) % mod
-
-        rmat = [[[residue(x, q, w) for q, x in enumerate(col, 1)]
-                 for col in row] for row in bmat]
-        right = rhs([[residue(x.numerator * (dens[c] // x.denominator), c,
-                              scale + w) for c, x in enumerate(f)]
-                     for f in fvals])
+        if held < scale - kept + digits + scale_b - w:
+            held = scale - kept + digits + scale_b - w
+            _, xs, ys, _ = build(held)
+        shift, lift = p ** (scale_b - w), p ** (scale + w - scale_b)
+        rmat = [[[y // shift % mod for y in col] for col in row]
+                for row in ys]
+        right = rhs([[x * lift % mod for x in row] for row in xs])
         width = _lane_bytes(mod, n * K)
         sol = [[[0] * Mg for _ in range(n)] for _ in range(n)]
 
@@ -396,8 +461,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         _sweep(rmat, [[0] * K] * n, 1, packed, _accumulate, step, 0)
         return sol
 
-    # S_0, raised until the ring's divisions certify it (see above)
-    scale = max(es)
+    # S_b, raised until the ring's divisions certify it (see above)
+    scale = scale_b
     while True:
         try:
             sol = ring(scale)
@@ -415,26 +480,32 @@ def solve_A_series(L: MumOperator, p: int, M: int,
 
 def _frobenius_matrix(fvals: list, p: int, g: int) -> tuple:
     """(dens, mat), integers: dens[c] is the lcm of the denominators of
-    the lattice values fvals[k][c] = [t^(c g)] F_k of an operator in t^g,
-    and mat[i][j][q-1] = B_ij[q g p] dens[q] for 1 <= q, q p <
-    len(fvals[0]).
-
-    B_ij lives in degrees divisible by p: (theta^r F)[d] = d^r F[d], so
-    B_ij[d p] combines the F_k[d], and for an operator in t^g only the
-    degrees d = q g carry a term.  In lattice units B steps by p, and
-    the theta-weights keep the true degree: B_ij[q g p] = p^j sum_m
-    C(j,m) (q g)^(j-m) F_{i-m}[q g], each F_k[q g] taken over dens[q]."""
-    n = len(fvals)
+    the exact lattice values fvals[k][c] = [t^(c g)] F_k of an operator
+    in t^g, and mat[i][j][q-1] = B_ij[q g p] dens[q] for 1 <= q, q p <
+    len(fvals[0]), by _combine on the numerators over dens."""
     dens = [math.lcm(*(f[c].denominator for f in fvals))
             for c in range(len(fvals[0]))]
     top = (len(fvals[0]) - 1) // p
     ints = [[f[q].numerator * (dens[q] // f[q].denominator)
-             for q in range(1, top + 1)] for f in fvals]
-    return dens, [[[p ** j * sum(math.comb(j, m) * (q * g) ** (j - m)
-                                 * ints[i - m][q - 1]
-                                 for m in range(min(i, j) + 1))
-                    for q in range(1, top + 1)]
-                   for j in range(n)] for i in range(n)]
+             for q in range(top + 1)] for f in fvals]
+    return dens, _combine(ints, p, g, top)
+
+
+def _combine(tables: list, p: int, g: int, top: int) -> list:
+    """mat[i][j][q-1] = p^j sum_m C(j,m) (q g)^(j-m) tables[i-m][q] for
+    1 <= q <= top, in the ring of the table values: B_ij[q g p] when
+    tables[k][q] = [t^(q g)] F_k.
+
+    B_ij lives in degrees divisible by p: (theta^r F)[d] = d^r F[d], so
+    B_ij[d p] combines the F_k[d], and for an operator in t^g only the
+    degrees d = q g carry a term.  In lattice units B steps by p, and
+    the theta-weights keep the true degree."""
+    n = len(tables)
+    return [[[p ** j * sum(math.comb(j, m) * (q * g) ** (j - m)
+                           * tables[i - m][q]
+                           for m in range(min(i, j) + 1))
+              for q in range(1, top + 1)]
+             for j in range(n)] for i in range(n)]
 
 
 def _alpha_linear(values: Sequence, alphas: Sequence):

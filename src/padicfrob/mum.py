@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .padic_core import _echelon_mod
+from .padic_core import INFINITY, _echelon_mod, _inverses, vp
 from .qseries import LogSeries, PowerSeries
 
 
@@ -209,6 +209,31 @@ class StandardBasis:
         return LogSeries(slots)
 
 
+def _basis_reads(L: MumOperator, M: int) -> tuple:
+    """(d0, g, terms) for the recursion of standard_basis and
+    residue_basis: d0 = a_n(0), g = L.step (M when L has no t-term),
+    and terms[r] = [(d / g, [P_rd(x) for x = 0, g, 2g, ... < M])] over
+    every nonzero P_rd but P_00.  ValueError for M < 1, NotMUM unless L
+    is MUM-normalized."""
+    if M < 1:
+        raise ValueError("M must be positive")
+    n = L.order
+    if not L.is_mum_normalized():
+        raise NotMUM("need a_i(0) = 0 for i < n and a_n(0) != 0")
+    g = L.step or M
+    terms = []
+    for r in range(n):
+        row = []
+        for d in range(L.degree + 1):
+            poly = [math.comb(i + r, r) * (a[d] if d < len(a) else 0)
+                    for i, a in enumerate(L.coeffs[r:])]
+            if any(poly) and (r, d) != (0, 0):
+                row.append((d // g, [_horner(poly, x)
+                                     for x in range(0, M, g)]))
+        terms.append(row)
+    return L.coeffs[n][0], g, terms
+
+
 def standard_basis(L: MumOperator, M: int) -> StandardBasis:
     """Solve L(F_m) = -sum_{r=1..m} L^(r)(F_{m-r}) order by order, with
     L^(r) = sum_j C(j,r) a_j theta^(j-r).
@@ -220,30 +245,13 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
 
     Each f_c is summed as integer numerators over the lcm of the
     denominators it reads and reduced once, by the one Fraction it
-    becomes; the values P_rd(x) are tabulated up front.  An operator in
-    t^g (g = L.step) has its F_m in t^g too (every d above is a multiple
-    of g), so only the coefficients at multiples of g are computed; the
-    others are exact zeros.
+    becomes; the values P_rd(x) are tabulated up front (_basis_reads).
+    An operator in t^g (g = L.step) has its F_m in t^g too (every d
+    above is a multiple of g), so only the coefficients at multiples of
+    g are computed; the others are exact zeros.
     """
-    if M < 1:
-        raise ValueError("M must be positive")
+    d0, g, terms = _basis_reads(L, M)
     n = L.order
-    if not L.is_mum_normalized():
-        raise NotMUM("need a_i(0) = 0 for i < n and a_n(0) != 0")
-    d0 = L.coeffs[n][0]
-    g = L.step or M
-    # terms[r]: (d / g, [P_rd(x) for x = 0, g, 2g, ... < M]) for every
-    # nonzero P_rd but P_00
-    terms = []
-    for r in range(n):
-        row = []
-        for d in range(L.degree + 1):
-            poly = [math.comb(i + r, r) * (a[d] if d < len(a) else 0)
-                    for i, a in enumerate(L.coeffs[r:])]
-            if any(poly) and (r, d) != (0, 0):
-                row.append((d // g, [_horner(poly, x)
-                                     for x in range(0, M, g)]))
-        terms.append(row)
     fs = []
     # numerators and denominators of the f_m at c = 0, g, 2g, ..., read
     # without Fraction's properties
@@ -269,6 +277,86 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
         nums.append(fn)
         dens.append(fd)
     return StandardBasis(operator=L, fs=fs, order=M)
+
+
+def residue_basis(L: MumOperator, M: int, p: int, digits: int) -> tuple:
+    """(scale, xs, reached): the F_m of standard_basis mod p^digits, in
+    integers only.  xs[m][c] = p^scale [t^(c g)] F_m mod p^digits for
+    m < n and the lattice degrees c < ceil(M / g), g = L.step, with
+    scale = max(0, -min vp(F_m[c])), the least that makes every F_m[c]
+    p-integral; reached[m][c] is False where no term of the recursion
+    reaches F_m[c], an exact zero.  p is a prime.
+
+    The recursion is that of standard_basis, carried mod p^P.  Its
+    division by d0 (c g)^n = p^v_c u_c is an exact division by p^v_c
+    and a product with 1/u_c mod p^P (one batch inverse, _inverses).
+    Each division can cost v_c digits, and a read P_rd(x) X gives back
+    up to vp(P_rd(x)) of those its X lost.  A (max, +) pass over the
+    reads bounds the digits lost, and P = that bound + digits keeps
+    every X known mod p^digits.
+
+    The divisions also certify the scale, which starts at 0.  The
+    numerator of X_m[c] is p^v_c u_c X_m[c], known to more than v_c
+    digits, so where p^scale F_m[c] is not p-integral it leaves a
+    remainder, and vp(numerator) says by how much scale falls short.
+    Every X so far is then multiplied by p^(shortfall) mod p^P, which is
+    the residue a run at the raised scale gives, and the recursion goes
+    on from there.
+    """
+    d0, g, terms = _basis_reads(L, M)
+    if digits < 1:
+        raise ValueError("need digits >= 1")
+    n, Mg = L.order, -(-M // g)
+    # v_c and u_c of the divisions, c >= 1
+    vs, units = [0], [1]
+    for c in range(1, Mg):
+        x = d0 * (c * g) ** n
+        vs.append(vp(x, p))
+        units.append(x // p ** vs[-1])
+    divs = [p ** v for v in vs]
+
+    def reads(tables, row, m, factors):
+        # (table read, d, factors[x]) for every read of F_m, whose own
+        # table is row
+        return [(tables[m - r] if r else row, d, fs)
+                for r in range(m + 1) for d, fs in factors[r]]
+
+    # lost[m][c]: digits X_m[c] can lose, -INFINITY where no term
+    # reaches F_m[c]; a read P_rd(x) = 0 has gain INFINITY
+    gains = [[(d, [vp(v, p) if v % p == 0 else 0 for v in vals])
+              for d, vals in row] for row in terms]
+    lost = []
+    for m in range(n):
+        row = [0 if m == 0 else -INFINITY]
+        plan = reads(lost, row, m, gains)
+        for c in range(1, Mg):
+            worst = max([src[c - d] - gain[c - d] for src, d, gain in plan
+                         if d <= c], default=-INFINITY)
+            row.append(worst if worst == -INFINITY
+                       else vs[c] + max(worst, 0))
+        lost.append(row)
+    mod = p ** (max(max(row) for row in lost) + digits)
+    inv = _inverses(units, mod)
+    scale, xs = 0, []
+    for m in range(n):
+        row = [int(m == 0)]
+        plan = reads(xs, row, m, terms)
+        for c in range(1, Mg):
+            num = -sum([vals[c - d] * src[c - d] for src, d, vals in plan
+                        if d <= c]) % mod
+            q, rem = divmod(num, divs[c])
+            if rem:
+                short = vs[c] - vp(num, p)
+                scale += short
+                lift = p ** short
+                for done in xs + [row]:
+                    done[:] = [x * lift % mod for x in done]
+                q = num * lift % mod // divs[c]
+            row.append(q * inv[c] % mod)
+        xs.append(row)
+    keep = p ** digits
+    return (scale, [[x % keep for x in row] for row in xs],
+            [[v > -INFINITY for v in row] for row in lost])
 
 
 def _horner(poly: list, x: int) -> int:

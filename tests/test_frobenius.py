@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -679,6 +680,89 @@ def test_scale_certificate_passes_at_the_start(L, p, M, scale):
     dec = solve_A_series(L, p, M, digits=N_CLI)
     assert dec.scale == _first_scale(L, p, M)
     assert scale is None or dec.scale == scale
+
+
+def _stored(dec):
+    """What a fixed-precision decomposition stores."""
+    return (dec.scale, dec.support,
+            [[series.coeffs for series in row] for row in dec.slots])
+
+
+def test_fixed_precision_builds_no_exact_basis(monkeypatch):
+    # the F_k come as residues mod p^P, in integers only: no module of
+    # the package constructs a Fraction or calls standard_basis, and the
+    # decomposition carries no exact basis
+    made, called = [], []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    def counted_basis(*args):
+        called.append(args)
+        return standard_basis(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "padicfrob":
+            for attr, stand_in in (("Fraction", Counted),
+                                   ("standard_basis", counted_basis)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, stand_in)
+    L = KNOWN_HYPEROCT_OPERATORS[4]
+    fixed = solve_A_series(L, 7, 280, digits=N_CLI)
+    assert (made, called, fixed.basis) == ([], [], None)
+    # the counters count: the exact solve builds the exact basis
+    solve_A_series(L, 7, 28)
+    assert made and called == [(L, 28)]
+
+
+@pytest.mark.parametrize("L,p,M,low", [
+    # F_2[t^4] = 0 for simplicial n = 3, though reached, and B_20[t^28]
+    # is that value: the exact basis mod t^8 decides both
+    (simplicial_operator(3), 7, 70, 8),
+    # B_11[t^5] = 5 (F_1[t] + F_0[t]) = 0 over F_0[t] = -1, F_1[t] = 1
+    (MumOperator([[0, 1], [0, 1], [1, 1]]), 5, 30, 2),
+])
+def test_exact_cancellations_take_the_exact_zero_pattern(L, p, M, low,
+                                                         monkeypatch):
+    # a reached F or B value whose residue reads 0 is taken from the
+    # exact basis, known only below the degree past it, or from a given
+    # basis; the support is then exactly where the exact slots are
+    # nonzero
+    called = []
+    monkeypatch.setattr(frobenius, "standard_basis",
+                        lambda L, M: called.append(M) or standard_basis(L, M))
+    fixed = solve_A_series(L, p, M, digits=6)
+    assert called == [low]
+    exact = solve_A_series(L, p, M)
+    _assert_slots_agree(fixed, exact, M, 6)
+    given = solve_A_series(L, p, M, basis=exact.basis, digits=6)
+    assert called == [low, M]
+    assert _stored(given) == _stored(fixed)
+    assert given.basis is exact.basis
+
+
+@pytest.mark.parametrize("L,p,M", [
+    (KNOWN_HYPEROCT_OPERATORS[4], 7, 140),
+    # the ring reruns at a raised scale and needs more digits again
+    (MumOperator([[0, -2], [0, 3], [1, -1]]), 5, 39),
+])
+def test_a_short_basis_build_is_built_again(L, p, M, monkeypatch):
+    # with no headroom the first build holds only the slot digits, short
+    # of what the ring reads; the basis is built again to more digits,
+    # and the solve stores what it stores with headroom
+    want = solve_A_series(L, p, M, digits=6)
+    builds = []
+    build = frobenius.residue_basis
+    monkeypatch.setattr(frobenius, "residue_basis",
+                        lambda *args: builds.append(args[3:])
+                        or build(*args))
+    monkeypatch.setattr(frobenius, "BASIS_HEADROOM", 0)
+    got = solve_A_series(L, p, M, digits=6)
+    assert _stored(got) == _stored(want)
+    assert builds[0] == (6,) and len(builds) >= 2
+    assert all(known > 6 for known, in builds[1:])
 
 
 @pytest.mark.parametrize("mod,terms", [

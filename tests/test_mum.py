@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicfrob import mum
+from padicfrob import cli, mum
 from padicfrob.mum import (
     GUESS_MODULI,
     KNOWN_HYPEROCT_OPERATORS,
@@ -19,9 +19,11 @@ from padicfrob.mum import (
     guess_operator,
     period_series_hyperoctahedral,
     period_series_simplicial,
+    residue_basis,
     simplicial_operator,
     standard_basis,
 )
+from padicfrob.padic_core import vp
 from padicfrob.qseries import LogSeries, PowerSeries
 
 from combinatorics import operator_from_json
@@ -163,6 +165,73 @@ class TestStandardBasis:
         theta = MumOperator([[0], [1]])
         t = PowerSeries.identity(6)
         assert apply_operator(theta, t) == t
+
+
+# both families at n = 2..5 and p in {5, 7, 11, 13}, M = 10 p; the
+# operators whose slots need more than the basis scale (see
+# test_frobenius.test_scale_certificate_raises_a_short_start)
+RESIDUE_CASES = [
+    (FAMILY.operator(n), p, 10 * p)
+    for FAMILY in cli.FAMILIES.values() for n in range(2, 6)
+    for p in (5, 7, 11, 13) if p > FAMILY.bound(n)
+] + [(MumOperator([[0, -2], [0, 3], [1, -1]]), p, 39) for p in (3, 5, 7, 11)
+     ] + [
+    (MumOperator([[], [0, 1], [1, -1]]), 3, 5),
+    (MumOperator([[0, -9], [0, -15], [0, -7], [1, -1]]), 3, 15),
+]
+
+
+def _residues_of(L, M, p, digits):
+    """(S_b, X, nonzero) from the exact basis: S_b = max(0, -min
+    vp(F_k[c])), X[k][c] = p^S_b [t^(c g)] F_k mod p^digits, nonzero[k][c]
+    whether that coefficient is."""
+    g = L.step or M
+    fs = [[f.known(c) for c in range(0, M, g)]
+          for f in standard_basis(L, M).fs[:L.order]]
+    scale = max(0, -min(vp(x, p) for f in fs for x in f if x))
+    mod = p ** digits
+    xs = [[(x * p ** scale).numerator
+           * pow((x * p ** scale).denominator, -1, mod) % mod for x in f]
+          for f in fs]
+    return scale, xs, [[x != 0 for x in f] for f in fs]
+
+
+class TestResidueBasis:
+    @pytest.mark.parametrize("L,p,M", RESIDUE_CASES)
+    def test_agrees_with_the_exact_basis(self, L, p, M):
+        # every X_k[c] is the exact one mod p^digits, at the least scale,
+        # and every nonzero coefficient is reached
+        scale, xs, nonzero = _residues_of(L, M, p, 20)
+        got, got_xs, reached = residue_basis(L, M, p, 20)
+        assert (got, got_xs) == (scale, xs)
+        assert all(r or not z for rrow, zrow in zip(reached, nonzero)
+                   for r, z in zip(rrow, zrow))
+
+    def test_the_divisions_raise_a_short_scale(self):
+        # the run starts at scale 0, and the divisions raise it to the
+        # least one, 6 here, with every residue as at that scale
+        L, p, M = KNOWN_HYPEROCT_OPERATORS[4], 7, 140
+        scale, xs, _ = residue_basis(L, M, p, 12)
+        assert (scale, xs) == _residues_of(L, M, p, 12)[:2]
+        assert scale == 6
+
+    def test_exact_cancellations_stay_reached(self):
+        # F_2[t^4] of simplicial n = 3 is reached by nonzero terms that
+        # cancel: the residue reads 0 and the pattern says reached
+        L, p, M = simplicial_operator(3), 7, 40
+        _, xs, reached = residue_basis(L, M, p, 12)
+        assert standard_basis(L, M).fs[2].known(4) == 0
+        assert reached[2][1] and xs[2][1] == 0
+        assert not any(reached[k][0] for k in range(1, 3))
+
+    def test_rejects_what_standard_basis_rejects(self):
+        with pytest.raises(NotMUM):
+            residue_basis(MumOperator([[1], [0, 1], [1]]), 5, 7, 3)
+        with pytest.raises(ValueError):
+            residue_basis(simplicial_operator(2), 0, 7, 3)
+        # no digit to certify the scale with
+        with pytest.raises(ValueError):
+            residue_basis(simplicial_operator(2), 5, 7, 0)
 
 
 class TestGuessing:
