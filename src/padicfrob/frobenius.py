@@ -45,8 +45,12 @@ short of the exact mode.
 from __future__ import annotations
 
 import json
+import marshal
 import math
+import os
+import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -58,6 +62,7 @@ from .mum import (
     MumOperator,
     StandardBasis,
     apply_operator,
+    require_good_prime,
     residue_basis,
     standard_basis,
 )
@@ -67,7 +72,6 @@ from .padic_core import (
     CongruenceSystem,
     PadicNum,
     _reduced_condition,
-    is_prime,
     require_odd_prime,
     solve_affine_congruences,
     vp,
@@ -228,6 +232,98 @@ def _packed(lanes: Sequence[int], width: int) -> int:
                                    for x in lanes), "little")
 
 
+# fold work, n^2 K (K - 1) / 2 products times the bytes of a packed
+# unknown, from which the ring runs its columns in two processes.  A
+# fork, pipe and marshal round trip costs about 4 ms.  The two-process
+# solve took, as a share of the one-process one (Python 3.11, 2 vCPUs):
+# 1.10 at hyperoctahedral n = 4, p = 7, M = 280 (2.7M units), 0.98 at
+# n = 5, p = 11, M = 330 (5.6M), and 0.78 to 0.84 at n = 4, p = 7,
+# M = 665 to 700 (21M to 25M)
+TWO_CORE_WORK = 8_000_000
+
+
+def _spare_core() -> bool:
+    """Whether a forked child can run beside this process: os.fork
+    exists, the affinity mask holds two CPUs, and no other Python thread
+    runs, as a fork copies only the calling thread."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None
+                                   and threading.active_count() > 1):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _groups(cols: list, work: int) -> list:
+    """The ring's columns (slot, class, bit) as one group, or, where the
+    fold's work reaches TWO_CORE_WORK and a core is spare, as two groups
+    of whole slots with about equal lane counts."""
+    if work < TWO_CORE_WORK or not _spare_core():
+        return [cols]
+    lanes = Counter(s for s, _, _ in cols)
+    loads, sides = [0, 0], [set(), set()]
+    for s, count in lanes.most_common():
+        side = loads.index(min(loads))
+        loads[side] += count
+        sides[side].add(s)
+    if not sides[1]:
+        return [cols]
+    return [[col for col in cols if col[0] in side] for side in sides]
+
+
+def _run_groups(run, groups: list) -> list:
+    """[run(group) for group in groups], a second group run in a forked
+    child so that the two share two cores.
+
+    The child sends its result back through a pipe with marshal, or the
+    shortfall of its _ShortScale, and leaves by os._exit; a _ShortScale
+    of either group is raised with the larger shortfall.  The scale each
+    coefficient needs does not depend on the groups, so the reruns end at
+    the one-group S.  A child that fails otherwise, or cannot be forked,
+    leaves its group to this process, where a failure raises with its own
+    type.  The child is always waited for."""
+    if len(groups) == 1:
+        return [run(groups[0])]
+
+    def settle(group):
+        try:
+            return True, run(group)
+        except _ShortScale as short:
+            return False, short.args[0]
+
+    first, second = groups
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                pipe.write(marshal.dumps(settle(second)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    data, status = b"", None
+    try:
+        with open(rfd, "rb") as pipe:
+            replies = [settle(first)]
+            if pid is not None:
+                data = pipe.read()
+    finally:
+        if pid is not None:
+            status = os.waitpid(pid, 0)[1]
+    replies.append(marshal.loads(data) if status == 0 else settle(second))
+    short = [value for done, value in replies if not done]
+    if short:
+        raise _ShortScale(max(short))
+    return [value for _, value in replies]
+
+
 def _reached(acc, nonzero, x):
     return acc | reduce(or_, compress(x, nonzero), 0)
 
@@ -242,8 +338,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     """Solve the log-free part of A(y_i(t^p)) = p^i sum alpha_k y_{i-k}
     for every alpha-slot mod t^M: exactly over Q when digits is None,
     else with every coefficient known mod p^digits.  A given basis must
-    be L's, known mod t^M.  BadPrime for p not prime, or dividing the
-    top coefficient of D = a_n(t), so that D mod p drops degree.
+    be L's, known mod t^M.  BadPrime for p not a prime of good reduction
+    (mum.require_good_prime).
 
     The exact solve reads the F_k from the basis, standard_basis(L, M)
     unless given, and the decomposition carries it.  The fixed-precision
@@ -307,11 +403,13 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     n (K - 1) products below p^(2R).  The step unpacks the lanes
     (_lanes), and each live one becomes (p^i F - lane mod p^R) / p^(i+w),
     a dead one 0, before they are packed again (_packed).
+
+    The columns are independent problems that share B.  Where the fold
+    is large (TWO_CORE_WORK), they run as two groups of whole slots, the
+    second in a forked child (_groups, _run_groups), each sweep's
+    unknowns holding only its group's lanes; otherwise as one group.
     """
-    if not is_prime(p):
-        raise BadPrime("p = %d is not a prime" % p)
-    if L.leading()[-1] % p == 0:
-        raise BadPrime("p = %d divides the top coefficient of a_n(t)" % p)
+    require_good_prime(L, p)
     if M < 1:
         raise InsufficientOrder("need t-order at least 1")
     if digits is not None and digits < 1:
@@ -441,24 +539,40 @@ def solve_A_series(L: MumOperator, p: int, M: int,
                 for row in ys]
         right = rhs([[x * lift % mod for x in row] for row in xs])
         width = _lane_bytes(mod, n * K)
+
+        def run(group):
+            # the rows of the slots in group, from a sweep whose unknowns
+            # hold only the group's lanes
+            bits = sum(1 << bit for _, _, bit in group)
+            sol = {s: [[0] * Mg for _ in range(n)]
+                   for s in {s for s, _, _ in group}}
+
+            def step(acc, i, t):
+                mask, out = packed[i][t], []
+                for (s, r, bit), lane in zip(group,
+                                             _lanes(acc, len(group), width)):
+                    c = t * p + r
+                    if c >= Mg or not mask >> bit & 1:
+                        out.append(0)
+                        continue
+                    num = (right[s][i][c] - lane) % mod
+                    q, rem = divmod(num, div[i])
+                    if rem:
+                        raise _ShortScale(i + w - vp(num, p))
+                    sol[s][i][c] = q
+                    out.append(q)
+                return _packed(out, width)
+
+            _sweep(rmat, [[0] * K] * n, 1,
+                   [[mask & bits for mask in row] for row in packed],
+                   _accumulate, step, 0)
+            return sol
+
         sol = [[[0] * Mg for _ in range(n)] for _ in range(n)]
-
-        def step(acc, i, t):
-            mask, out = packed[i][t], []
-            for (s, r, bit), lane in zip(cols, _lanes(acc, len(cols), width)):
-                c = t * p + r
-                if c >= Mg or not mask >> bit & 1:
-                    out.append(0)
-                    continue
-                num = (right[s][i][c] - lane) % mod
-                q, rem = divmod(num, div[i])
-                if rem:
-                    raise _ShortScale(i + w - vp(num, p))
-                sol[s][i][c] = q
-                out.append(q)
-            return _packed(out, width)
-
-        _sweep(rmat, [[0] * K] * n, 1, packed, _accumulate, step, 0)
+        work = n * n * K * (K - 1) // 2 * len(cols) * width
+        for part in _run_groups(run, _groups(cols, work)):
+            for s, rows in part.items():
+                sol[s] = rows
         return sol
 
     # S_b, raised until the ring's divisions certify it (see above)

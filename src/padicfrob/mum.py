@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .padic_core import INFINITY, _echelon_mod, _inverses, vp
+from .padic_core import (
+    INFINITY,
+    BadPrime,
+    _echelon_mod,
+    _inverses,
+    is_prime,
+    vp,
+)
 from .qseries import LogSeries, PowerSeries
 
 
@@ -279,13 +286,24 @@ def standard_basis(L: MumOperator, M: int) -> StandardBasis:
     return StandardBasis(operator=L, fs=fs, order=M)
 
 
+def require_good_prime(L: MumOperator, p: int):
+    """Raise BadPrime unless p is a prime of good reduction for L: p
+    must not divide the top coefficient of D = a_n(t), so that D mod p
+    keeps its degree."""
+    if not is_prime(p):
+        raise BadPrime("p = %d is not a prime" % p)
+    if L.leading()[-1] % p == 0:
+        raise BadPrime("p = %d divides the top coefficient of a_n(t)" % p)
+
+
 def residue_basis(L: MumOperator, M: int, p: int, digits: int) -> tuple:
     """(scale, xs, reached): the F_m of standard_basis mod p^digits, in
     integers only.  xs[m][c] = p^scale [t^(c g)] F_m mod p^digits for
     m < n and the lattice degrees c < ceil(M / g), g = L.step, with
     scale = max(0, -min vp(F_m[c])), the least that makes every F_m[c]
     p-integral; reached[m][c] is False where no term of the recursion
-    reaches F_m[c], an exact zero.  p is a prime.
+    reaches F_m[c], an exact zero.  BadPrime for p not a prime of good
+    reduction (require_good_prime).
 
     The recursion is that of standard_basis, carried mod p^P.  Its
     division by d0 (c g)^n = p^v_c u_c is an exact division by p^v_c
@@ -303,6 +321,7 @@ def residue_basis(L: MumOperator, M: int, p: int, digits: int) -> tuple:
     the residue a run at the raised scale gives, and the recursion goes
     on from there.
     """
+    require_good_prime(L, p)
     d0, g, terms = _basis_reads(L, M)
     if digits < 1:
         raise ValueError("need digits >= 1")

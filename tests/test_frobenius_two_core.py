@@ -1,0 +1,190 @@
+"""The fixed-precision ring split across two processes (frobenius._groups,
+frobenius._run_groups): two groups give the decomposition one group
+gives, no child process outlives a solve, and only a large fold forks."""
+
+import os
+import threading
+
+import pytest
+
+from padicfrob import cli, frobenius
+from padicfrob.frobenius import solve_A_series
+from padicfrob.mum import KNOWN_HYPEROCT_OPERATORS, MumOperator
+
+from test_frobenius import _assert_slots_agree, _stored
+
+DIGITS = 6
+ONE_GROUP = float("inf")    # a TWO_CORE_WORK no fold reaches
+
+# The ring's _ShortScale rerun: both groups fall short at scale S_b, by
+# 2 and 1 digits at p = 3, and at p = 5 group 0 falls short again after
+# the first rerun.
+RERUN = MumOperator([[0, -9], [0, -15], [0, -7], [1, -1]])
+
+SPLIT_CASES = [
+    (family.operator(n), p, 10 * p, 1)
+    for family in cli.FAMILIES.values() for n in range(3, 6)
+    for p in (5, 7, 11, 13) if p > family.bound(n)
+] + [(RERUN, 3, 15, 2), (RERUN, 5, 40, 3)]
+
+# the benchmark's jobs with no deep solve, each at the top of its
+# t-order range, where the fold is largest
+SMALL_JOBS = [
+    "recover --family simplicial --n 4 --p 31 --format json --t-order 620",
+    "verify --family simplicial --n 5 --p 13 --t-order 390",
+    "recover --family hyperoctahedral --n 5 --p 11 --format json "
+    "--t-order 330",
+    "verify --family simplicial --n 4 --p 7 --perturb alpha1 --t-order 280",
+    "recover --family simplicial --n 3 --p 5 --format json --t-order 250",
+    "verify --family hyperoctahedral --n 4 --p 7 --format table "
+    "--t-order 280",
+    "alpha --family hyperoctahedral --jmax 9 --p 31 --precision 48 "
+    "--format json",
+    "alpha --family hyperoctahedral --jmax 5 --p 7 --precision 12 "
+    "--format json",
+    "guess --family hyperoctahedral --n 5 --format json",
+    "selftest --format json --seed 0",
+]
+# the deep-solve job at the bottom of its t-order range
+DEEP_JOB = "verify --family hyperoctahedral --n 4 --p 7 --t-order 665"
+
+
+class Injected(Exception):
+    pass
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _solve(monkeypatch, gate, L, p, M):
+    monkeypatch.setattr(frobenius, "TWO_CORE_WORK", gate)
+    return solve_A_series(L, p, M, digits=DIGITS)
+
+
+def _record_forks(monkeypatch):
+    """os.fork replaced by one that records each call and raises OSError,
+    so that every group runs in this process."""
+    forks = []
+
+    def refuse():
+        forks.append(os.getpid())
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    return forks
+
+
+@pytest.mark.parametrize("L,p,M,runs", SPLIT_CASES)
+def test_two_groups_solve_as_one(L, p, M, runs, monkeypatch):
+    # the same scale, slots and support as one group, and the exact-Q
+    # solve's coefficients; a rerun at a raised scale runs both groups
+    # again and ends at the one-group scale
+    one = _solve(monkeypatch, ONE_GROUP, L, p, M)
+    sizes = []
+    run_groups = frobenius._run_groups
+    monkeypatch.setattr(frobenius, "_run_groups", lambda run, groups:
+                        sizes.append(len(groups)) or run_groups(run, groups))
+    two = _solve(monkeypatch, 0, L, p, M)
+    _assert_no_child()
+    assert sizes == [2] * runs
+    assert _stored(two) == _stored(one)
+    _assert_slots_agree(two, solve_A_series(L, p, M), M, DIGITS)
+
+
+@pytest.mark.parametrize("rerun_fails", [False, True])
+def test_a_failing_child_leaves_its_group_here(rerun_fails, monkeypatch):
+    # the child's ring sweep raises; its group runs again in this process,
+    # which gives the one-group result, or raises the child's exception
+    # type where it fails here too
+    L, p, M = KNOWN_HYPEROCT_OPERATORS[4], 7, 70
+    want = _stored(_solve(monkeypatch, ONE_GROUP, L, p, M))
+    here, calls = os.getpid(), []
+    sweep = frobenius._sweep
+
+    def failing(mat, init, stride, live, fold, finish, zero):
+        if fold is frobenius._accumulate:
+            calls.append(os.getpid())
+            if os.getpid() != here or (rerun_fails and len(calls) > 1):
+                raise Injected
+        return sweep(mat, init, stride, live, fold, finish, zero)
+
+    monkeypatch.setattr(frobenius, "_sweep", failing)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(here) or fork())
+    if rerun_fails:
+        with pytest.raises(Injected):
+            _solve(monkeypatch, 0, L, p, M)
+    else:
+        assert _stored(_solve(monkeypatch, 0, L, p, M)) == want
+    _assert_no_child()
+    # group 0, then group 1 again here: the child ran, and failed
+    assert forks == [here]
+    assert calls == [here, here]
+
+
+def test_a_refused_fork_runs_both_groups_here(monkeypatch):
+    L, p, M = KNOWN_HYPEROCT_OPERATORS[4], 7, 70
+    want = _stored(_solve(monkeypatch, ONE_GROUP, L, p, M))
+    forks = _record_forks(monkeypatch)
+    assert _stored(_solve(monkeypatch, 0, L, p, M)) == want
+    assert forks == [os.getpid()]
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("job", SMALL_JOBS)
+def test_small_jobs_never_fork(job, monkeypatch, capsys):
+    # every sweep and constants job, and the full selftest, stays below
+    # TWO_CORE_WORK
+    forks = _record_forks(monkeypatch)
+    cli.main(job.split())
+    capsys.readouterr()
+    assert forks == []
+
+
+def test_the_deep_solve_forks(monkeypatch, capsys):
+    forks = _record_forks(monkeypatch)
+    assert cli.main(DEEP_JOB.split()) == 0
+    capsys.readouterr()
+    assert forks == [os.getpid()]
+
+
+@pytest.fixture
+def second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _one_cpu(monkeypatch, request):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+
+
+def _no_fork(monkeypatch, request):
+    monkeypatch.delattr(os, "fork", raising=False)
+
+
+def _thread_alive(monkeypatch, request):
+    request.getfixturevalue("second_thread")
+
+
+@pytest.mark.parametrize("no_spare_core", [_one_cpu, _no_fork,
+                                           _thread_alive])
+def test_no_spare_core_never_forks(no_spare_core, monkeypatch, request):
+    # a fold past the gate runs as one group where a child could not run
+    # beside this process
+    L, p, M = KNOWN_HYPEROCT_OPERATORS[4], 7, 70
+    want = _stored(_solve(monkeypatch, ONE_GROUP, L, p, M))
+    forks = _record_forks(monkeypatch)
+    no_spare_core(monkeypatch, request)
+    assert _stored(_solve(monkeypatch, 0, L, p, M)) == want
+    assert forks == []
+    _assert_no_child()

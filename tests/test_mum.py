@@ -23,7 +23,7 @@ from padicfrob.mum import (
     simplicial_operator,
     standard_basis,
 )
-from padicfrob.padic_core import vp
+from padicfrob.padic_core import BadPrime, vp
 from padicfrob.qseries import LogSeries, PowerSeries
 
 from combinatorics import operator_from_json
@@ -232,6 +232,14 @@ class TestResidueBasis:
         # no digit to certify the scale with
         with pytest.raises(ValueError):
             residue_basis(simplicial_operator(2), 5, 7, 0)
+
+    @pytest.mark.parametrize("p,why", [(5, "top coefficient"),
+                                       (9, "not a prime"),
+                                       (1, "not a prime")])
+    def test_refuses_what_solve_A_series_refuses(self, p, why):
+        # D = 1 - 3125 t^5 has bad reduction at 5; 9 and 1 are not primes
+        with pytest.raises(BadPrime, match=why):
+            residue_basis(simplicial_operator(4), 30, p, 6)
 
 
 class TestGuessing:
