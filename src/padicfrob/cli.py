@@ -376,7 +376,7 @@ def _series_from_file(path: str):
         if not payload["series"]:
             raise ValueError("the list is empty")
         coeffs = [Fraction(str(x)) for x in payload["series"]]
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError("operator file needs a 'series' list of "
                          "rationals: %s" % exc)
     n = payload.get("n")

@@ -50,7 +50,6 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
@@ -148,8 +147,15 @@ class FrobeniusDecomposition:
 
         Exact: a Fraction.  Fixed-precision: the exact 0 off the support,
         else a PadicNum known mod p^digits, which is an inexact zero when
-        its residue is 0.
+        its residue is 0.  InsufficientOrder for m >= order, ValueError
+        for m < 0 or k, j outside 0..n-1.
         """
+        if m >= self.order:
+            raise InsufficientOrder("t^%d is past the t-order %d"
+                                    % (m, self.order))
+        if m < 0 or not (0 <= k < self.n and 0 <= j < self.n):
+            raise ValueError("no coefficient (k, j, m) = (%d, %d, %d)"
+                             % (k, j, m))
         x = self.slots[k][j].known(m)
         if self.digits is None:
             return Fraction(x)
@@ -255,73 +261,38 @@ def _spare_core() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _groups(cols: list, work: int) -> list:
-    """The ring's columns (slot, class, bit) as one group, or, where the
-    fold's work reaches TWO_CORE_WORK and a core is spare, as two groups
-    of whole slots with about equal lane counts."""
-    if work < TWO_CORE_WORK or not _spare_core():
-        return [cols]
-    lanes = Counter(s for s, _, _ in cols)
-    loads, sides = [0, 0], [set(), set()]
-    for s, count in lanes.most_common():
-        side = loads.index(min(loads))
-        loads[side] += count
-        sides[side].add(s)
-    if not sides[1]:
-        return [cols]
-    return [[col for col in cols if col[0] in side] for side in sides]
+def _fork_map(run, groups: list) -> list:
+    """[run(group) for group in groups] for two groups, the second run in
+    a forked child so that the two share two cores.
 
-
-def _run_groups(run, groups: list) -> list:
-    """[run(group) for group in groups], a second group run in a forked
-    child so that the two share two cores.
-
-    The child sends its result back through a pipe with marshal, or the
-    shortfall of its _ShortScale, and leaves by os._exit; a _ShortScale
-    of either group is raised with the larger shortfall.  The scale each
-    coefficient needs does not depend on the groups, so the reruns end at
-    the one-group S.  A child that fails otherwise, or cannot be forked,
-    leaves its group to this process, where a failure raises with its own
-    type.  The child is always waited for."""
-    if len(groups) == 1:
-        return [run(groups[0])]
-
-    def settle(group):
-        try:
-            return True, run(group)
-        except _ShortScale as short:
-            return False, short.args[0]
-
+    The child sends its result back through a pipe with marshal and
+    leaves by os._exit.  A child that fails, or cannot be forked, leaves
+    its group to this process, where a failure raises with its own type.
+    The child is always waited for."""
     first, second = groups
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        pid = None
+        os.close(rfd)
+        os.close(wfd)
+        return [run(first), run(second)]
     if pid == 0:
-        code = 1
         try:
             os.close(rfd)
             with open(wfd, "wb") as pipe:
-                pipe.write(marshal.dumps(settle(second)))
-            code = 0
+                pipe.write(marshal.dumps(run(second)))
+            os._exit(0)
         finally:
-            os._exit(code)
+            os._exit(1)
     os.close(wfd)
-    data, status = b"", None
     try:
         with open(rfd, "rb") as pipe:
-            replies = [settle(first)]
-            if pid is not None:
-                data = pipe.read()
+            done = run(first)
+            data = pipe.read()
     finally:
-        if pid is not None:
-            status = os.waitpid(pid, 0)[1]
-    replies.append(marshal.loads(data) if status == 0 else settle(second))
-    short = [value for done, value in replies if not done]
-    if short:
-        raise _ShortScale(max(short))
-    return [value for _, value in replies]
+        status = os.waitpid(pid, 0)[1]
+    return [done, marshal.loads(data) if status == 0 else run(second)]
 
 
 def _reached(acc, nonzero, x):
@@ -405,9 +376,11 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     a dead one 0, before they are packed again (_packed).
 
     The columns are independent problems that share B.  Where the fold
-    is large (TWO_CORE_WORK), they run as two groups of whole slots, the
-    second in a forked child (_groups, _run_groups), each sweep's
-    unknowns holding only its group's lanes; otherwise as one group.
+    is large (TWO_CORE_WORK), they run as two halves, the second in a
+    forked child (_fork_map); otherwise as one group.  Each group's
+    sweep holds only its own lanes and certifies its own scale S_g.  The
+    scale each coefficient needs does not depend on the split, so a
+    group's X times p^(S - S_g), S = max S_g, is the run at S.
     """
     require_good_prime(L, p)
     if M < 1:
@@ -527,30 +500,30 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     cols = [(bit % n, bit // n, bit) for bit in range(n * p)
             if anywhere >> bit & 1]
 
-    def ring(scale):
-        # the slots with every unknown carried as X = p^scale a mod p^R
+    def ring(group):
+        # (S_g, {(s, r): n rows of K steps}): the group's columns from a
+        # sweep whose unknowns hold only its lanes, each carried as X =
+        # p^S_g a mod p^R, S_g raised from S_b until every division is
+        # exact (see above); the rows hold X mod p^(S_g + digits)
         nonlocal held, xs, ys
-        mod = p ** (scale - kept + digits)
-        if held < scale - kept + digits + scale_b - w:
-            held = scale - kept + digits + scale_b - w
-            _, xs, ys, _ = build(held)
-        shift, lift = p ** (scale_b - w), p ** (scale + w - scale_b)
-        rmat = [[[y // shift % mod for y in col] for col in row]
-                for row in ys]
-        right = rhs([[x * lift % mod for x in row] for row in xs])
-        width = _lane_bytes(mod, n * K)
-
-        def run(group):
-            # the rows of the slots in group, from a sweep whose unknowns
-            # hold only the group's lanes
-            bits = sum(1 << bit for _, _, bit in group)
-            sol = {s: [[0] * Mg for _ in range(n)]
-                   for s in {s for s, _, _ in group}}
+        bits = sum(1 << bit for _, _, bit in group)
+        scale = scale_b
+        while True:
+            mod, keep = p ** (scale - kept + digits), p ** (scale + digits)
+            if held < scale - kept + digits + scale_b - w:
+                held = scale - kept + digits + scale_b - w
+                _, xs, ys, _ = build(held)
+            shift, lift = p ** (scale_b - w), p ** (scale + w - scale_b)
+            rmat = [[[y // shift % mod for y in col] for col in row]
+                    for row in ys]
+            right = rhs([[x * lift % mod for x in row] for row in xs])
+            width = _lane_bytes(mod, n * K)
+            rows = [[[0] * K for _ in range(n)] for _ in group]
 
             def step(acc, i, t):
                 mask, out = packed[i][t], []
-                for (s, r, bit), lane in zip(group,
-                                             _lanes(acc, len(group), width)):
+                for (s, r, bit), lane, table in zip(
+                        group, _lanes(acc, len(group), width), rows):
                     c = t * p + r
                     if c >= Mg or not mask >> bit & 1:
                         out.append(0)
@@ -559,35 +532,37 @@ def solve_A_series(L: MumOperator, p: int, M: int,
                     q, rem = divmod(num, div[i])
                     if rem:
                         raise _ShortScale(i + w - vp(num, p))
-                    sol[s][i][c] = q
+                    table[i][t] = q % keep
                     out.append(q)
                 return _packed(out, width)
 
-            _sweep(rmat, [[0] * K] * n, 1,
-                   [[mask & bits for mask in row] for row in packed],
-                   _accumulate, step, 0)
-            return sol
+            try:
+                _sweep(rmat, [[0] * K] * n, 1,
+                       [[mask & bits for mask in row] for row in packed],
+                       _accumulate, step, 0)
+                return scale, {(s, r): table
+                               for (s, r, _), table in zip(group, rows)}
+            except _ShortScale as short:
+                scale += short.args[0]
 
-        sol = [[[0] * Mg for _ in range(n)] for _ in range(n)]
-        work = n * n * K * (K - 1) // 2 * len(cols) * width
-        for part in _run_groups(run, _groups(cols, work)):
-            for s, rows in part.items():
-                sol[s] = rows
-        return sol
-
-    # S_b, raised until the ring's divisions certify it (see above)
-    scale = scale_b
-    while True:
-        try:
-            sol = ring(scale)
-            break
-        except _ShortScale as short:
-            scale += short.args[0]
-    keep = p ** (scale + digits)
+    work = n * n * K * (K - 1) // 2 * len(cols) * _lane_bytes(
+        p ** (scale_b - kept + digits), n * K)
+    half = len(cols) // 2
+    if work >= TWO_CORE_WORK and _spare_core():
+        parts = _fork_map(ring, [cols[:half], cols[half:]])
+    else:
+        parts = [ring(cols)]
+    # a group's X lifted to S = max S_g is the run at S (see above)
+    scale = max(s_g for s_g, _ in parts)
+    sol = [[[0] * (K * p) for _ in range(n)] for _ in range(n)]
+    for s_g, rows in parts:
+        lift = p ** (scale - s_g)
+        for (s, r), table in rows.items():
+            for i, row in enumerate(table):
+                sol[s][i][r::p] = row if lift == 1 else [x * lift for x in row]
     return FrobeniusDecomposition(
         p=p, operator=L, basis=basis, order=M, digits=digits, scale=scale,
-        slots=[[PowerSeries(expand([x % keep for x in a]), M) for a in s]
-               for s in sol],
+        slots=[[PowerSeries(expand(a[:Mg]), M) for a in s] for s in sol],
         support=[[bytes(expand(row)) for row in slot] for slot in live],
         step=g)
 

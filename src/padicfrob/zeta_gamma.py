@@ -485,6 +485,10 @@ def _node_schedule(m: int, p: int, N: int):
         cost = D * p ** s
         if best is None or cost < best[0]:
             best = (cost, D, s)
+        if s == 2:
+            # s is at its floor and does not rise with D, so the cost
+            # D p^2 only grows from here
+            break
     return best[1:]
 
 

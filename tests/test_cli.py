@@ -277,7 +277,7 @@ def test_guess_missing_file_args(capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("n", "2"), ("n", 2.5), ("n", True), ("series", "1234567890" * 4),
-    ("series", [])])
+    ("series", []), ("series", ["1/0"])])
 def test_guess_malformed_operator_file(capsys, tmp_path, field, value):
     payload = {"n": 2, "series": list(range(1, 41))}
     payload[field] = value

@@ -390,6 +390,20 @@ def test_insufficient_order_paths():
         recover_alpha(dec, 11, analytic_digits=1)
 
 
+@pytest.mark.parametrize("digits", [None, 6])
+def test_slot_checks_its_indices(digits):
+    # a coefficient past the t-order is not known; a negative index
+    # would wrap round to the end of a list
+    dec = solve_A_series(simplicial_operator(2), 5, 30, digits=digits)
+    assert dec.slot(1, 1, 29) is not None
+    with pytest.raises(InsufficientOrder):
+        dec.slot(0, 0, 30)
+    for k, j, m in [(0, 0, -3), (-1, 0, 0), (0, -1, 0), (2, 0, 0),
+                    (0, 2, 0)]:
+        with pytest.raises(ValueError):
+            dec.slot(k, j, m)
+
+
 def test_integrality_rejects_wrong_alpha_count():
     # both modes; the fixed readout would otherwise drop an extra exact
     # zero, and both would ignore a missing alpha

@@ -1,6 +1,7 @@
-"""The fixed-precision ring split across two processes (frobenius._groups,
-frobenius._run_groups): two groups give the decomposition one group
-gives, no child process outlives a solve, and only a large fold forks."""
+"""The fixed-precision ring split across two processes (frobenius._fork_map):
+two column halves, each certifying its own scale, give the decomposition
+one group gives, no child process outlives a solve, and only a large
+fold forks."""
 
 import os
 import threading
@@ -16,9 +17,9 @@ from test_frobenius import _assert_slots_agree, _stored
 DIGITS = 6
 ONE_GROUP = float("inf")    # a TWO_CORE_WORK no fold reaches
 
-# The ring's _ShortScale rerun: both groups fall short at scale S_b, by
-# 2 and 1 digits at p = 3, and at p = 5 group 0 falls short again after
-# the first rerun.
+# The ring's _ShortScale rerun: the one-group ring runs its sweep twice
+# at p = 3 and three times at p = 5.  Split in halves, the first half
+# certifies S_b + 2 at both, the second S_b at p = 3 and S_b + 1 at p = 5.
 RERUN = MumOperator([[0, -9], [0, -15], [0, -7], [1, -1]])
 
 SPLIT_CASES = [
@@ -79,16 +80,31 @@ def _record_forks(monkeypatch):
 @pytest.mark.parametrize("L,p,M,runs", SPLIT_CASES)
 def test_two_groups_solve_as_one(L, p, M, runs, monkeypatch):
     # the same scale, slots and support as one group, and the exact-Q
-    # solve's coefficients; a rerun at a raised scale runs both groups
-    # again and ends at the one-group scale
+    # solve's coefficients.  One group sweeps runs times; split, the
+    # halves differ by at most one lane (27 and 28 at hyperoctahedral
+    # n = 5, p = 11) and, where one group reruns, certify different
+    # scales, so the lift to the larger one is exercised.
+    sweeps, fork_map, sweep = [], frobenius._fork_map, frobenius._sweep
+    monkeypatch.setattr(frobenius, "_sweep", lambda mat, init, stride, live,
+                        fold, *rest: sweeps.append(fold)
+                        or sweep(mat, init, stride, live, fold, *rest))
     one = _solve(monkeypatch, ONE_GROUP, L, p, M)
-    sizes = []
-    run_groups = frobenius._run_groups
-    monkeypatch.setattr(frobenius, "_run_groups", lambda run, groups:
-                        sizes.append(len(groups)) or run_groups(run, groups))
+    assert sweeps.count(frobenius._accumulate) == runs
+    calls = []
+
+    def recording(run, groups):
+        parts = fork_map(run, groups)
+        calls.append(([len(group) for group in groups],
+                      [scale for scale, _ in parts]))
+        return parts
+
+    monkeypatch.setattr(frobenius, "_fork_map", recording)
     two = _solve(monkeypatch, 0, L, p, M)
     _assert_no_child()
-    assert sizes == [2] * runs
+    [(sizes, scales)] = calls
+    assert len(sizes) == 2 and max(sizes) - min(sizes) <= 1
+    assert max(scales) == two.scale
+    assert (scales[0] != scales[1]) == (runs > 1)
     assert _stored(two) == _stored(one)
     _assert_slots_agree(two, solve_A_series(L, p, M), M, DIGITS)
 

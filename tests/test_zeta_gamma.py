@@ -27,6 +27,8 @@ from padicfrob.zeta_gamma import (
     zetap_bernoulli,
     zetap_interpolated,
     _gamma_products,
+    _node_scale,
+    _node_schedule,
     _washington,
 )
 
@@ -326,6 +328,16 @@ class TestZetaInterpolated:
             zetap_interpolated(3, 5, 60)
         with pytest.raises(ValueError):
             zetap_interpolated(5, 5, 3)
+
+    def test_node_schedule_stops_where_a_full_scan_agrees(self):
+        # the scan of D stops once the node scale reaches its floor 2;
+        # the cheapest nodes over every D < p-1 are the same
+        for p in (5, 7, 11, 13, 29, 53, 101):
+            for m in range(3, p - 1, 2):
+                for N in (1, 2, 3, 7, 20, 60):
+                    scan = min((D * p ** s, D, s) for D in range(m, p - 1)
+                               for s in [_node_scale(p, D, m, N)])
+                    assert _node_schedule(m, p, N) == scan[1:]
 
 
 class TestLogRatio:
