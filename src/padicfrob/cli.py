@@ -46,6 +46,8 @@ from .expansion import (
 )
 from .frobenius import (
     PrecisionExhausted,
+    _fork_map,
+    _spare_core,
     check_integrality,
     integrality_digits,
     nonuniqueness_witness,
@@ -258,7 +260,10 @@ def _perturb(text: str, alphas: list, p: int) -> str:
     if m.group(2) is None:
         alphas[j - 1] = alphas[j - 1] + 1
         return "alpha_%d shifted by +1" % j
-    value = Fraction(m.group(2))
+    try:
+        value = Fraction(m.group(2))
+    except ZeroDivisionError:
+        raise UsageError("--perturb %s: zero denominator" % text) from None
     alphas[j - 1] = PadicNum.from_exact(value, p)
     return "alpha_%d set to %s" % (j, value)
 
@@ -602,21 +607,39 @@ SELFTEST_CHECKS = [
 ]
 
 
-def cmd_selftest(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    mode = "quick" if args.quick else "full"
-    results = []
-    lines = []
-    failures = 0
-    for name, fn, quick_inputs, full_inputs in SELFTEST_CHECKS:
-        inputs = quick_inputs if args.quick else full_inputs
+def _run_checks(entries, quick: bool, seed: int) -> list:
+    """(ok, detail, elapsed) of each registry entry, in order; a check
+    that raises fails with its exception's type and message."""
+    outcomes = []
+    for _, fn, quick_inputs, full_inputs in entries:
+        inputs = quick_inputs if quick else full_inputs
         start = time.monotonic()
         try:
             ok, detail = fn(**{k: seed if v is SEED else v
                                for k, v in inputs.items()})
         except Exception as exc:
             ok, detail = False, "%s: %s" % (type(exc).__name__, exc)
-        elapsed = time.monotonic() - start
+        outcomes.append((ok, detail, time.monotonic() - start))
+    return outcomes
+
+
+def cmd_selftest(args) -> int:
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    mode = "quick" if args.quick else "full"
+
+    def run(entries):
+        return _run_checks(entries, args.quick, seed)
+
+    # the checks are independent, and the registry's two halves take
+    # about the same time, so they share two cores where a child can run
+    half = len(SELFTEST_CHECKS) // 2
+    halves = [SELFTEST_CHECKS[:half], SELFTEST_CHECKS[half:]]
+    parts = _fork_map(run, halves) if _spare_core() else map(run, halves)
+    results = []
+    lines = []
+    failures = 0
+    for (name, *_), (ok, detail, elapsed) in zip(
+            SELFTEST_CHECKS, [o for part in parts for o in part]):
         results.append({"name": name, "status": "pass" if ok else "fail",
                         "detail": detail})
         if ok:

@@ -263,7 +263,9 @@ def _spare_core() -> bool:
 
 def _fork_map(run, groups: list) -> list:
     """[run(group) for group in groups] for two groups, the second run in
-    a forked child so that the two share two cores.
+    a forked child so that the two share two cores.  Its callers are
+    solve_A_series's ring (column halves) and cli.cmd_selftest (the
+    check registry's halves).
 
     The child sends its result back through a pipe with marshal and
     leaves by os._exit.  A child that fails, or cannot be forked, leaves

@@ -22,6 +22,7 @@ from padicfrob.mum import (
 from padicfrob.padic_core import InconsistentSystem
 
 from combinatorics import operator_from_json
+from test_frobenius_two_core import _assert_no_child, _record_forks
 
 
 def run(capsys, *argv):
@@ -143,6 +144,14 @@ def test_verify_perturb_set_form(capsys):
                        "--perturb", "alpha1=0", "--t-order", "40")
     assert code == 0
     assert json.loads(out)["verdict"] == "integral"
+
+
+def test_verify_perturb_zero_denominator(capsys):
+    code, out, err = run(capsys, "verify", "--family", "simplicial", "--n",
+                         "4", "--p", "7", "--perturb", "alpha1=1/0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --perturb alpha1=1/0: zero denominator\n"
 
 
 def test_verify_bad_prime(capsys):
@@ -369,6 +378,98 @@ def test_selftest_failure_path(capsys, monkeypatch):
         assert payload["failures"] == 1
         assert payload["checks"][1] == {"name": "broken", "status": "fail",
                                         "detail": detail}
+
+
+def _fork_recorded(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid())
+                        or fork())
+    return forks
+
+
+def _no_spare_core(monkeypatch):
+    forks = _fork_recorded(monkeypatch)
+    monkeypatch.setattr(cli, "_spare_core", lambda: False)
+    return forks
+
+
+# how selftest's registry halves run, and the forks each way asks for
+SELFTEST_SPLITS = ((_fork_recorded, 1), (_record_forks, 1),
+                   (_no_spare_core, 0))
+
+
+def _selftest_each_way(capsys, monkeypatch, *argv):
+    """(exit code, stdout, counts) of selftest run each way of
+    SELFTEST_SPLITS, where counts are the lengths of the entry lists
+    this process ran _run_checks on."""
+    outputs = []
+    for split, want_forks in SELFTEST_SPLITS:
+        with monkeypatch.context() as patch:
+            forks, counts = split(patch), []
+            run_checks = cli._run_checks
+            patch.setattr(cli, "_run_checks", lambda entries, *rest:
+                          counts.append(len(entries))
+                          or run_checks(entries, *rest))
+            code, out, _ = run(capsys, "selftest", *argv)
+        _assert_no_child()
+        assert forks == [os.getpid()] * want_forks
+        outputs.append((code, out, counts))
+    return outputs
+
+
+@pytest.mark.parametrize("quick", [[], ["--quick"]])
+def test_selftest_split_gives_the_same_bytes(capsys, monkeypatch, quick):
+    # forked, refused a fork, or with no spare core: the same JSON.  A
+    # forked child runs the second half, so this process runs only the
+    # first; otherwise it runs both halves
+    half = len(cli.SELFTEST_CHECKS) // 2
+    rest = len(cli.SELFTEST_CHECKS) - half
+    (code, out, counts), *others = _selftest_each_way(
+        capsys, monkeypatch, *quick, "--format", "json", "--seed", "7")
+    assert code == 0 and json.loads(out)["failures"] == 0
+    assert counts == [half]
+    assert [(c, o) for c, o, _ in others] == [(code, out)] * 2
+    assert [n for _, _, n in others] == [[half, rest]] * 2
+
+
+def test_selftest_failure_crosses_the_split(capsys, monkeypatch):
+    # a failing entry in the first half and a raising one in the second,
+    # which a forked child runs: the same lines, details and exit code
+    # come back every way
+    def seeded(seed, mode):
+        return seed == 3 and mode == "full", "seed %d, %s" % (seed, mode)
+
+    def fails():
+        return False, "bad value"
+
+    def raises():
+        raise ValueError("boom")
+
+    def seeded_entry(name):
+        return (name, seeded, {"seed": cli.SEED, "mode": "quick"},
+                {"seed": cli.SEED, "mode": "full"})
+
+    monkeypatch.setattr(cli, "SELFTEST_CHECKS", [
+        seeded_entry("seeded"), ("broken", fails, {}, {}),
+        seeded_entry("seeded-again"), ("raising", raises, {}, {})])
+    tables = _selftest_each_way(capsys, monkeypatch, "--seed", "3")
+    for code, out, _ in tables:
+        assert code == 1
+        assert "FAIL broken: bad value (" in out
+        assert "FAIL raising: ValueError: boom (" in out
+        assert out.endswith("2 passed, 2 failed (seed 3, full mode)\n")
+    assert [counts for _, _, counts in tables] == [[2], [2, 2], [2, 2]]
+    outputs = _selftest_each_way(capsys, monkeypatch, "--seed", "3",
+                                 "--format", "json")
+    assert [(code, out) for code, out, _ in outputs] == [outputs[0][:2]] * 3
+    payload = json.loads(outputs[0][1])
+    assert payload["failures"] == 2
+    assert [(c["name"], c["status"], c["detail"])
+            for c in payload["checks"]] == [
+        ("seeded", "pass", "seed 3, full"),
+        ("broken", "fail", "bad value"),
+        ("seeded-again", "pass", "seed 3, full"),
+        ("raising", "fail", "ValueError: boom")]
 
 
 def test_parser_requires_subcommand():
