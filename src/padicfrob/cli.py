@@ -35,7 +35,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .expansion import (
     alternating_identity_check,
@@ -66,7 +66,12 @@ from .mum import (
     period_series_simplicial,
     simplicial_operator,
 )
-from .padic_core import InconsistentSystem, PadicNum, require_odd_prime
+from .padic_core import (
+    InconsistentSystem,
+    PadicNum,
+    _Record,
+    require_odd_prime,
+)
 from .qseries import PowerSeries
 from .zeta_gamma import (
     alpha_hyperoctahedral,
@@ -95,14 +100,17 @@ class UsageError(Exception):
     """Invalid configuration; maps to exit code 2."""
 
 
-class Family(NamedTuple):
+class Family(_Record):
     """What the CLI knows of a family, each entry a function of the
     order n: the MUM operator, the period series mod t^M, the symbolic
     closed-form alpha_1..alpha_{n-1}, and the bound p must exceed."""
-    operator: Callable
-    series: Callable
-    alphas: Callable
-    bound: Callable
+
+    def __init__(self, operator: Callable, series: Callable,
+                 alphas: Callable, bound: Callable):
+        self.operator = operator
+        self.series = series
+        self.alphas = alphas
+        self.bound = bound
 
 
 # The one place that knows the families.  Entries look their functions
@@ -162,7 +170,10 @@ def _guess_family(family: str, n: int):
 
 def _guess_sweep(f: PowerSeries, n: int, dmax: int):
     """Smallest coefficient degree whose annihilator nullspace is
-    one-dimensional; raises NoOperatorFound when the sweep exhausts."""
+    one-dimensional.  The operator fitted there must annihilate every
+    known coefficient of f, since mod t^need a series in t^g gives only
+    about need/g equations per residue class; raises NoOperatorFound
+    when it does not or when the sweep exhausts."""
     tried = False
     for d in range(dmax + 1):
         need = (n + 1) * (d + 1) + GUESS_GUARD
@@ -170,11 +181,18 @@ def _guess_sweep(f: PowerSeries, n: int, dmax: int):
             break
         tried = True
         try:
-            return guess_operator(f, n, d), d
+            op = guess_operator(f, n, d)
         except NoOperatorFound:
             continue
         except AmbiguousNullspace:
             break
+        image = apply_operator(op, f).coeffs
+        bad = next((m for m, x in enumerate(image) if x), None)
+        if bad is not None:
+            raise NoOperatorFound(
+                "no annihilator: the degree-%d operator fitted mod t^%d "
+                "leaves a nonzero t^%d term" % (d, need, bad))
+        return op, d
     if not tried:
         raise UsageError("series known mod t^%d is too short to guess an "
                          "order-%d operator" % (f.order, n))
@@ -222,11 +240,9 @@ def cmd_alpha(args) -> int:
     polys = FAMILIES[family].alphas(n)
 
     numeric = [None] * len(polys)
+    N = _precision(args)
     if args.p is not None:
         p = args.p
-        N = args.precision if args.precision is not None else DEFAULT_PRECISION
-        if N < 1:
-            raise UsageError("need precision >= 1")
         _check_family_prime(family, n, p)
         numeric = _closed_forms(polys, p, N)
         head += ", p = %d, precision %d" % (p, N)
@@ -275,12 +291,18 @@ def _family_job(args):
     p = args.p if args.p is not None else DEFAULT_P
     _check_family_prime(family, n, p)
     M = args.t_order if args.t_order is not None else 10 * p
-    N = args.precision if args.precision is not None else DEFAULT_PRECISION
     if M < 1:
         raise UsageError("need t-order >= 1")
+    return family, n, p, M, _precision(args)
+
+
+def _precision(args) -> int:
+    """The job's --precision N, DEFAULT_PRECISION if absent; N < 1 is a
+    usage error even where no --p reads it."""
+    N = args.precision if args.precision is not None else DEFAULT_PRECISION
     if N < 1:
         raise UsageError("need precision >= 1")
-    return family, n, p, M, N
+    return N
 
 
 def _decide(consume, L, p: int, M: int, digits: int):

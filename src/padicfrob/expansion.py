@@ -14,11 +14,10 @@ validated against brute-force expansion of 1/f^m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .padic_core import multinomial
+from .padic_core import _Record, multinomial
 from .qseries import PowerSeries
 
 BRUTE_FORCE_MAX_N = 3
@@ -41,15 +40,16 @@ def to_laurent(U: Sequence[int]) -> tuple:
     return tuple(x - U[0] for x in U[1:])
 
 
-@dataclass
-class CoeffMap:
+class CoeffMap(_Record):
     """Finite window of a formal expansion sum c_u(t) x^u."""
 
-    family: str
-    n: int
-    box: tuple
-    order: int
-    data: dict = field(default_factory=dict)
+    def __init__(self, family: str, n: int, box: tuple, order: int,
+                 data: dict | None = None):
+        self.family = family
+        self.n = n
+        self.box = box
+        self.order = order
+        self.data = {} if data is None else data
 
     def coefficient(self, u: Sequence[int]) -> PowerSeries:
         return self.data.get(tuple(u), PowerSeries.zero(self.order))

@@ -50,7 +50,6 @@ import math
 import os
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress
@@ -70,6 +69,7 @@ from .padic_core import (
     BadPrime,
     CongruenceSystem,
     PadicNum,
+    _Record,
     _reduced_condition,
     require_odd_prime,
     solve_affine_congruences,
@@ -98,8 +98,7 @@ class NonUnitWronskian(ValueError):
     """Wronskian constant term is not a p-adic unit."""
 
 
-@dataclass
-class FrobeniusDecomposition:
+class FrobeniusDecomposition(_Record):
     """Alpha-linear decomposition of the Frobenius coefficients.
 
     slots[0][j] is the alpha-independent part of A_j; slots[k][j] for
@@ -123,20 +122,22 @@ class FrobeniusDecomposition:
     the basis it was given, else None.
     """
 
-    p: int
-    operator: MumOperator
-    basis: StandardBasis | None
-    slots: list
-    order: int
-    digits: int | None = None
-    scale: int = 0
-    support: list | None = None
-    step: int = 1
-
-    def __post_init__(self):
+    def __init__(self, p: int, operator: MumOperator,
+                 basis: StandardBasis | None, slots: list, order: int,
+                 digits: int | None = None, scale: int = 0,
+                 support: list | None = None, step: int = 1):
+        self.p = p
+        self.operator = operator
+        self.basis = basis
+        self.slots = slots
+        self.order = order
+        self.digits = digits
+        self.scale = scale
+        self.support = support
+        self.step = step
         # p^i for i <= scale + digits; the last is the stored modulus
-        self._pows = None if self.digits is None else \
-            [self.p ** i for i in range(self.scale + self.digits + 1)]
+        self._pows = None if digits is None else \
+            [p ** i for i in range(scale + digits + 1)]
 
     @property
     def n(self) -> int:
@@ -664,14 +665,16 @@ def verify_frobenius_property(dec: FrobeniusDecomposition,
     return _verify_frobenius_detail(dec, alphas, M) is None
 
 
-@dataclass
-class IntegralityReport:
-    p: int
-    M: int
-    verdict: str
-    min_valuation: int | None
-    entries: list
-    first_failing: tuple | None = None
+class IntegralityReport(_Record):
+    def __init__(self, p: int, M: int, verdict: str,
+                 min_valuation: int | None, entries: list,
+                 first_failing: tuple | None = None):
+        self.p = p
+        self.M = M
+        self.verdict = verdict
+        self.min_valuation = min_valuation
+        self.entries = entries
+        self.first_failing = first_failing
 
     def to_json(self) -> str:
         payload = {
@@ -1031,8 +1034,8 @@ def _analytic_rows(dec: FrobeniusDecomposition, M: int, digits: int):
                 full[first * g::g] = hit.to_bytes(2 * Mg, "little")[first:Mg]
                 return bytes(full)
 
-            block, done = replace(
-                block, order=M,
+            block, done = block.replace(
+                order=M,
                 slots=[[PowerSeries(product(a), M) for a in row]
                        for row in block.slots],
                 support=None if mod is None else
@@ -1042,14 +1045,15 @@ def _analytic_rows(dec: FrobeniusDecomposition, M: int, digits: int):
     return blocks()
 
 
-@dataclass
-class AnalyticReport:
-    p: int
-    M: int
-    digits: int
-    verdict: str
-    rows: int
-    first_failing: tuple | None = None
+class AnalyticReport(_Record):
+    def __init__(self, p: int, M: int, digits: int, verdict: str, rows: int,
+                 first_failing: tuple | None = None):
+        self.p = p
+        self.M = M
+        self.digits = digits
+        self.verdict = verdict
+        self.rows = rows
+        self.first_failing = first_failing
 
 
 def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .padic_core import (
     BadPrime,
     _echelon_mod,
     _inverses,
+    _Record,
     is_prime,
     vp,
 )
@@ -45,14 +45,11 @@ def _strip(poly: Sequence[int]) -> list:
     return poly
 
 
-@dataclass
-class MumOperator:
+class MumOperator(_Record):
     """L = sum_i coeffs[i](t) theta^i; coeffs[i] lists t-powers low first."""
 
-    coeffs: list
-
-    def __post_init__(self):
-        self.coeffs = [_strip(c) for c in self.coeffs]
+    def __init__(self, coeffs: list):
+        self.coeffs = [_strip(c) for c in coeffs]
         if not self.coeffs or not self.coeffs[-1]:
             raise ValueError("leading coefficient must be nonzero")
 
@@ -195,17 +192,17 @@ def period_series_hyperoctahedral(n: int, M: int) -> PowerSeries:
 # -- standard basis ----------------------------------------------------
 
 
-@dataclass
-class StandardBasis:
+class StandardBasis(_Record):
     """Solutions y_i = sum_k F_k log(t)^(i-k)/(i-k)! of a MUM operator.
 
     F_0(0) = 1 and F_i(0) = 0 for i > 0; each F_i is an exact rational
     series mod t^order.
     """
 
-    operator: MumOperator
-    fs: list
-    order: int
+    def __init__(self, operator: MumOperator, fs: list, order: int):
+        self.operator = operator
+        self.fs = fs
+        self.order = order
 
     def y(self, i: int) -> LogSeries:
         if not 0 <= i < len(self.fs):

@@ -9,8 +9,9 @@ division by a non-unit costs the divisor's valuation.
 
 The module also carries the combinatorial utilities used throughout the
 package (exact Bernoulli numbers with B_1 = -1/2, from tangent numbers
-or, at large index, from zeta(n) in fixed point; multinomials) and an
-exact solver for affine systems of p-adic integrality conditions.
+or, at large index, from zeta(n) in fixed point; multinomials), an
+exact solver for affine systems of p-adic integrality conditions, and
+_Record, the plain base of the package's record classes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, takewhile
 from typing import Iterable, Sequence, Union
@@ -626,13 +626,46 @@ def multinomial(parts: Sequence[int]) -> int:
     return out
 
 
+# -- records ---------------------------------------------------------
+
+
+class _Record:
+    """Base of the package's record classes.  The fields are the
+    parameters of the subclass's __init__, which stores each under its
+    own name.  Records of one class compare equal when their fields do,
+    are unhashable, print as Name(field=value, ...), and replace()
+    builds a copy through __init__, so its checks run again."""
+
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(**dict(zip(self._fields, self._values()),
+                                 **changes))
+
+
 # -- affine congruence systems ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
+class CongruenceSystem(_Record):
     """Conditions vp(c0 + sum_i alpha_i c_i) >= 0 on unknowns in Z_p,
-    stored reduced.
+    stored reduced; immutable and hashable.
 
     Each condition is a row (a, b, e): the congruence sum_i a_i alpha_i
     = b mod p^e, with 0 <= a_i, b < p^e and e the least exponent that
@@ -645,9 +678,18 @@ class CongruenceSystem:
     residues.
     """
 
-    prime: int
-    unknowns: int
-    conditions: tuple[tuple[tuple[int, ...], int, int], ...]
+    def __init__(self, prime: int, unknowns: int,
+                 conditions: tuple[tuple[tuple[int, ...], int, int], ...]):
+        vars(self).update(prime=prime, unknowns=unknowns,
+                          conditions=conditions)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("CongruenceSystem is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
 
     @classmethod
     def build(cls, p: int, rows: Iterable[tuple[RationalLike, Sequence[RationalLike]]]
@@ -665,21 +707,23 @@ class CongruenceSystem:
         return cls(p, width, tuple(conds))
 
 
-@dataclass
-class CongruenceSolution:
+class CongruenceSolution(_Record):
     """Solution coset of a congruence system.
 
     Every solution satisfies alpha_i == representative[i] mod
     p^exponents[i]; the exponents are exact coordinate projections of
-    the solution lattice, and ``generators`` spans that lattice modulo
-    p^modulus_exponent.
+    the solution lattice, and ``generators`` spans that
+    lattice modulo p^modulus_exponent.
     """
 
-    prime: int
-    representative: list[int]
-    exponents: list[int]
-    modulus_exponent: int
-    generators: list[list[int]] = field(default_factory=list)
+    def __init__(self, prime: int, representative: list[int],
+                 exponents: list[int], modulus_exponent: int,
+                 generators: list[list[int]] | None = None):
+        self.prime = prime
+        self.representative = representative
+        self.exponents = exponents
+        self.modulus_exponent = modulus_exponent
+        self.generators = [] if generators is None else generators
 
 
 class InconsistentSystem(Exception):

@@ -30,7 +30,6 @@ in generators z3, z5, z7, ... standing for zeta_p(3), zeta_p(5), ...
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -45,6 +44,7 @@ from .padic_core import (
     vp,
     _echelon_mod,
     _ilog,
+    _Record,
     _residue_of_rational,
 )
 from .qseries import PowerSeries
@@ -381,8 +381,7 @@ def _gamma_log_solve(p: int, D: int, s: int) -> tuple:
     return tuple(cs), T
 
 
-@dataclass
-class GammaExpansion:
+class GammaExpansion(_Record):
     """Taylor data of Gamma_p at 0, valid on p Z_p.
 
     coeffs[m] is g_m with Gamma_p(x) = sum g_m x^m and g_0 = 1;
@@ -392,12 +391,14 @@ class GammaExpansion:
     degree (D+1).
     """
 
-    p: int
-    degree: int
-    scale: int
-    log_coeffs: tuple
-    coeffs: list
-    radius_valuation: int = 1
+    def __init__(self, p: int, degree: int, scale: int, log_coeffs: tuple,
+                 coeffs: list, radius_valuation: int = 1):
+        self.p = p
+        self.degree = degree
+        self.scale = scale
+        self.log_coeffs = log_coeffs
+        self.coeffs = coeffs
+        self.radius_valuation = radius_valuation
 
     @property
     def tail_order(self) -> int:

@@ -79,6 +79,12 @@ def test_alpha_rejects_precision_below_one(capsys, n):
     assert code == 2
     assert out == ""
     assert "need precision >= 1" in err
+    # without --p no constant is evaluated, and the value is refused alike
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, "alpha", "--family", "simplicial",
+                             "--n", n, "--precision", value)
+        assert (code, out) == (2, "")
+        assert "need precision >= 1" in err
 
 
 def test_alpha_answers_every_admitted_prime(capsys):
@@ -251,6 +257,28 @@ def test_guess_hyperoct_beyond_printed(capsys, n):
     M = (n + 1) * (2 * n + 3) + GUESS_GUARD + 20
     image = apply_operator(op, period_series_hyperoctahedral(n, M))
     assert all(image.known(c) == 0 for c in range(M))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_guess_hyperoct_annihilates_its_full_series(capsys, n):
+    # the sweep fits mod t^((n+1)(d+1) + GUESS_GUARD) but has the series
+    # mod t^((n+1)(2n+3) + GUESS_GUARD); what it prints kills all of it
+    code, out, _ = run(capsys, "guess", "--family", "hyperoctahedral",
+                       "--n", str(n), "--format", "json")
+    assert code == 0
+    op = operator_from_json(json.dumps(json.loads(out)["operator"]))
+    M = (n + 1) * (2 * n + 3) + GUESS_GUARD
+    assert apply_operator(op, period_series_hyperoctahedral(n, M)).is_zero()
+
+
+def test_guess_refuses_an_operator_fitted_on_too_few_terms(capsys):
+    # at n = 11 the degree-0 nullspace mod t^22 is one-dimensional, but
+    # prod_{k<11} (theta - 2k) fits only the first 11 even degrees
+    code, out, err = run(capsys, "guess", "--family", "hyperoctahedral",
+                         "--n", "11")
+    assert (code, out) == (5, "")
+    assert ("no annihilator: the degree-0 operator fitted mod t^22 leaves "
+            "a nonzero t^22 term") in err
 
 
 def test_guess_junk_series(capsys, tmp_path):
@@ -500,6 +528,26 @@ def test_parser_rejects_option_of_another_command(capsys):
         main(["verify", "--jmax", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jmax 3" in capsys.readouterr().err
+
+
+def test_cli_start_up_imports_no_dataclasses():
+    # in an isolated interpreter, as the benchmark runs its jobs, the
+    # CLI and one verify load none of the dataclass decorator's chain
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "sys.path.insert(0, %r)" % src,
+        "from padicfrob import cli",
+        "code = cli.main(['verify', '--family', 'simplicial', '--n', '3',"
+        " '--p', '5', '--t-order', '40', '--format', 'json'])",
+        "print(code, [m for m in %r if m in set(sys.modules) - before])"
+        % (heavy,)])
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_module_entry_point():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import sys
@@ -926,8 +925,8 @@ def _blocks_from_scratch(dec, M, digits):
         sums = [[[_stored_sum(dec, k, j, m, weights) if m >= lo
                   else (0, False) for m in range(M)]
                  for j in range(dec.n)] for k in range(dec.n)]
-        yield s, lo, dataclasses.replace(
-            dec, order=M,
+        yield s, lo, dec.replace(
+            order=M,
             slots=[[PowerSeries([x for x, _ in row], M) for row in slot]
                    for slot in sums],
             support=None if dec.digits is None else
@@ -952,8 +951,8 @@ def test_products_match_row_by_row_sums():
     # with t^0 alone live, t^10 of the s = 3 block is off the support
     cancel = solve_A_series(MumOperator([[0, 0, 20], [1, 2, -10]]), 3, 30,
                             digits=3)
-    cancel = dataclasses.replace(cancel, slots=[[PowerSeries([1], 30)]],
-                                 support=[[b"\1" + bytes(29)]])
+    cancel = cancel.replace(slots=[[PowerSeries([1], 30)]],
+                            support=[[b"\1" + bytes(29)]])
     cases = [(simplicial, 4), (fixed, 4), (hand_built, 4), (theta2, 2),
              (hyperoct, 3), (solve_A_series(
                  KNOWN_HYPEROCT_OPERATORS[4], 7, 90, basis=hyperoct.basis,
@@ -1326,7 +1325,7 @@ def test_readers_on_the_lattice_match_every_degree(L, g, digits):
     # read at every t-degree gives the same entries, coset or raise
     p, M = 7, 61
     dec = solve_A_series(L, p, M, digits=digits)
-    every = dataclasses.replace(dec, step=1)
+    every = dec.replace(step=1)
     assert dec.step == (g or M)
     families = [simplicial_operator(n) for n in (2, 3, 4, 5)] + \
         [KNOWN_HYPEROCT_OPERATORS[4]]

@@ -48,6 +48,12 @@ class TestOperatorType:
         with pytest.raises(NotMUM):
             standard_basis(bad, 5)
 
+    def test_replace_runs_the_operator_checks(self):
+        L = MumOperator([[0, -1], [1, -1]])
+        assert L.replace(coeffs=[[0, -1, 0], [1, -1, 0]]).coeffs == L.coeffs
+        with pytest.raises(ValueError, match="leading coefficient"):
+            L.replace(coeffs=[[0, -1], [0]])
+
     def test_json_roundtrip_decimal_strings(self):
         import json
         L = KNOWN_HYPEROCT_OPERATORS[4]

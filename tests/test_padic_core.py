@@ -363,6 +363,30 @@ class TestCongruences:
         sol = solve_affine_congruences(s)
         assert sol.exponents == [0, 0]
 
+    def test_records_compare_print_and_copy_by_field(self):
+        # a system is immutable and hashable, a solution is neither;
+        # both compare and print field by field, and replace() copies
+        s = CongruenceSystem(5, 1, (((1,), 2, 1),))
+        assert s == CongruenceSystem(5, 1, (((1,), 2, 1),))
+        assert hash(s) == hash(CongruenceSystem(5, 1, (((1,), 2, 1),)))
+        assert repr(s) == ("CongruenceSystem(prime=5, unknowns=1, "
+                           "conditions=(((1,), 2, 1),))")
+        for change in (lambda: setattr(s, "prime", 7),
+                       lambda: delattr(s, "unknowns")):
+            with pytest.raises(AttributeError):
+                change()
+        sol = solve_affine_congruences(s)
+        assert repr(sol) == ("CongruenceSolution(prime=5, representative=[2], "
+                             "exponents=[1], modulus_exponent=1, "
+                             "generators=[])")
+        with pytest.raises(TypeError):
+            hash(sol)
+        assert sol.replace() == sol and sol.replace() is not sol
+        assert sol.replace(exponents=[0]) != sol
+        assert sol != (5, [2], [1], 1, [])
+        with pytest.raises(TypeError):
+            sol.replace(modulus=2)
+
     def test_coupled_unknowns(self):
         s = CongruenceSystem.build(5, [(F(0), [F(1, 25), F(1, 25)]),
                                        (F(-3, 5), [F(1, 5), F(0)])])

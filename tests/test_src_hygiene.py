@@ -5,7 +5,8 @@ lives on for the tests alone.  A use is an ``ast.Name`` or
 ``ast.Attribute`` naming it; an import is not.  Every module-level
 name assigned there (a constant such as a cap or a bound) is read
 somewhere in src/padicfrob outside its assignment.  Every private name
-the README quotes as a code span is defined in src/padicfrob."""
+the README quotes as a code span is defined in src/padicfrob.  No module
+there imports dataclasses."""
 
 import ast
 import re
@@ -96,3 +97,20 @@ def test_readme_private_names_are_defined_in_src():
     quoted = set(re.findall(r"`(_[A-Za-z]\w*)`",
                             (ROOT / "README.md").read_text()))
     assert quoted and sorted(quoted - defined) == []
+
+
+def test_no_module_imports_dataclasses():
+    # the decorator's exec-built methods and its inspect/ast chain were
+    # half of the CLI's import time; records subclass padic_core._Record
+    importing = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importing.append(module)
+    assert importing == []
