@@ -18,8 +18,7 @@ slot series are solved in one of two modes (solve_A_series):
 
 - exact, over Q: the oracle, and the mode the defining identity
   (verify_frobenius_property) and nonuniqueness_witness need.  It reads
-  the exact standard basis, and B as integers over one denominator per
-  degree;
+  the exact standard basis, and B from its rational values;
 - fixed precision, over Z/p^R: every coefficient known mod p^digits.
   The F_k come as residues mod p^P, in integers only (residue_basis),
   and B from them; the exact basis is built only where a residue 0
@@ -269,16 +268,19 @@ def _fork_map(run, groups: list) -> list:
     check registry's halves).
 
     The child sends its result back through a pipe with marshal and
-    leaves by os._exit.  A child that fails, or cannot be forked, leaves
-    its group to this process, where a failure raises with its own type.
-    The child is always waited for."""
+    leaves by os._exit.  A child that fails, cannot be forked or given a
+    pipe, or whose exit status is lost (waitpid raises ChildProcessError
+    where SIGCHLD is ignored and the kernel reaps it) leaves its group to
+    this process, where a failure raises with its own type.  The child is
+    always waited for."""
     first, second = groups
-    rfd, wfd = os.pipe()
+    fds = ()
     try:
+        fds = rfd, wfd = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(rfd)
-        os.close(wfd)
+        for fd in fds:
+            os.close(fd)
         return [run(first), run(second)]
     if pid == 0:
         try:
@@ -294,7 +296,10 @@ def _fork_map(run, groups: list) -> list:
             done = run(first)
             data = pipe.read()
     finally:
-        status = os.waitpid(pid, 0)[1]
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:
+            status = None
     return [done, marshal.loads(data) if status == 0 else run(second)]
 
 
@@ -336,9 +341,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
 
     Every pass is a _sweep over B with its own fold.  A bitmask sweep
     marks the coefficients a term of each slot reaches; the rest are
-    exact zeros in both modes.  Exact, B is built once as integer
-    numerators over one denominator per degree (_frobenius_matrix), and
-    a ring sweep per slot solves over Q.
+    exact zeros in both modes.  Exact, B is _combine on the rational
+    values of the F_k, and a ring sweep per slot solves over Q.
 
     At fixed precision the solve is over Z/p^R.  The basis comes as
     X_k[c] = p^S_b F_k[c] mod p^P, S_b = max(0, -min vp(F_k[c])), and B
@@ -436,22 +440,19 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         return packed, [[bytes(mask >> s & 1 for mask in row)
                          for row in reach] for s in range(n)]
 
+    top = (Mg - 1) // p
     if digits is None:
         if basis is None:
             basis = standard_basis(L, M)
         fvals = exact_values(basis, Mg)
-        dens, bmat = _frobenius_matrix(fvals, p, g)
+        bmat = _combine(fvals, p, g, top)
         _, live = reached(fvals, bmat)
-        bmat = [[[Fraction(x, dens[q]) for q, x in enumerate(col, 1)]
-                 for col in row] for row in bmat]
         sol = [_sweep(bmat, init, p, live[s], _subtract,
                       lambda acc, i, c: Fraction(acc, p ** i), 0)
                for s, init in enumerate(rhs(fvals))]
         return FrobeniusDecomposition(
             p=p, operator=L, basis=basis, order=M, step=g,
             slots=[[PowerSeries(expand(a), M) for a in s] for s in sol])
-
-    top = (Mg - 1) // p
 
     def build(known):
         # (S_b, X_k, Y = p^S_b B, reached), integers reduced mod p^known
@@ -568,19 +569,6 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         slots=[[PowerSeries(expand(a[:Mg]), M) for a in s] for s in sol],
         support=[[bytes(expand(row)) for row in slot] for slot in live],
         step=g)
-
-
-def _frobenius_matrix(fvals: list, p: int, g: int) -> tuple:
-    """(dens, mat), integers: dens[c] is the lcm of the denominators of
-    the exact lattice values fvals[k][c] = [t^(c g)] F_k of an operator
-    in t^g, and mat[i][j][q-1] = B_ij[q g p] dens[q] for 1 <= q, q p <
-    len(fvals[0]), by _combine on the numerators over dens."""
-    dens = [math.lcm(*(f[c].denominator for f in fvals))
-            for c in range(len(fvals[0]))]
-    top = (len(fvals[0]) - 1) // p
-    ints = [[f[q].numerator * (dens[q] // f[q].denominator)
-             for q in range(top + 1)] for f in fvals]
-    return dens, _combine(ints, p, g, top)
 
 
 def _combine(tables: list, p: int, g: int, top: int) -> list:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from padicfrob import cli
+from padicfrob import cli, frobenius
 from padicfrob.cli import main
 from padicfrob.frobenius import PrecisionExhausted
 from padicfrob.mum import (
@@ -22,7 +22,11 @@ from padicfrob.mum import (
 from padicfrob.padic_core import InconsistentSystem
 
 from combinatorics import operator_from_json
-from test_frobenius_two_core import _assert_no_child, _record_forks
+from test_frobenius_two_core import (
+    PLUMBING_FAILURES,
+    _assert_no_child,
+    _record_forks,
+)
 
 
 def run(capsys, *argv):
@@ -357,6 +361,26 @@ def test_frozen_job_matches_bytes(capsys, job):
     code, out, _ = run(capsys, *job.split())
     assert code == (1 if "--perturb" in job else 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN[job]
+
+
+@pytest.mark.parametrize("failure", PLUMBING_FAILURES,
+                         ids=["fork", "pipe", "status"])
+def test_failed_plumbing_keeps_the_bytes(capsys, monkeypatch, request,
+                                         failure):
+    # selftest's registry split and the deep-solve job's ring halves, run
+    # here where a fork, its pipe or its exit status fails: the same
+    # bytes and exit code.  Both split on any host.
+    quick = ["selftest", "--quick", "--format", "json"]
+    want = run(capsys, *quick)
+    job = "verify --family hyperoctahedral --n 4 --p 7 --t-order 695"
+    for module in (cli, frobenius):
+        monkeypatch.setattr(module, "_spare_core", lambda: True)
+    failure(monkeypatch, request)
+    assert run(capsys, *quick) == want and want[0] == 0
+    code, out, _ = run(capsys, *job.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN[job]
+    _assert_no_child()
 
 
 def test_traced_names_resolve(monkeypatch):

@@ -140,10 +140,9 @@ def _frobenius_matrix_all_q(fvals, p, M):
 
 
 def _same_frobenius_matrix(L, p, M):
-    # the build on the lattice of g = L.step is the every-q build at the
-    # multiples of g, and the every-q build is zero at every other q.  The
-    # build is integer numerators over one denominator per lattice
-    # degree, the lcm of that degree's F denominators.
+    # the build on the lattice of g = L.step, _combine on the exact
+    # lattice values as the exact solve calls it, is the every-q build at
+    # the multiples of g, and the every-q build is zero at every other q
     g = L.step or M
     fvals = [[f.known(c) for c in range(M)]
              for f in standard_basis(L, M).fs]
@@ -151,12 +150,8 @@ def _same_frobenius_matrix(L, p, M):
     assert not any(b for row in every for col in row
                    for q, b in enumerate(col, start=1) if q % g)
     lattice = [f[::g] for f in fvals]
-    dens, nums = frobenius._frobenius_matrix(lattice, p, g)
-    assert dens == [math.lcm(*(f[c].denominator for f in lattice))
-                    for c in range(len(lattice[0]))]
-    assert [[[Fraction(x, dens[q]) for q, x in enumerate(col, 1)]
-             for col in row] for row in nums] == \
-        [[col[g - 1::g] for col in row] for row in every]
+    built = frobenius._combine(lattice, p, g, (len(lattice[0]) - 1) // p)
+    assert built == [[col[g - 1::g] for col in row] for row in every]
 
 
 @pytest.mark.parametrize("L", [simplicial_operator(n) for n in (2, 3, 4, 5)]

@@ -1,10 +1,13 @@
 """The fixed-precision ring split across two processes (frobenius._fork_map):
 two column halves, each certifying its own scale, give the decomposition
-one group gives, no child process outlives a solve, and only a large
-fold forks.  selftest's registry split, the other caller, is tested in
+one group gives, no child process outlives a solve, only a large fold
+forks, and a fork, pipe or exit status that fails leaves the group to
+this process.  selftest's registry split, the other caller, is tested in
 test_cli."""
 
+import errno
 import os
+import signal
 import threading
 
 import pytest
@@ -148,6 +151,76 @@ def test_a_refused_fork_runs_both_groups_here(monkeypatch):
     assert _stored(_solve(monkeypatch, 0, L, p, M)) == want
     assert forks == [os.getpid()]
     _assert_no_child()
+
+
+@pytest.mark.parametrize("L,p,M", [(RERUN, 3, 15), (RERUN, 5, 40),
+                                   (MumOperator([[0, -2], [0, 3], [1, -1]]),
+                                    5, 39)])
+def test_two_groups_rebuild_the_basis_as_one(L, p, M, monkeypatch):
+    # with no headroom the first basis build holds only the slot digits,
+    # so the ring builds it again for its R.  Split, each half rebuilds in
+    # its own process (the parent's builds are recorded here), and the
+    # halves give one group's result.  The fork is forced, so that a
+    # one-CPU host runs the split too.
+    monkeypatch.setattr(frobenius, "BASIS_HEADROOM", 0)
+    monkeypatch.setattr(frobenius, "_spare_core", lambda: True)
+    builds, build = [], frobenius.residue_basis
+    monkeypatch.setattr(frobenius, "residue_basis",
+                        lambda *args: builds.append(args[-1])
+                        or build(*args))
+    one = _solve(monkeypatch, ONE_GROUP, L, p, M)
+    assert builds[0] == DIGITS and len(builds) > 1
+    builds.clear()
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid())
+                        or fork())
+    two = _solve(monkeypatch, 0, L, p, M)
+    _assert_no_child()
+    assert forks == [os.getpid()]
+    assert builds[0] == DIGITS and len(builds) > 1
+    assert _stored(two) == _stored(one)
+
+
+def _refuse(name):
+    def refuse(monkeypatch, request):
+        def refused():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        monkeypatch.setattr(os, name, refused)
+    return refuse
+
+
+def _status_lost(monkeypatch, request):
+    # SIGCHLD ignored: the kernel reaps the child itself, so waitpid waits
+    # for it and then raises ChildProcessError.  The handler is restored
+    # after the test.
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    request.addfinalizer(lambda: signal.signal(signal.SIGCHLD, old))
+
+
+# a fork, pipe or exit status that _fork_map cannot have
+PLUMBING_FAILURES = [_refuse("fork"), _refuse("pipe"), _status_lost]
+
+
+@pytest.mark.parametrize("failure", PLUMBING_FAILURES,
+                         ids=["fork", "pipe", "status"])
+def test_failed_plumbing_runs_the_group_here(failure, monkeypatch, request):
+    # the second group runs again in this process: the same result, no
+    # pipe end left open and no child left
+    here, ran, pipes, pipe = os.getpid(), [], [], os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe())
+                        or pipes[-1])
+    failure(monkeypatch, request)
+
+    def run(group):
+        ran.append(os.getpid())
+        return [x * x for x in group]
+
+    assert frobenius._fork_map(run, [[1, 2], [3]]) == [[1, 4], [9]]
+    assert ran == [here, here]
+    _assert_no_child()
+    for fd in (fd for ends in pipes for fd in ends):
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 @pytest.mark.parametrize("job", SMALL_JOBS)

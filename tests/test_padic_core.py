@@ -174,6 +174,16 @@ class TestPadicNum:
         with pytest.raises(PrecisionError):
             a / PadicNum.inexact_zero(7, 3)
 
+    def test_reflected_subtraction_and_powers(self):
+        # 3 - x reaches __rsub__; x ** k multiplies k times, from an exact
+        # 1 at k = 0, and inverts first for k < 0
+        for x in (PadicNum.from_rational(F(10, 3), 7, 6),
+                  PadicNum.from_exact(F(10, 3), 7)):
+            assert 3 - x == -(x - 3)
+            assert (x ** 0).is_exact and x ** 0 == 1
+            assert x ** 2 == x * x
+            assert x ** -2 == 1 / (x * x)
+
     def test_agrees(self):
         a = PadicNum.from_rational(F(1, 2), 5, 4)
         assert a.agrees(313, 4)

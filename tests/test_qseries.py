@@ -85,6 +85,14 @@ class TestInvertExpLog:
             f = rand_series(rng, order, unit=True)
             assert f * f.invert() == PowerSeries.one(order)
 
+    def test_series_division_random(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            order = rng.randint(2, 10)
+            a = rand_series(rng, order)
+            b = rand_series(rng, order, unit=True)
+            assert (a / b) * b == a
+
     def test_geometric_series(self):
         t = PowerSeries.identity(10)
         g = (1 - t).invert()
