@@ -628,6 +628,13 @@ SELFTEST_CHECKS = [
      {"lams": (1,)}, {"lams": (1, 2)}),
 ]
 
+# cmd_selftest runs SELFTEST_CHECKS[:SELFTEST_SPLIT] and the rest as two
+# halves, split where they take about the same time.  Cold full-mode
+# halves, each alone in a process (medians of 5, in the benchmark's
+# reference-task units; 2-vCPU host, Python 3.11.7): 5.6 and 5.9 split
+# here, 6.7 and 5.4 split at 6
+SELFTEST_SPLIT = 5
+
 
 def _run_checks(entries, quick: bool, seed: int) -> list:
     """(ok, detail, elapsed) of each registry entry, in order; a check
@@ -652,10 +659,10 @@ def cmd_selftest(args) -> int:
     def run(entries):
         return _run_checks(entries, args.quick, seed)
 
-    # the checks are independent, and the registry's two halves take
-    # about the same time, so they share two cores where a child can run
-    half = len(SELFTEST_CHECKS) // 2
-    halves = [SELFTEST_CHECKS[:half], SELFTEST_CHECKS[half:]]
+    # the checks are independent, so the registry's two halves share two
+    # cores where a child can run (SELFTEST_SPLIT balances them)
+    halves = [SELFTEST_CHECKS[:SELFTEST_SPLIT],
+              SELFTEST_CHECKS[SELFTEST_SPLIT:]]
     parts = _fork_map(run, halves) if _spare_core() else map(run, halves)
     results = []
     lines = []

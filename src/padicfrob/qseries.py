@@ -7,6 +7,17 @@ live in any commutative ring whose elements support +, -, * and
 division by integers (exact rationals, truncated p-adics, zeta
 polynomials); absent coefficients are the integer 0.
 
+A series whose coefficients are all int or Fraction computes on one
+internal form: integer numerators over one positive denominator, with
+no common factor and no trailing zero.  The form is built from the
+coefficient list the first time arithmetic needs it, and kept.  A
+series that arithmetic returns holds only the form; its coefficients
+become ints (denominator 1) or Fractions the first time they are read,
+and are kept too.  So a series that is only ever read, such as a slot
+of the fixed-precision solve, never builds the form.  A series with any
+other coefficient (PadicNum, ZetaPoly) computes coefficient by
+coefficient.
+
 A LogSeries is a polynomial in l = log t whose coefficients are
 PowerSeries, with the theta = t d/dt action theta(s l^k) =
 theta(s) l^k + k s l^(k-1).
@@ -46,14 +57,15 @@ def _is_zero_coeff(c) -> bool:
     return c == 0
 
 
-def _over_lcm(coeffs: list):
-    """(numerators, d) with coeffs[k] = numerators[k] / d, d the lcm of
-    the denominators; None unless every coefficient is an int or a
-    Fraction."""
-    if not all(isinstance(c, _SCALARS) for c in coeffs):
-        return None
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+def _lowest(nums: list, d: int) -> tuple:
+    """(nums, d) with trailing zeros dropped and the common factor of the
+    numerators and d divided out; nums may be changed in place."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(d, *nums) if d != 1 else 1
+    if g != 1:
+        nums, d = [x // g for x in nums], d // g
+    return nums, d
 
 
 def _convolve(a: list, b: list, order: int) -> list:
@@ -61,22 +73,71 @@ def _convolve(a: list, b: list, order: int) -> list:
     out = [0] * min(len(a) + len(b) - 1, order)
     for i, x in enumerate(a):
         if not _is_zero_coeff(x):
-            for j, y in enumerate(b[:order - i]):
-                out[i + j] = out[i + j] + x * y
+            for j, y in enumerate(b[:order - i], i):
+                out[j] += x * y
     return out
 
 
 class PowerSeries:
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("_coeffs", "_num", "_den", "order")
 
     def __init__(self, coeffs: Sequence, order: int):
         if order < 1:
             raise ValueError("order must be positive")
-        self.coeffs = list(coeffs[:order])
-        while self.coeffs and isinstance(self.coeffs[-1], int) \
-                and self.coeffs[-1] == 0:
-            self.coeffs.pop()
+        self._coeffs = list(coeffs[:order])
+        while self._coeffs and isinstance(self._coeffs[-1], int) \
+                and self._coeffs[-1] == 0:
+            self._coeffs.pop()
+        self._den = None    # no form built yet
         self.order = order
+
+    @classmethod
+    def _of(cls, nums: list, d: int, order: int) -> "PowerSeries":
+        """The series nums / d mod t^order from a form already lowest."""
+        if order < 1:
+            raise ValueError("order must be positive")
+        s = cls.__new__(cls)
+        s._coeffs, s._num, s._den, s.order = None, nums, d, order
+        return s
+
+    def _form(self):
+        """(numerators, denominator) when every coefficient is an int or
+        a Fraction, else None; built on the first call and kept (a _den
+        of 0 marks a series that has no form)."""
+        if self._den is None:
+            cs = self._coeffs
+            if all(isinstance(c, _SCALARS) for c in cs):
+                d = math.lcm(*(c.denominator for c in cs))
+                self._num, self._den = _lowest(
+                    [c.numerator * (d // c.denominator) for c in cs], d)
+            else:
+                self._den = 0
+        return (self._num, self._den) if self._den else None
+
+    def _rebuilt(self, edit, order: int) -> "PowerSeries":
+        """The series mod t^order with coefficient list edit(list), for
+        an edit that commutes with multiplying every coefficient by one
+        integer: it edits the form's numerators when there is a form,
+        else the coefficients."""
+        form = self._form()
+        if form:
+            return PowerSeries._of(*_lowest(edit(form[0]), form[1]), order)
+        return PowerSeries(edit(self.coeffs), order)
+
+    def _times(self, c) -> "PowerSeries":
+        """self * c for a series with a form and an int or Fraction c."""
+        return PowerSeries._of(*_lowest([x * c.numerator for x in self._num],
+                                        self._den * c.denominator),
+                               self.order)
+
+    @property
+    def coeffs(self) -> list:
+        """Coefficients of t^0, t^1, ...; past the list they are 0."""
+        if self._coeffs is None:
+            d = self._den
+            self._coeffs = list(self._num) if d == 1 else \
+                [Fraction(x, d) if x else 0 for x in self._num]
+        return self._coeffs
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
@@ -93,16 +154,21 @@ class PowerSeries:
     def coefficient(self, k: int):
         if k < 0 or k >= self.order:
             raise IndexError("coefficient t^%d outside known range" % k)
-        return self.coeffs[k] if k < len(self.coeffs) else 0
+        return self.known(k)
 
     def known(self, k: int):
         """Coefficient of t^k, or 0 for any index (no range check)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        cs = self._coeffs
+        if cs is None:
+            cs = self.coeffs
+        return cs[k] if 0 <= k < len(cs) else 0
 
     def constant_term(self):
         return self.known(0)
 
     def is_zero(self) -> bool:
+        if self._den:
+            return not self._num
         return all(_is_zero_coeff(c) for c in self.coeffs)
 
     # -- ring operations ------------------------------------------------
@@ -112,49 +178,69 @@ class PowerSeries:
             other = PowerSeries([other], self.order)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        n = min(max(len(self.coeffs), len(other.coeffs)), order)
-        return PowerSeries([self.known(k) + other.known(k) for k in range(n)],
-                           order)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.order)
+        return self._rebuilt(lambda cs: [-c for c in cs], self.order)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
             other = PowerSeries([other], self.order)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _add(self, other: "PowerSeries", sign: int) -> "PowerSeries":
+        """self + sign * other for sign 1 or -1."""
+        order = min(self.order, other.order)
+        a, b = self._form(), other._form()
+        if a and b:
+            (na, da), (nb, db) = a, b
+            d = math.lcm(da, db)
+            ma, mb = d // da, sign * (d // db)
+            na, nb = na[:order], nb[:order]
+            if len(na) < len(nb):
+                na, nb, ma, mb = nb, na, mb, ma
+            out = [x * ma + y * mb for x, y in zip(na, nb)]
+            out += [x * ma for x in na[len(nb):]]
+            return PowerSeries._of(*_lowest(out, d), order)
+        if sign < 0:
+            other = -other
+        n = min(max(len(self.coeffs), len(other.coeffs)), order)
+        return PowerSeries([self.known(k) + other.known(k) for k in range(n)],
+                           order)
+
     def __mul__(self, other):
-        """Series or scalar product.  Two series over int and Fraction
-        coefficients convolve as integers over their lcm denominators,
-        with one Fraction per output coefficient; other coefficient
-        rings (PadicNum, ZetaPoly) convolve their own elements."""
+        """Series or scalar product.  Two series with forms convolve
+        their numerators over the product of their denominators; other
+        coefficient rings (PadicNum, ZetaPoly) convolve their own
+        elements."""
         if isinstance(other, LogSeries):
             return NotImplemented
         if isinstance(other, PowerSeries):
             order = min(self.order, other.order)
-            a, b = self.coeffs[:order], other.coeffs[:order]
-            rational = _over_lcm(a), _over_lcm(b)
-            if None in rational:
-                return PowerSeries(_convolve(a, b, order), order)
-            (na, da), (nb, db) = rational
-            out, d = _convolve(na, nb, order), da * db
-            return PowerSeries(out if d == 1 else
-                               [Fraction(x, d) if x else 0 for x in out],
-                               order)
-        if isinstance(other, _SCALARS) or hasattr(other, "__mul__"):
+            a, b = self._form(), other._form()
+            if a and b:
+                (na, da), (nb, db) = a, b
+                return PowerSeries._of(
+                    *_lowest(_convolve(na[:order], nb[:order], order),
+                             da * db), order)
+            return PowerSeries(_convolve(self.coeffs[:order],
+                                         other.coeffs[:order], order), order)
+        if isinstance(other, _SCALARS) and self._form():
+            return self._times(other)
+        if hasattr(other, "__mul__"):
             return PowerSeries([c * other for c in self.coeffs], self.order)
         return NotImplemented
 
     def __rmul__(self, other):
+        if isinstance(other, _SCALARS) and self._form():
+            return self._times(other)
         return PowerSeries([other * c for c in self.coeffs], self.order)
 
     def __pow__(self, k: int):
@@ -173,13 +259,36 @@ class PowerSeries:
     def __truediv__(self, other):
         if isinstance(other, PowerSeries):
             return self * other.invert()
+        if isinstance(other, _SCALARS) and self._form():
+            return self._times(1 / Fraction(other))
         if isinstance(other, int):
             return PowerSeries([_exact_div(c, other) for c in self.coeffs],
                                self.order)
         return PowerSeries([c / other for c in self.coeffs], self.order)
 
     def invert(self) -> "PowerSeries":
-        """Multiplicative inverse; needs an invertible constant term."""
+        """Multiplicative inverse; needs an invertible constant term.
+
+        With a form N/d, n_0 > 0 after a sign flip of N and d, 1/N is
+        sum_m h_m t^m / n_0^(m+1) for the integers h_0 = 1 and h_m =
+        -sum_k n_k n_0^(k-1) h_(m-k), and 1/f = d/N over n_0^order.
+        """
+        form = self._form()
+        if form:
+            nums, d = form
+            if not nums or not nums[0]:
+                raise NonUnitConstantTerm("constant term is zero")
+            if nums[0] < 0:
+                nums, d = [-x for x in nums], -d
+            n0, top = nums[0], self.order - 1
+            terms = [(k, x * n0 ** (k - 1))
+                     for k, x in enumerate(nums) if k and x]
+            h = [1]
+            for m in range(1, self.order):
+                h.append(-sum(x * h[m - k] for k, x in terms if k <= m))
+            return PowerSeries._of(
+                *_lowest([d * x * n0 ** (top - m) for m, x in enumerate(h)],
+                         n0 ** self.order), self.order)
         c0 = self.constant_term()
         if _is_zero_coeff(c0):
             raise NonUnitConstantTerm("constant term is zero")
@@ -231,20 +340,26 @@ class PowerSeries:
 
     def theta(self) -> "PowerSeries":
         """t d/dt, which preserves the truncation order."""
-        return PowerSeries([k * c for k, c in enumerate(self.coeffs)],
-                           self.order)
+        return self._rebuilt(lambda cs: [k * c for k, c in enumerate(cs)],
+                             self.order)
 
     def substitute_tp(self, p: int) -> "PowerSeries":
         """f(t^p): exponents scale by p, knowledge extends to order p*order."""
         if p < 1:
             raise ValueError("p must be positive")
-        out = [0] * ((len(self.coeffs) - 1) * p + 1) if self.coeffs else []
-        for k, c in enumerate(self.coeffs):
-            out[k * p] = c
-        return PowerSeries(out, self.order * p)
+
+        def spread(cs):
+            out = [0] * ((len(cs) - 1) * p + 1) if cs else []
+            out[::p] = cs
+            return out
+
+        return self._rebuilt(spread, self.order * p)
 
     def scale_argument(self, c) -> "PowerSeries":
-        """f(c t)."""
+        """f(c t); an int c keeps the form."""
+        if isinstance(c, int):
+            return self._rebuilt(
+                lambda cs: [a * c ** k for k, a in enumerate(cs)], self.order)
         out, power = [], 1
         for k, a in enumerate(self.coeffs):
             out.append(a * power)
@@ -255,10 +370,12 @@ class PowerSeries:
         """Multiply by t^k."""
         if k < 0:
             raise ValueError("negative shift")
-        return PowerSeries([0] * k + self.coeffs, self.order + k)
+        return self._rebuilt(lambda cs: [0] * k + cs, self.order + k)
 
     def truncate(self, order: int) -> "PowerSeries":
-        return PowerSeries(self.coeffs[:order], min(self.order, order))
+        if order >= self.order:
+            return self     # series are never changed in place
+        return self._rebuilt(lambda cs: cs[:order], order)
 
     def eq_mod(self, other: "PowerSeries", order: int) -> bool:
         for k in range(order):

@@ -25,6 +25,7 @@ from combinatorics import operator_from_json
 from test_frobenius_two_core import (
     PLUMBING_FAILURES,
     _assert_no_child,
+    _force_spare_core,
     _record_forks,
 )
 
@@ -373,8 +374,7 @@ def test_failed_plumbing_keeps_the_bytes(capsys, monkeypatch, request,
     quick = ["selftest", "--quick", "--format", "json"]
     want = run(capsys, *quick)
     job = "verify --family hyperoctahedral --n 4 --p 7 --t-order 695"
-    for module in (cli, frobenius):
-        monkeypatch.setattr(module, "_spare_core", lambda: True)
+    _force_spare_core(monkeypatch, cli, frobenius)
     failure(monkeypatch, request)
     assert run(capsys, *quick) == want and want[0] == 0
     code, out, _ = run(capsys, *job.split())
@@ -457,6 +457,8 @@ def _selftest_each_way(capsys, monkeypatch, *argv):
     outputs = []
     for split, want_forks in SELFTEST_SPLITS:
         with monkeypatch.context() as patch:
+            # _no_spare_core takes the forced spare core away again
+            _force_spare_core(patch, cli)
             forks, counts = split(patch), []
             run_checks = cli._run_checks
             patch.setattr(cli, "_run_checks", lambda entries, *rest:
@@ -474,8 +476,9 @@ def test_selftest_split_gives_the_same_bytes(capsys, monkeypatch, quick):
     # forked, refused a fork, or with no spare core: the same JSON.  A
     # forked child runs the second half, so this process runs only the
     # first; otherwise it runs both halves
-    half = len(cli.SELFTEST_CHECKS) // 2
+    half = cli.SELFTEST_SPLIT
     rest = len(cli.SELFTEST_CHECKS) - half
+    assert 0 < half < len(cli.SELFTEST_CHECKS)
     (code, out, counts), *others = _selftest_each_way(
         capsys, monkeypatch, *quick, "--format", "json", "--seed", "7")
     assert code == 0 and json.loads(out)["failures"] == 0
@@ -504,6 +507,7 @@ def test_selftest_failure_crosses_the_split(capsys, monkeypatch):
     monkeypatch.setattr(cli, "SELFTEST_CHECKS", [
         seeded_entry("seeded"), ("broken", fails, {}, {}),
         seeded_entry("seeded-again"), ("raising", raises, {}, {})])
+    monkeypatch.setattr(cli, "SELFTEST_SPLIT", 2)
     tables = _selftest_each_way(capsys, monkeypatch, "--seed", "3")
     for code, out, _ in tables:
         assert code == 1

@@ -68,6 +68,12 @@ def _solve(monkeypatch, gate, L, p, M):
     return solve_A_series(L, p, M, digits=DIGITS)
 
 
+def _force_spare_core(monkeypatch, *modules):
+    """A spare core in each module, so that a one-CPU host forks too."""
+    for module in modules:
+        monkeypatch.setattr(module, "_spare_core", lambda: True)
+
+
 def _record_forks(monkeypatch):
     """os.fork replaced by one that records each call and raises OSError,
     so that every group runs in this process."""
@@ -92,6 +98,7 @@ def test_two_groups_solve_as_one(L, p, M, runs, monkeypatch):
     monkeypatch.setattr(frobenius, "_sweep", lambda mat, init, stride, live,
                         fold, *rest: sweeps.append(fold)
                         or sweep(mat, init, stride, live, fold, *rest))
+    _force_spare_core(monkeypatch, frobenius)
     one = _solve(monkeypatch, ONE_GROUP, L, p, M)
     assert sweeps.count(frobenius._accumulate) == runs
     calls = []
@@ -131,6 +138,7 @@ def test_a_failing_child_leaves_its_group_here(rerun_fails, monkeypatch):
         return sweep(mat, init, stride, live, fold, finish, zero)
 
     monkeypatch.setattr(frobenius, "_sweep", failing)
+    _force_spare_core(monkeypatch, frobenius)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(here) or fork())
     if rerun_fails:
@@ -148,6 +156,7 @@ def test_a_refused_fork_runs_both_groups_here(monkeypatch):
     L, p, M = KNOWN_HYPEROCT_OPERATORS[4], 7, 70
     want = _stored(_solve(monkeypatch, ONE_GROUP, L, p, M))
     forks = _record_forks(monkeypatch)
+    _force_spare_core(monkeypatch, frobenius)
     assert _stored(_solve(monkeypatch, 0, L, p, M)) == want
     assert forks == [os.getpid()]
     _assert_no_child()
@@ -163,7 +172,7 @@ def test_two_groups_rebuild_the_basis_as_one(L, p, M, monkeypatch):
     # halves give one group's result.  The fork is forced, so that a
     # one-CPU host runs the split too.
     monkeypatch.setattr(frobenius, "BASIS_HEADROOM", 0)
-    monkeypatch.setattr(frobenius, "_spare_core", lambda: True)
+    _force_spare_core(monkeypatch, frobenius)
     builds, build = [], frobenius.residue_basis
     monkeypatch.setattr(frobenius, "residue_basis",
                         lambda *args: builds.append(args[-1])
@@ -230,6 +239,7 @@ def test_small_jobs_never_fork(job, monkeypatch, capsys):
     # registry; refused, both halves run here, so a solve that forked
     # would record a second fork
     forks = _record_forks(monkeypatch)
+    _force_spare_core(monkeypatch, cli, frobenius)
     cli.main(job.split())
     capsys.readouterr()
     assert forks == ([os.getpid()] if job.startswith("selftest") else [])
@@ -237,6 +247,7 @@ def test_small_jobs_never_fork(job, monkeypatch, capsys):
 
 def test_the_deep_solve_forks(monkeypatch, capsys):
     forks = _record_forks(monkeypatch)
+    _force_spare_core(monkeypatch, frobenius)
     assert cli.main(DEEP_JOB.split()) == 0
     capsys.readouterr()
     assert forks == [os.getpid()]

@@ -6,7 +6,8 @@ lives on for the tests alone.  A use is an ``ast.Name`` or
 name assigned there (a constant such as a cap or a bound) is read
 somewhere in src/padicfrob outside its assignment.  Every private name
 the README quotes as a code span is defined in src/padicfrob.  No module
-there imports dataclasses."""
+there imports dataclasses.  No module there but qseries reads a private
+field or method of PowerSeries, which hold its integer form."""
 
 import ast
 import re
@@ -114,3 +115,26 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 importing.append(module)
     assert importing == []
+
+
+def test_power_series_form_stays_in_qseries():
+    # the integer numerators over one denominator are read only inside
+    # qseries, so no second rational path grows outside the class
+    trees = _trees()
+    cls = next(node for node in trees["qseries.py"].body
+               if isinstance(node, ast.ClassDef)
+               and node.name == "PowerSeries")
+    slots = next(ast.literal_eval(node.value) for node in cls.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["__slots__"])
+    private = {name for name in slots if _is_private(name)}
+    private |= {node.name for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and _is_private(node.name)}
+    outside = sorted("%s:%d %s" % (module, node.lineno, node.attr)
+                     for module, tree in trees.items()
+                     if module != "qseries.py"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr in private)
+    assert {"_num", "_den", "_form"} <= private and outside == []
