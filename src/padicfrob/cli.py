@@ -173,7 +173,8 @@ def _guess_sweep(f: PowerSeries, n: int, dmax: int):
     one-dimensional.  The operator fitted there must annihilate every
     known coefficient of f, since mod t^need a series in t^g gives only
     about need/g equations per residue class; raises NoOperatorFound
-    when it does not or when the sweep exhausts."""
+    when it does not or when the sweep exhausts, and AmbiguousNullspace,
+    naming the degree, when a fit leaves more than one candidate."""
     tried = False
     for d in range(dmax + 1):
         need = (n + 1) * (d + 1) + GUESS_GUARD
@@ -184,8 +185,10 @@ def _guess_sweep(f: PowerSeries, n: int, dmax: int):
             op = guess_operator(f, n, d)
         except NoOperatorFound:
             continue
-        except AmbiguousNullspace:
-            break
+        except AmbiguousNullspace as exc:
+            raise AmbiguousNullspace(
+                "no unique order-%d annihilator: at coefficient degree %d, "
+                "%d equations leave %s" % (n, d, need, exc))
         image = apply_operator(op, f).coeffs
         bad = next((m for m, x in enumerate(image) if x), None)
         if bad is not None:

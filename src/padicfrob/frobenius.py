@@ -93,10 +93,6 @@ class PrecisionExhausted(ArithmeticError):
         self.m = m
 
 
-class NonUnitWronskian(ValueError):
-    """Wronskian constant term is not a p-adic unit."""
-
-
 class FrobeniusDecomposition(_Record):
     """Alpha-linear decomposition of the Frobenius coefficients.
 
@@ -117,8 +113,8 @@ class FrobeniusDecomposition(_Record):
     read the stored integers and the support directly.
 
     basis is the exact standard basis of an exact decomposition.  A
-    fixed-precision one solves from residues of the F_k and carries only
-    the basis it was given, else None.
+    fixed-precision one solves from residues of the F_k and carries
+    None.
     """
 
     def __init__(self, p: int, operator: MumOperator,
@@ -312,20 +308,16 @@ def _lowest(acc, v, x):
 
 
 def solve_A_series(L: MumOperator, p: int, M: int,
-                   basis: StandardBasis | None = None,
                    digits: int | None = None) -> FrobeniusDecomposition:
     """Solve the log-free part of A(y_i(t^p)) = p^i sum alpha_k y_{i-k}
     for every alpha-slot mod t^M: exactly over Q when digits is None,
-    else with every coefficient known mod p^digits.  A given basis must
-    be L's, known mod t^M.  BadPrime for p not a prime of good reduction
-    (mum.require_good_prime).
+    else with every coefficient known mod p^digits.  BadPrime for p not
+    a prime of good reduction (mum.require_good_prime).
 
-    The exact solve reads the F_k from the basis, standard_basis(L, M)
-    unless given, and the decomposition carries it.  The fixed-precision
-    one builds the F_k mod p^P itself (mum.residue_basis) and carries
-    only a given basis, which it reads for nothing but the zero pattern
-    when the residues leave one open (see below); a caller that needs
-    exact F_k builds them.
+    The exact solve reads the F_k from standard_basis(L, M), and the
+    decomposition carries it.  The fixed-precision one builds the F_k
+    mod p^P itself (mum.residue_basis) and carries no basis; a caller
+    that needs exact F_k reads them from an exact solve.
 
     The matrix entry multiplying A_j in equation i is
     B_ij = p^j sum_m C(j,m) (theta^(j-m) F_{i-m})(t^p), which reduces
@@ -394,11 +386,6 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         raise InsufficientOrder("need t-order at least 1")
     if digits is not None and digits < 1:
         raise ValueError("need digits >= 1")
-    if basis is not None and basis.operator != L:
-        raise ValueError("basis is of another operator")
-    if basis is not None and basis.order < M:
-        raise InsufficientOrder("basis known mod t^%d, need t^%d"
-                                % (basis.order, M))
     n, g = L.order, L.step or M
     # the lattice degrees c < Mg stand for the t-degrees c g < M
     Mg = -(-M // g)
@@ -442,8 +429,7 @@ def solve_A_series(L: MumOperator, p: int, M: int,
 
     top = (Mg - 1) // p
     if digits is None:
-        if basis is None:
-            basis = standard_basis(L, M)
+        basis = standard_basis(L, M)
         fvals = exact_values(basis, Mg)
         bmat = _combine(fvals, p, g, top)
         _, live = reached(fvals, bmat)
@@ -479,7 +465,7 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         # the exact F_k below the first lattice degree past those values
         # (at the families, F_{n-1}[g] = 0 for odd n) decide them
         low = max(unsure) + 1
-        fx = exact_values(basis or standard_basis(L, low * g), low)
+        fx = exact_values(standard_basis(L, low * g), low)
         fpat = [f + x[low:] for f, x in zip(fx, xs)]
         for row, exact in zip(vb, _combine(fx, p, g, min(top, low - 1))):
             for col, bs in zip(row, exact):
@@ -565,7 +551,7 @@ def solve_A_series(L: MumOperator, p: int, M: int,
             for i, row in enumerate(table):
                 sol[s][i][r::p] = row if lift == 1 else [x * lift for x in row]
     return FrobeniusDecomposition(
-        p=p, operator=L, basis=basis, order=M, digits=digits, scale=scale,
+        p=p, operator=L, basis=None, order=M, digits=digits, scale=scale,
         slots=[[PowerSeries(expand(a[:Mg]), M) for a in s] for s in sol],
         support=[[bytes(expand(row)) for row in slot] for slot in live],
         step=g)
@@ -1149,26 +1135,20 @@ def recover_alpha(dec: FrobeniusDecomposition, M: int,
         CongruenceSystem(dec.p, dec.n - 1, tuple(rows)))
 
 
-def nonuniqueness_witness(L: MumOperator, lam, p: int, M: int,
-                          wronskian: PowerSeries | None = None) -> bool:
+def nonuniqueness_witness(L: MumOperator, lam, p: int, M: int) -> bool:
     """Exhibit the one-parameter family of Frobenius structures on an
     order-2 operator: A + lam (y_0(t)/W(t^p)) (y_0(t^p) theta -
     theta(y_0(t^p))) still maps both y_i(t^p) to solutions mod t^M.
 
-    W is the Wronskian F_0^2 + F_0 theta(F_1) - F_1 theta(F_0),
-    computed from the standard basis unless supplied; its constant
-    term must be a p-adic unit.
+    W is the Wronskian F_0^2 + F_0 theta(F_1) - F_1 theta(F_0) of the
+    exact solve's basis.  theta kills constant terms, so W(0) = F_0(0)^2
+    = 1 and W(t^p) is invertible.
     """
     if L.order != 2:
         raise ValueError("witness construction needs an order-2 operator")
-    sb = standard_basis(L, M)
-    f0, f1 = sb.fs
-    if wronskian is None:
-        wronskian = f0 * f0 + f0 * f1.theta() - f1 * f0.theta()
-    w0 = Fraction(wronskian.constant_term())
-    if w0 == 0 or vp(w0, p) != 0:
-        raise NonUnitWronskian("W(0) = %s is not a unit at p=%d" % (w0, p))
-    dec = solve_A_series(L, p, M, basis=sb)
+    dec = solve_A_series(L, p, M)
+    f0, f1 = dec.basis.fs
+    wronskian = f0 * f0 + f0 * f1.theta() - f1 * f0.theta()
     lam = Fraction(lam) if isinstance(lam, int) else lam
     y0_p = f0.substitute_tp(p).truncate(M)
     winv_p = wronskian.substitute_tp(p).truncate(M).invert()
@@ -1178,7 +1158,7 @@ def nonuniqueness_witness(L: MumOperator, lam, p: int, M: int,
     a0 = dec.slots[0][0] + extra0
     a1 = dec.slots[0][1] + extra1
     for i in range(2):
-        yi_p = sb.y(i).substitute_tp(p)
+        yi_p = dec.basis.y(i).substitute_tp(p)
         image = a0 * yi_p + a1 * yi_p.theta()
         if not apply_operator(L, image).is_zero_mod(M):
             return False

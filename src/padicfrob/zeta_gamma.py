@@ -63,10 +63,6 @@ class PrecisionBudgetExceeded(ArithmeticError):
     """No feasible interpolation node scale reaches the target precision."""
 
 
-class WeightMismatch(ValueError):
-    """Gamma ratio weights are unbalanced: sum of bs must equal a."""
-
-
 # -- symbolic zeta polynomials -----------------------------------------
 
 
@@ -566,18 +562,16 @@ def zetap(m: int, p: int, N: int) -> PadicNum:
 # -- symbolic expansions and the alpha constants -----------------------
 
 
-def log_ratio_expansion(a, bs: Sequence, D: int) -> PowerSeries:
-    """log(Gamma_p(a x) / prod_i Gamma_p(b_i x)) as a series over
-    ZetaPoly, through degree D.
+def log_ratio_expansion(bs: Sequence, D: int) -> PowerSeries:
+    """log(Gamma_p(a x) / prod_i Gamma_p(b_i x)), a = sum bs, as a
+    series over ZetaPoly, through degree D.
 
-    Valid for balanced weights (sum bs = a), which kills the
-    Gamma_p'(0) term; the x^m coefficient is then
-    -(zeta_p(m)/m)(a^m - sum b_i^m), zero for even m.
+    The weights balance by construction, which kills the Gamma_p'(0)
+    term; the x^m coefficient is then -(zeta_p(m)/m)(a^m - sum b_i^m),
+    zero for even m.
     """
-    a = Fraction(a)
     bs = [Fraction(b) for b in bs]
-    if sum(bs) != a:
-        raise WeightMismatch("sum of bs = %s but a = %s" % (sum(bs), a))
+    a = sum(bs)
     coeffs = [ZetaPoly.zero(), ZetaPoly.zero()]
     for m in range(2, D + 1):
         if m % 2 == 0:
@@ -594,7 +588,7 @@ def alpha_simplicial(n: int) -> list:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    ratio = log_ratio_expansion(1, [Fraction(1, n + 1)] * (n + 1), n - 1).exp()
+    ratio = log_ratio_expansion([Fraction(1, n + 1)] * (n + 1), n - 1).exp()
     return [ZetaPoly._coerce(ratio.known(j)) for j in range(1, n)]
 
 
@@ -606,7 +600,7 @@ def alpha_hyperoctahedral(J: int) -> list:
         raise ValueError("need J >= 1")
     ratios = [PowerSeries.one(J + 1), PowerSeries.one(J + 1)]
     for m in range(2, J + 1):
-        ratios.append(log_ratio_expansion(m, [1] * m, J).exp())
+        ratios.append(log_ratio_expansion([1] * m, J).exp())
     out = []
     for j in range(1, J + 1):
         acc = ZetaPoly.zero()
@@ -671,7 +665,7 @@ def gamma_ratio_congruence_check(V: Sequence[int], s: int, p: int, n: int,
     if tail < E:
         raise PrecisionBudgetExceeded(
             "degree-%d truncation tail %d below target %d" % (Dtr, tail, E))
-    logratio = log_ratio_expansion(a, [Fraction(v) for v in V], Dtr)
+    logratio = log_ratio_expansion(V, Dtr)
     if _corrupt is not None:
         deg, delta = _corrupt
         bump = [ZetaPoly.zero()] * deg + [ZetaPoly.const(delta)]

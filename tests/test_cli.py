@@ -4,12 +4,14 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import padicfrob
 from padicfrob import cli, frobenius
 from padicfrob.cli import main
 from padicfrob.frobenius import PrecisionExhausted
@@ -208,8 +210,8 @@ def test_low_precision_answers_as_exact(capsys, monkeypatch):
     got = [run(capsys, cmd, *argv) for cmd in ("verify", "recover")]
     exact = cli.solve_A_series
 
-    def exact_only(L, p, M, basis=None, digits=None):
-        return exact(L, p, M, basis=basis)
+    def exact_only(L, p, M, digits=None):
+        return exact(L, p, M)
 
     monkeypatch.setattr(cli, "solve_A_series", exact_only)
     want = [run(capsys, cmd, *argv) for cmd in ("verify", "recover")]
@@ -236,6 +238,56 @@ def test_recover_inconsistent_exit(capsys, monkeypatch):
                        "--n", "4", "--t-order", "20")
     assert code == 4
     assert "inconsistent" in err
+
+
+# the exit code main documents for each public exception class of the
+# package; a class added to any module must be added here
+EXIT_CODES = {
+    "AmbiguousNullspace": 5, "BadConstantTerm": 2, "BadPrime": 2,
+    "BoxTooLarge": 2, "InconsistentSystem": 4, "InsufficientOrder": 2,
+    "LevelTooLarge": 2, "NoOperatorFound": 5, "NonUnitConstantTerm": 2,
+    "NotMUM": 2, "PrecisionBudgetExceeded": 2, "PrecisionError": 2,
+    "PrecisionExhausted": 3, "UsageError": 2,
+}
+
+
+def _public_exceptions() -> dict:
+    """Every exception class a padicfrob module defines, by name, but
+    the private ones."""
+    found = {}
+    for info in pkgutil.iter_modules(padicfrob.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("padicfrob." + info.name)
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and issubclass(obj, BaseException) \
+                    and obj.__module__ == module.__name__ \
+                    and not name.startswith("_"):
+                found[name] = obj
+    return found
+
+
+def test_every_public_exception_has_an_exit_code():
+    assert sorted(_public_exceptions()) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES) + ["OSError"])
+def test_exception_exits_with_its_code_and_one_line(capsys, monkeypatch,
+                                                    name):
+    cls = _public_exceptions().get(name, OSError)
+    exc = cls(2, 14) if cls is PrecisionExhausted else \
+        cls(3) if cls is InconsistentSystem else cls("boom")
+
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_family_job", boom)
+    code, out, err = run(capsys, "verify", "--family", "simplicial",
+                         "--n", "4")
+    assert code == EXIT_CODES.get(name, 2)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_guess_hyperoct_matches_printed(capsys):
@@ -284,6 +336,18 @@ def test_guess_refuses_an_operator_fitted_on_too_few_terms(capsys):
     assert (code, out) == (5, "")
     assert ("no annihilator: the degree-0 operator fitted mod t^22 leaves "
             "a nonzero t^22 term") in err
+
+
+@pytest.mark.parametrize("n, dim", [(4, 2), (5, 3), (6, 4)])
+def test_guess_names_an_ambiguous_fit(capsys, n, dim):
+    # the simplicial series live in t^(n+1), so mod t^need the degree-0
+    # fit has too few equations per residue class to pin one operator
+    code, out, err = run(capsys, "guess", "--family", "simplicial",
+                         "--n", str(n))
+    assert (code, out) == (5, "")
+    assert err == ("error: no unique order-%d annihilator: at coefficient "
+                   "degree 0, %d equations leave nullspace dimension %d\n"
+                   % (n, n + 1 + GUESS_GUARD, dim))
 
 
 def test_guess_junk_series(capsys, tmp_path):

@@ -11,7 +11,6 @@ from padicfrob.frobenius import (
     BadPrime,
     FrobeniusDecomposition,
     InsufficientOrder,
-    NonUnitWronskian,
     PrecisionExhausted,
     analytic_bound,
     check_analytic,
@@ -375,9 +374,6 @@ def test_recover_alpha_order_one_vacuous():
 def test_insufficient_order_paths():
     with pytest.raises(InsufficientOrder):
         solve_A_series(simplicial_operator(2), 5, 0)
-    sb = standard_basis(simplicial_operator(2), 10)
-    with pytest.raises(InsufficientOrder):
-        solve_A_series(simplicial_operator(2), 5, 20, basis=sb)
     dec = solve_A_series(simplicial_operator(2), 5, 10)
     with pytest.raises(InsufficientOrder):
         check_integrality(dec, [Fraction(0)], 11)
@@ -407,8 +403,7 @@ def test_integrality_rejects_wrong_alpha_count():
     # both modes; the fixed readout would otherwise drop an extra exact
     # zero, and both would ignore a missing alpha
     exact = solve_A_series(simplicial_operator(4), 7, 30)
-    fixed = solve_A_series(simplicial_operator(4), 7, 30, basis=exact.basis,
-                           digits=N_CLI)
+    fixed = solve_A_series(simplicial_operator(4), 7, 30, digits=N_CLI)
     for dec in (exact, fixed):
         for alphas in ([], [0, 0], [0, 0, 0, 0]):
             with pytest.raises(ValueError):
@@ -418,8 +413,7 @@ def test_integrality_rejects_wrong_alpha_count():
 def test_integrality_rejects_non_rational_alphas():
     # both modes: a float, a string and a bool are not p-adic constants
     exact = solve_A_series(simplicial_operator(2), 5, 20)
-    fixed = solve_A_series(simplicial_operator(2), 5, 20, basis=exact.basis,
-                           digits=8)
+    fixed = solve_A_series(simplicial_operator(2), 5, 20, digits=8)
     for dec in (exact, fixed):
         for alpha in (0.1, "1", True):
             with pytest.raises(TypeError):
@@ -429,8 +423,7 @@ def test_integrality_rejects_non_rational_alphas():
 def test_analytic_rejects_wrong_alpha_count():
     # both modes, before any row: with S = 0 there is none to read
     exact = solve_A_series(simplicial_operator(4), 7, 30)
-    fixed = solve_A_series(simplicial_operator(4), 7, 30, basis=exact.basis,
-                           digits=N_CLI)
+    fixed = solve_A_series(simplicial_operator(4), 7, 30, digits=N_CLI)
     for dec in (exact, fixed):
         for digits in (0, 1):
             for alphas in ([], [0, 0], [0, 0, 0, 0]):
@@ -443,22 +436,27 @@ def test_nonuniqueness_witness_family():
     assert ok, detail
 
 
-def test_nonuniqueness_wrong_wronskian():
-    L = simplicial_operator(2)
-    M = 30
-    sb = standard_basis(L, M)
-    f0, f1 = sb.fs
-    w = f0 * f0 + f0 * f1.theta() - f1 * f0.theta()
-    corrupted = w + PowerSeries([0, 0, 0, 1], M)
-    assert nonuniqueness_witness(L, 1, 5, M, wronskian=corrupted) is False
+def test_nonuniqueness_rejects_a_corrupted_solve(monkeypatch):
+    # negative control: one t^3 term added to A_1^(0) of the exact solve
+    # the witness makes, and no member of the family maps y_1(t^p) to a
+    # solution
+    L, p, M = simplicial_operator(2), 5, 30
+    assert all(nonuniqueness_witness(L, lam, p, M) for lam in (0, 1))
+    solve = frobenius.solve_A_series
+
+    def corrupted(*args, **kwargs):
+        dec = solve(*args, **kwargs)
+        slots = [list(row) for row in dec.slots]
+        slots[0][1] = slots[0][1] + PowerSeries([0, 0, 0, 1], M)
+        return dec.replace(slots=slots)
+
+    monkeypatch.setattr(frobenius, "solve_A_series", corrupted)
+    for lam in (0, 1):
+        assert nonuniqueness_witness(L, lam, p, M) is False
 
 
-def test_nonuniqueness_nonunit_wronskian_rejected():
-    L = simplicial_operator(2)
-    with pytest.raises(NonUnitWronskian):
-        nonuniqueness_witness(L, 1, 5, 20,
-                              wronskian=PowerSeries([5, 1], 20))
-    with pytest.raises(ValueError):
+def test_nonuniqueness_needs_order_two():
+    with pytest.raises(ValueError, match="order-2"):
         nonuniqueness_witness(simplicial_operator(3), 1, 5, 20)
 
 
@@ -519,8 +517,7 @@ def _entry_by_entry(dec, alphas, M):
 
 @pytest.mark.parametrize("L,p,M,shift", DEEP_CASES + SWEEP_CASES)
 def test_fixed_precision_matches_exact(L, p, M, shift):
-    sb = standard_basis(L, M)
-    exact = solve_A_series(L, p, M, basis=sb)
+    exact = solve_A_series(L, p, M)
     closed = _closed_forms(L, p, N_CLI)
     if shift:
         closed[0] = closed[0] + 1
@@ -530,12 +527,12 @@ def test_fixed_precision_matches_exact(L, p, M, shift):
                    [PadicNum.from_exact(Fraction(1, 7), p)] + closed[1:],
                    [PadicNum.from_exact(0, p)] + closed[1:],
                    closed[:-1] + [closed[-1] + Fraction(3, p ** 2)]):
-        fixed = solve_A_series(L, p, M, basis=sb,
+        fixed = solve_A_series(L, p, M,
                                digits=integrality_digits(alphas, N_CLI))
         assert _entry_by_entry(fixed, alphas, M) is None
         assert check_integrality(fixed, alphas, M).to_json() == \
             check_integrality(exact, alphas, M).to_json()
-    coarse = solve_A_series(L, p, M, basis=sb, digits=N_CLI)
+    coarse = solve_A_series(L, p, M, digits=N_CLI)
     assert recover_alpha(coarse, M) == recover_alpha(exact, M)
 
 
@@ -544,7 +541,7 @@ def test_fixed_precision_coefficients_and_zeros():
     # and exactly the exact zeros are off the support
     for L, p, M, _ in DEEP_CASES:
         exact = solve_A_series(L, p, M)
-        fixed = solve_A_series(L, p, M, basis=exact.basis, digits=5)
+        fixed = solve_A_series(L, p, M, digits=5)
         for k in range(L.order):
             for j in range(L.order):
                 for m in range(M):
@@ -560,9 +557,8 @@ def test_fixed_precision_coefficients_and_zeros():
 
 @pytest.mark.parametrize("L,p,M,shift", DEEP_CASES)
 def test_fixed_precision_analytic_verdicts(L, p, M, shift):
-    sb = standard_basis(L, M)
-    exact = solve_A_series(L, p, M, basis=sb)
-    fixed = solve_A_series(L, p, M, basis=sb, digits=3)
+    exact = solve_A_series(L, p, M)
+    fixed = solve_A_series(L, p, M, digits=3)
     alphas = _closed_forms(L, p, N_CLI)
     bad = alphas[:2] + [alphas[2] + 1]
     for al in (alphas, bad):
@@ -571,7 +567,7 @@ def test_fixed_precision_analytic_verdicts(L, p, M, shift):
     assert check_analytic(fixed, bad, M, 1).verdict == "non-analytic"
     # a row enters the congruence system only when an alpha term is
     # nonzero, which 3 digits cannot tell for every coefficient
-    coarse = solve_A_series(L, p, M, basis=sb, digits=N_CLI)
+    coarse = solve_A_series(L, p, M, digits=N_CLI)
     assert recover_alpha(coarse, M, analytic_digits=3) == \
         recover_alpha(exact, M, analytic_digits=3)
 
@@ -586,14 +582,13 @@ def test_fixed_precision_short_digits_raise():
         check_integrality(fixed, alphas, M)
     # the readout raises at the entry where _integrality_entry does
     for digits in (3, N_CLI):
-        short = solve_A_series(L, p, M, basis=fixed.basis, digits=digits)
+        short = solve_A_series(L, p, M, digits=digits)
         raised = _entry_by_entry(short, alphas, M)
         assert raised is not None
         assert _integrality(short, alphas, M) == raised
     with pytest.raises(PrecisionExhausted):
-        check_analytic(solve_A_series(L, p, M, basis=fixed.basis, digits=2),
-                       alphas, M, 3)
-    blunt = solve_A_series(L, p, M, basis=fixed.basis, digits=2)
+        check_analytic(solve_A_series(L, p, M, digits=2), alphas, M, 3)
+    blunt = solve_A_series(L, p, M, digits=2)
     # rows mod p^3 need 3 digits; and whether a row has an alpha term at
     # all needs every slot coefficient told from zero
     with pytest.raises(PrecisionExhausted):
@@ -603,7 +598,7 @@ def test_fixed_precision_short_digits_raise():
     with pytest.raises(ValueError):
         verify_frobenius_property(fixed, alphas, M)
     with pytest.raises(ValueError):
-        solve_A_series(L, p, M, basis=fixed.basis, digits=0)
+        solve_A_series(L, p, M, digits=0)
 
 
 # The fixed-precision ring packs every (slot, residue class mod g p)
@@ -640,7 +635,7 @@ def _assert_slots_agree(fixed, exact, M, digits):
 @pytest.mark.parametrize("L,p,M,digits", LANE_CASES)
 def test_fixed_precision_lanes_match_exact(L, p, M, digits):
     exact = solve_A_series(L, p, M)
-    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=digits)
+    fixed = solve_A_series(L, p, M, digits=digits)
     _assert_slots_agree(fixed, exact, M, digits)
     if L == KNOWN_HYPEROCT_OPERATORS[4]:
         assert not any(row[m] for slot in fixed.support for row in slot
@@ -667,7 +662,7 @@ def test_scale_certificate_raises_a_short_start(L, p, M):
     # at the scale one slot coefficient needs: it ends at the least scale
     # that makes every slot p-integral, and agrees with the exact slots
     exact = solve_A_series(L, p, M)
-    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=6)
+    fixed = solve_A_series(L, p, M, digits=6)
     n = L.order
     least = min(vp(exact.slot(k, j, m), p) for k in range(n)
                 for j in range(n) for m in range(M) if exact.slot(k, j, m))
@@ -730,30 +725,41 @@ def test_fixed_precision_builds_no_exact_basis(monkeypatch):
     assert made and called == [(L, 28)]
 
 
-@pytest.mark.parametrize("L,p,M,low", [
+CANCELLATION_CASES = [
     # F_2[t^4] = 0 for simplicial n = 3, though reached, and B_20[t^28]
     # is that value: the exact basis mod t^8 decides both
     (simplicial_operator(3), 7, 70, 8),
     # B_11[t^5] = 5 (F_1[t] + F_0[t]) = 0 over F_0[t] = -1, F_1[t] = 1
     (MumOperator([[0, 1], [0, 1], [1, 1]]), 5, 30, 2),
-])
+]
+
+
+@pytest.mark.parametrize("L,p,M,low", CANCELLATION_CASES)
 def test_exact_cancellations_take_the_exact_zero_pattern(L, p, M, low,
                                                          monkeypatch):
     # a reached F or B value whose residue reads 0 is taken from the
-    # exact basis, known only below the degree past it, or from a given
-    # basis; the support is then exactly where the exact slots are
-    # nonzero
+    # exact basis, known only below the degree past it; the support is
+    # then exactly where the exact slots are nonzero
     called = []
     monkeypatch.setattr(frobenius, "standard_basis",
                         lambda L, M: called.append(M) or standard_basis(L, M))
     fixed = solve_A_series(L, p, M, digits=6)
     assert called == [low]
     exact = solve_A_series(L, p, M)
-    _assert_slots_agree(fixed, exact, M, 6)
-    given = solve_A_series(L, p, M, basis=exact.basis, digits=6)
     assert called == [low, M]
-    assert _stored(given) == _stored(fixed)
-    assert given.basis is exact.basis
+    _assert_slots_agree(fixed, exact, M, 6)
+
+
+@pytest.mark.parametrize("L,p,M", [
+    (simplicial_operator(4), 7, 60), (KNOWN_HYPEROCT_OPERATORS[4], 7, 90),
+    (GEOM_L, 5, 20), (MumOperator([[], [], [1]]), 7, 20),
+] + [case[:3] for case in CANCELLATION_CASES])
+def test_decomposition_carries_the_standard_basis_when_exact(L, p, M):
+    # the solve builds every basis it reads: an exact decomposition
+    # carries standard_basis(L, M), a fixed-precision one none, even
+    # where it read exact F_k to decide a cancellation
+    assert solve_A_series(L, p, M).basis == standard_basis(L, M)
+    assert solve_A_series(L, p, M, digits=6).basis is None
 
 
 @pytest.mark.parametrize("L,p,M", [
@@ -835,15 +841,6 @@ def test_solve_rejects_bad_prime():
     assert issubclass(BadPrime, ValueError)
 
 
-def test_solve_rejects_basis_of_another_operator():
-    # the slots solve for L: a basis of another operator is refused up
-    # front in either pairing, so no decomposition carries one
-    small, large = simplicial_operator(2), simplicial_operator(3)
-    for L, other in ((small, large), (large, small)):
-        with pytest.raises(ValueError, match="another operator"):
-            solve_A_series(L, 7, 30, basis=standard_basis(other, 30))
-
-
 def _analytic_specs(dec, p, M, digits):
     """(s, j, m, weights) of the analytic rows: [t^m] D^e(s) A_j is the
     sum of c [t^(m-i)] A_j over the terms (i, c) of D^e(s)."""
@@ -899,9 +896,8 @@ def test_congruence_rows_match_rational_build(L, p, M, monkeypatch):
 
     solve = frobenius.solve_affine_congruences
     monkeypatch.setattr(frobenius, "solve_affine_congruences", capture)
-    sb = standard_basis(L, M)
     for digits in (None, N_CLI):
-        dec = solve_A_series(L, p, M, basis=sb, digits=digits)
+        dec = solve_A_series(L, p, M, digits=digits)
         for analytic_digits in (0, 1, 2, 3):
             recover_alpha(dec, M, analytic_digits=analytic_digits)
             want = CongruenceSystem.build(
@@ -940,8 +936,7 @@ def test_products_match_row_by_row_sums():
     # its window; at fixed precision its support is where a term of
     # D^e(s) meets a live slot coefficient
     simplicial = solve_A_series(simplicial_operator(4), 7, 110)
-    fixed = solve_A_series(simplicial_operator(4), 7, 110,
-                           basis=simplicial.basis, digits=3)
+    fixed = solve_A_series(simplicial_operator(4), 7, 110, digits=3)
     hyperoct = solve_A_series(KNOWN_HYPEROCT_OPERATORS[4], 7, 90)
     theta2 = solve_A_series(MumOperator([[], [], [1]]), 7, 20)
     hand_built = FrobeniusDecomposition(
@@ -955,8 +950,8 @@ def test_products_match_row_by_row_sums():
                             support=[[b"\1" + bytes(29)]])
     cases = [(simplicial, 4), (fixed, 4), (hand_built, 4), (theta2, 2),
              (hyperoct, 3), (solve_A_series(
-                 KNOWN_HYPEROCT_OPERATORS[4], 7, 90, basis=hyperoct.basis,
-                 digits=N_CLI), 3), (cancel, 3)]
+                 KNOWN_HYPEROCT_OPERATORS[4], 7, 90, digits=N_CLI), 3),
+             (cancel, 3)]
     assert [dec.step for dec, _ in cases] == [5, 5, 1, 20, 2, 2, 1]
     for dec, digits in cases:
         M = dec.order
@@ -1021,7 +1016,7 @@ def test_check_analytic_matches_row_by_row_sums(L, p, M, shift):
     alphas = _closed_forms(L, p, N_CLI)
     bad = alphas[:2] + [alphas[2] + 1]
     exact = solve_A_series(L, p, M)
-    decs = [exact] + [solve_A_series(L, p, M, basis=exact.basis, digits=d)
+    decs = [exact] + [solve_A_series(L, p, M, digits=d)
                       for d in (2, 3, N_CLI)]
     for dec in decs:
         for digits in (1, 2, 3):
@@ -1061,7 +1056,7 @@ def test_fixed_precision_rejects_other_primes():
     # identity, as PadicNum's sum refuses it
     L, p, M = simplicial_operator(4), 7, 60
     exact = solve_A_series(L, p, M)
-    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=N_CLI)
+    fixed = solve_A_series(L, p, M, digits=N_CLI)
     alphas = [0, 0, PadicNum.from_rational(Fraction(1, 3), 5, 6)]
     for dec in (exact, fixed):
         with pytest.raises(ValueError, match="7-adic"):
@@ -1083,7 +1078,7 @@ def test_exact_cancellation_left_out(capsys, monkeypatch):
     rep = check_integrality(exact, [alpha1, 0, 0], M)
     assert rep.verdict == "integral" and len(rep.entries) == 21
     assert (1, 5) not in [(e["j"], e["m"]) for e in rep.entries]
-    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=30)
+    fixed = solve_A_series(L, p, M, digits=30)
     with pytest.raises(PrecisionExhausted) as exc:
         check_integrality(fixed, [alpha1, 0, 0], M)
     assert (exc.value.j, exc.value.m) == (1, 5)
@@ -1113,7 +1108,7 @@ def test_analytic_rows_start_at_t0():
     L, p, M = MumOperator([[0, -1], [0, 2], [1, -1]]), 3, 5
     assert analytic_bound(L, p, 1) == (0, -2)
     exact = solve_A_series(L, p, M)
-    for dec in (exact, solve_A_series(L, p, M, basis=exact.basis, digits=4)):
+    for dec in (exact, solve_A_series(L, p, M, digits=4)):
         assert check_analytic(dec, [0], M, 1) == AnalyticReport(
             p=p, M=M, digits=1, verdict="non-analytic", rows=1,
             first_failing=(1, 0, 0, 0))
@@ -1158,7 +1153,7 @@ def test_negative_analytic_digits_rejected():
             recover_alpha(dec, M, analytic_digits=digits)
     assert check_analytic(dec, alphas, M, 0) == AnalyticReport(
         p=p, M=M, digits=0, verdict="analytic", rows=0)
-    fine = solve_A_series(L, p, M, basis=dec.basis, digits=N_CLI)
+    fine = solve_A_series(L, p, M, digits=N_CLI)
     assert recover_alpha(fine, M, analytic_digits=0) == \
         recover_alpha(fine, M)
 
@@ -1257,7 +1252,7 @@ def test_recover_alpha_inconsistent_analytic_constant_row():
     # has no alpha term to absorb it, in both modes
     p, M = 5, 20
     exact = solve_A_series(GEOM_L, p, M)
-    fixed = solve_A_series(GEOM_L, p, M, basis=exact.basis, digits=3)
+    fixed = solve_A_series(GEOM_L, p, M, digits=3)
     for dec in (exact, fixed):
         coeffs = [dec.slots[0][0].known(c) for c in range(M)]
         coeffs[10] += p ** dec.scale
@@ -1296,7 +1291,7 @@ def test_solve_lives_on_the_operator_lattice(L, g, digits):
     g = g or M
     exact = solve_A_series(L, p, M)
     dec = exact if digits is None else \
-        solve_A_series(L, p, M, basis=exact.basis, digits=digits)
+        solve_A_series(L, p, M, digits=digits)
     assert L.step in (g, 0) and dec.step == g
     for k in range(L.order):
         for j in range(L.order):

@@ -5,7 +5,8 @@ defining identity, and the fixed-precision solve agrees with it slot by
 slot.  On these, on the same operators in t^2 and t^3 and on the small
 built-in operators, recover_alpha and check_integrality give the same
 answer on both solves, and check_analytic gives the report of its rows
-summed one by one."""
+summed one by one.  On random order-2 MUM operators the Wronskian is 1
+at t = 0 and the nonuniqueness witness holds."""
 
 import functools
 import math
@@ -22,6 +23,7 @@ from padicfrob.frobenius import (  # noqa: E402
     PrecisionExhausted,
     check_analytic,
     check_integrality,
+    nonuniqueness_witness,
     recover_alpha,
     solve_A_series,
     verify_frobenius_property,
@@ -189,6 +191,31 @@ def test_exact_solve_satisfies_identity_in_t_power(L, p, M, alphas):
     assert verify_frobenius_property(dec, alphas[:L.order - 1], M)
 
 
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _order_two(draw) -> MumOperator:
+    # a_2(t) theta^2 + a_1(t) theta + a_0(t), a_1(0) = a_0(0) = 0 and
+    # a_2(0) != 0, every coefficient small
+    terms = st.lists(SMALL, max_size=2)
+    return MumOperator([[0] + draw(terms), [0] + draw(terms),
+                        [draw(SMALL.filter(bool))] + draw(terms)])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(L=_order_two(), p=st.sampled_from((3, 5, 7)), M=st.integers(1, 20),
+       lam=st.integers(-2, 2))
+def test_wronskian_is_one_at_zero(L, p, M, lam):
+    # theta kills constant terms, so W(0) = F_0(0)^2 = 1 for every
+    # order-2 MUM operator: W(t^p) is invertible, and the witness holds
+    # at every good prime
+    f0, f1 = standard_basis(L, M).fs
+    assert (f0 * f0 + f0 * f1.theta() - f1 * f0.theta()).constant_term() == 1
+    if L.leading()[-1] % p:
+        assert nonuniqueness_witness(L, lam, p, M)
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(shifts=SHIFTS, M=st.integers(5, 40), digits=st.integers(1, 6))
 def test_fixed_precision_agrees_with_exact(shifts, M, digits):
@@ -203,10 +230,9 @@ def test_fixed_precision_agrees_with_exact_in_t_power(L, M, digits):
 
 def _fixed_agrees_with_exact(L, M, digits):
     n = L.order
-    sb = standard_basis(L, M)
     for p in PRIMES:
-        exact = solve_A_series(L, p, M, basis=sb)
-        fixed = solve_A_series(L, p, M, basis=sb, digits=digits)
+        exact = solve_A_series(L, p, M)
+        fixed = solve_A_series(L, p, M, digits=digits)
         for k in range(n):
             for j in range(n):
                 for m in range(M):
@@ -249,14 +275,13 @@ def _recover_fixed_matches_exact(L, p, M, digits, analytic_digits):
     # CLI answers from the exact solve.  Where p divides the top
     # coefficient of D = a_n(t) (simplicial n = 2 at 3, n = 4 at 5) both
     # solves refuse the prime
-    sb = standard_basis(L, M)
     if L.leading()[-1] % p == 0:
         for mode in (None, digits):
             with pytest.raises(BadPrime, match="top coefficient"):
-                solve_A_series(L, p, M, basis=sb, digits=mode)
+                solve_A_series(L, p, M, digits=mode)
         return
-    want = _recovered(solve_A_series(L, p, M, basis=sb), M, analytic_digits)
-    fixed = solve_A_series(L, p, M, basis=sb, digits=digits)
+    want = _recovered(solve_A_series(L, p, M), M, analytic_digits)
+    fixed = solve_A_series(L, p, M, digits=digits)
     try:
         got = _recovered(fixed, M, analytic_digits)
     except PrecisionExhausted:
@@ -313,7 +338,7 @@ def _readout_matches_exact(L, M, digits, alphas):
     p = 7
     alphas = alphas[:L.order - 1]
     exact = solve_A_series(L, p, M)
-    fixed = solve_A_series(L, p, M, basis=exact.basis, digits=digits)
+    fixed = solve_A_series(L, p, M, digits=digits)
     got = _integrality(fixed, alphas, M)
     raised = _entry_by_entry(fixed, alphas, M)
     if raised is None:
@@ -331,12 +356,9 @@ ANALYTIC_M = 120
 
 @functools.lru_cache(maxsize=32)
 def _analytic_solve(case: int, digits):
-    """The exact solve of ANALYTIC_OPERATORS[case] (digits None) or the
-    fixed-precision one on its basis, solved once per test run."""
-    if digits is None:
-        return solve_A_series(ANALYTIC_OPERATORS[case], 7, ANALYTIC_M)
-    exact = _analytic_solve(case, None)
-    return solve_A_series(exact.operator, 7, ANALYTIC_M, basis=exact.basis,
+    """The solve of ANALYTIC_OPERATORS[case] at digits (None: exact),
+    solved once per test run."""
+    return solve_A_series(ANALYTIC_OPERATORS[case], 7, ANALYTIC_M,
                           digits=digits)
 
 

@@ -14,7 +14,6 @@ from padicfrob.zeta_gamma import (
     EXACT_BERNOULLI_BOUND,
     LevelTooLarge,
     PrecisionBudgetExceeded,
-    WeightMismatch,
     ZetaPoly,
     alpha_hyperoctahedral,
     alpha_simplicial,
@@ -341,22 +340,25 @@ class TestZetaInterpolated:
 
 
 class TestLogRatio:
-    def test_balance_required(self):
-        with pytest.raises(WeightMismatch):
-            log_ratio_expansion(1, [F(1, 2)], 4)
+    def test_a_is_the_sum_of_the_weights(self):
+        # log(Gamma_p(3x) / (Gamma_p(x) Gamma_p(2x))): the x^3 term is
+        # -(zeta_p(3)/3)(27 - 1 - 8)
+        L = log_ratio_expansion([1, 2], 3)
+        assert L.known(3) == ZetaPoly.gen(3) * -6
+        assert L.known(1).is_zero()
 
     def test_low_terms_vanish(self):
-        L = log_ratio_expansion(1, [F(1, 5)] * 5, 6)
+        L = log_ratio_expansion([F(1, 5)] * 5, 6)
         assert L.known(0).is_zero()
         assert L.known(1).is_zero()
         assert L.known(2).is_zero() and L.known(4).is_zero()
 
     def test_displayed_expansions(self):
-        e4 = log_ratio_expansion(1, [F(1, 5)] * 5, 3).exp()
+        e4 = log_ratio_expansion([F(1, 5)] * 5, 3).exp()
         assert e4.known(3) == ZetaPoly.gen(3) * F(-8, 25)
-        e6 = log_ratio_expansion(1, [F(1, 7)] * 7, 5).exp()
+        e6 = log_ratio_expansion([F(1, 7)] * 7, 5).exp()
         assert e6.known(5) == ZetaPoly.gen(5) * F(-480, 2401)
-        e7 = log_ratio_expansion(1, [F(1, 8)] * 8, 6).exp()
+        e7 = log_ratio_expansion([F(1, 8)] * 8, 6).exp()
         assert e7.known(6) == ZetaPoly.gen(3) * ZetaPoly.gen(3) * F(441, 8192)
 
 
