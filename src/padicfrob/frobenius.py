@@ -380,7 +380,13 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     sweep holds only its own lanes and certifies its own scale S_g.  The
     scale each coefficient needs does not depend on the split, so a
     group's X times p^(S - S_g), S = max S_g, is the run at S.
+    TypeError unless p, M and digits (when given) are ints, not bools.
     """
+    for name, value in (("p", p), ("M", M),
+                        ("digits", 1 if digits is None else digits)):
+        if type(value) is not int:
+            raise TypeError("solve_A_series: %s must be an int, not %r"
+                            % (name, value))
     require_good_prime(L, p)
     if M < 1:
         raise InsufficientOrder("need t-order at least 1")
@@ -1142,14 +1148,17 @@ def nonuniqueness_witness(L: MumOperator, lam, p: int, M: int) -> bool:
 
     W is the Wronskian F_0^2 + F_0 theta(F_1) - F_1 theta(F_0) of the
     exact solve's basis.  theta kills constant terms, so W(0) = F_0(0)^2
-    = 1 and W(t^p) is invertible.
+    = 1 and W(t^p) is invertible.  TypeError unless lam is an int (not
+    a bool) or a Fraction.
     """
+    if type(lam) not in (int, Fraction):
+        raise TypeError("nonuniqueness_witness: lam must be an int or a "
+                        "Fraction, not %r" % (lam,))
     if L.order != 2:
         raise ValueError("witness construction needs an order-2 operator")
     dec = solve_A_series(L, p, M)
     f0, f1 = dec.basis.fs
     wronskian = f0 * f0 + f0 * f1.theta() - f1 * f0.theta()
-    lam = Fraction(lam) if isinstance(lam, int) else lam
     y0_p = f0.substitute_tp(p).truncate(M)
     winv_p = wronskian.substitute_tp(p).truncate(M).invert()
     extra1 = f0 * winv_p * y0_p * lam

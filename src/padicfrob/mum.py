@@ -501,11 +501,11 @@ def _checked_nullspace(ints: list, ncols: int, q: int) -> list | None:
     return basis
 
 
-def guess_operator(f: PowerSeries, n: int, d: int,
-                   M: int | None = None) -> MumOperator:
+def guess_operator(f: PowerSeries, n: int, d: int) -> MumOperator:
     """Recover the order-n, degree-<=d annihilator of f in theta form.
 
-    Sets up [t^c](sum a_{i,k} t^k theta^i f) = 0 for c < M and finds
+    Sets up [t^c](sum a_{i,k} t^k theta^i f) = 0 for the c < M =
+    (n+1)(d+1) + GUESS_GUARD, more equations than unknowns, and finds
     its nullspace by elimination mod the primes of GUESS_MODULI in turn,
     certified exactly over Q (_certified_nullspace), with the Fraction
     elimination _nullspace as the fallback when the certificate fails.
@@ -514,10 +514,7 @@ def guess_operator(f: PowerSeries, n: int, d: int,
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     ncols = (n + 1) * (d + 1)
-    if M is None:
-        M = ncols + GUESS_GUARD
-    if M <= ncols:
-        raise ValueError("need more equations than unknowns")
+    M = ncols + GUESS_GUARD
     if f.order < M:
         raise ValueError("series known only mod t^%d, need t^%d"
                          % (f.order, M))

@@ -2,21 +2,22 @@
 
 A PowerSeries holds coefficients of t^0..t^(order-1); the order is the
 truncation modulus, so the series is known mod t^order.  Binary
-arithmetic keeps the minimum order of the operands.  Coefficients can
-live in any commutative ring whose elements support +, -, * and
-division by integers (exact rationals, truncated p-adics, zeta
-polynomials); absent coefficients are the integer 0.
+arithmetic keeps the minimum order of the operands.  Coefficients are
+int or Fraction, and building a series with any other coefficient is a
+TypeError; absent coefficients are the integer 0.
 
-A series whose coefficients are all int or Fraction computes on one
-internal form: integer numerators over one positive denominator, with
-no common factor and no trailing zero.  The form is built from the
-coefficient list the first time arithmetic needs it, and kept.  A
-series that arithmetic returns holds only the form; its coefficients
-become ints (denominator 1) or Fractions the first time they are read,
-and are kept too.  So a series that is only ever read, such as a slot
-of the fixed-precision solve, never builds the form.  A series with any
-other coefficient (PadicNum, ZetaPoly) computes coefficient by
-coefficient.
+A series computes on one internal form: integer numerators over one
+positive denominator, with no common factor and no trailing zero.  The
+form is built from the coefficient list the first time arithmetic needs
+it, and kept.  A series that arithmetic returns holds only the form;
+its coefficients become ints (denominator 1) or Fractions the first
+time they are read, and are kept too.  So a series that is only ever
+read, such as a slot of the fixed-precision solve, never builds the
+form.
+
+exp runs on coefficient lists (_exp_coefficients), which need only +,
+* and division by integers, so the zeta polynomials and truncated
+p-adics of zeta_gamma share it with PowerSeries.exp.
 
 A LogSeries is a polynomial in l = log t whose coefficients are
 PowerSeries, with the theta = t d/dt action theta(s l^k) =
@@ -30,6 +31,8 @@ from fractions import Fraction
 from typing import Sequence
 
 _SCALARS = (int, Fraction)
+# the coefficient types, matched exactly, so a bool is refused
+_TYPES = frozenset(_SCALARS)
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -57,6 +60,30 @@ def _is_zero_coeff(c) -> bool:
     return c == 0
 
 
+def _exp_coefficients(f: Sequence, order: int) -> list:
+    """Coefficients of exp(f) below t^order for a coefficient list f
+    with constant term 0, over any ring with +, * and division by
+    integers.
+
+    g = exp(f) satisfies theta(g) = theta(f) g, giving
+    m g_m = sum_k k f_k g_{m-k}.
+    """
+    if f and not _is_zero_coeff(f[0]):
+        raise BadConstantTerm("exp needs constant term 0")
+    terms = [(k, k * x) for k, x in enumerate(f[:order])
+             if k and not _is_zero_coeff(x)]
+    out = [1]
+    for m in range(1, order):
+        acc = None
+        for k, kf in terms:
+            if k > m:
+                break
+            term = kf * out[m - k]
+            acc = term if acc is None else acc + term
+        out.append(_exact_div(acc, m) if acc is not None else 0)
+    return out
+
+
 def _lowest(nums: list, d: int) -> tuple:
     """(nums, d) with trailing zeros dropped and the common factor of the
     numerators and d divided out; nums may be changed in place."""
@@ -72,7 +99,7 @@ def _convolve(a: list, b: list, order: int) -> list:
     """The product of two coefficient lists below t^order."""
     out = [0] * min(len(a) + len(b) - 1, order)
     for i, x in enumerate(a):
-        if not _is_zero_coeff(x):
+        if x:
             for j, y in enumerate(b[:order - i], i):
                 out[j] += x * y
     return out
@@ -85,6 +112,9 @@ class PowerSeries:
         if order < 1:
             raise ValueError("order must be positive")
         self._coeffs = list(coeffs[:order])
+        if not _TYPES.issuperset(map(type, self._coeffs)):
+            raise TypeError("PowerSeries coefficients must be int or "
+                            "Fraction")
         while self._coeffs and isinstance(self._coeffs[-1], int) \
                 and self._coeffs[-1] == 0:
             self._coeffs.pop()
@@ -100,35 +130,27 @@ class PowerSeries:
         s._coeffs, s._num, s._den, s.order = None, nums, d, order
         return s
 
-    def _form(self):
-        """(numerators, denominator) when every coefficient is an int or
-        a Fraction, else None; built on the first call and kept (a _den
-        of 0 marks a series that has no form)."""
+    def _form(self) -> tuple:
+        """(numerators, denominator), built on the first call and kept."""
         if self._den is None:
             cs = self._coeffs
-            if all(isinstance(c, _SCALARS) for c in cs):
-                d = math.lcm(*(c.denominator for c in cs))
-                self._num, self._den = _lowest(
-                    [c.numerator * (d // c.denominator) for c in cs], d)
-            else:
-                self._den = 0
-        return (self._num, self._den) if self._den else None
+            d = math.lcm(*(c.denominator for c in cs))
+            self._num, self._den = _lowest(
+                [c.numerator * (d // c.denominator) for c in cs], d)
+        return self._num, self._den
 
     def _rebuilt(self, edit, order: int) -> "PowerSeries":
-        """The series mod t^order with coefficient list edit(list), for
-        an edit that commutes with multiplying every coefficient by one
-        integer: it edits the form's numerators when there is a form,
-        else the coefficients."""
-        form = self._form()
-        if form:
-            return PowerSeries._of(*_lowest(edit(form[0]), form[1]), order)
-        return PowerSeries(edit(self.coeffs), order)
+        """The series mod t^order whose numerators are edit(numerators),
+        for an edit that commutes with multiplying every coefficient by
+        one integer."""
+        nums, d = self._form()
+        return PowerSeries._of(*_lowest(edit(nums), d), order)
 
     def _times(self, c) -> "PowerSeries":
-        """self * c for a series with a form and an int or Fraction c."""
-        return PowerSeries._of(*_lowest([x * c.numerator for x in self._num],
-                                        self._den * c.denominator),
-                               self.order)
+        """self * c for an int or Fraction c."""
+        nums, d = self._form()
+        return PowerSeries._of(*_lowest([x * c.numerator for x in nums],
+                                        d * c.denominator), self.order)
 
     @property
     def coeffs(self) -> list:
@@ -167,17 +189,11 @@ class PowerSeries:
         return self.known(0)
 
     def is_zero(self) -> bool:
-        if self._den:
-            return not self._num
-        return all(_is_zero_coeff(c) for c in self.coeffs)
+        return not any(self._coeffs if self._den is None else self._num)
 
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = PowerSeries([other], self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
         return self._add(other, 1)
 
     __radd__ = __add__
@@ -186,62 +202,43 @@ class PowerSeries:
         return self._rebuilt(lambda cs: [-c for c in cs], self.order)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            other = PowerSeries([other], self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
         return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _add(self, other: "PowerSeries", sign: int) -> "PowerSeries":
-        """self + sign * other for sign 1 or -1."""
+    def _add(self, other, sign: int) -> "PowerSeries":
+        """self + sign * other for a series or scalar other and sign 1 or
+        -1."""
+        if isinstance(other, _SCALARS):
+            other = PowerSeries([other], self.order)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         order = min(self.order, other.order)
-        a, b = self._form(), other._form()
-        if a and b:
-            (na, da), (nb, db) = a, b
-            d = math.lcm(da, db)
-            ma, mb = d // da, sign * (d // db)
-            na, nb = na[:order], nb[:order]
-            if len(na) < len(nb):
-                na, nb, ma, mb = nb, na, mb, ma
-            out = [x * ma + y * mb for x, y in zip(na, nb)]
-            out += [x * ma for x in na[len(nb):]]
-            return PowerSeries._of(*_lowest(out, d), order)
-        if sign < 0:
-            other = -other
-        n = min(max(len(self.coeffs), len(other.coeffs)), order)
-        return PowerSeries([self.known(k) + other.known(k) for k in range(n)],
-                           order)
+        (na, da), (nb, db) = self._form(), other._form()
+        d = math.lcm(da, db)
+        ma, mb = d // da, sign * (d // db)
+        na, nb = na[:order], nb[:order]
+        if len(na) < len(nb):
+            na, nb, ma, mb = nb, na, mb, ma
+        out = [x * ma + y * mb for x, y in zip(na, nb)]
+        out += [x * ma for x in na[len(nb):]]
+        return PowerSeries._of(*_lowest(out, d), order)
 
     def __mul__(self, other):
-        """Series or scalar product.  Two series with forms convolve
-        their numerators over the product of their denominators; other
-        coefficient rings (PadicNum, ZetaPoly) convolve their own
-        elements."""
-        if isinstance(other, LogSeries):
-            return NotImplemented
+        """Series or scalar product; two series convolve their
+        numerators over the product of their denominators."""
         if isinstance(other, PowerSeries):
             order = min(self.order, other.order)
-            a, b = self._form(), other._form()
-            if a and b:
-                (na, da), (nb, db) = a, b
-                return PowerSeries._of(
-                    *_lowest(_convolve(na[:order], nb[:order], order),
-                             da * db), order)
-            return PowerSeries(_convolve(self.coeffs[:order],
-                                         other.coeffs[:order], order), order)
-        if isinstance(other, _SCALARS) and self._form():
+            (na, da), (nb, db) = self._form(), other._form()
+            return PowerSeries._of(
+                *_lowest(_convolve(na[:order], nb[:order], order), da * db),
+                order)
+        if isinstance(other, _SCALARS):
             return self._times(other)
-        if hasattr(other, "__mul__"):
-            return PowerSeries([c * other for c in self.coeffs], self.order)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS) and self._form():
-            return self._times(other)
-        return PowerSeries([other * c for c in self.coeffs], self.order)
+    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         """Square-and-multiply: about 2 log2(k) products."""
@@ -259,12 +256,9 @@ class PowerSeries:
     def __truediv__(self, other):
         if isinstance(other, PowerSeries):
             return self * other.invert()
-        if isinstance(other, _SCALARS) and self._form():
+        if isinstance(other, _SCALARS):
             return self._times(1 / Fraction(other))
-        if isinstance(other, int):
-            return PowerSeries([_exact_div(c, other) for c in self.coeffs],
-                               self.order)
-        return PowerSeries([c / other for c in self.coeffs], self.order)
+        return NotImplemented
 
     def invert(self) -> "PowerSeries":
         """Multiplicative inverse; needs an invertible constant term.
@@ -273,70 +267,32 @@ class PowerSeries:
         sum_m h_m t^m / n_0^(m+1) for the integers h_0 = 1 and h_m =
         -sum_k n_k n_0^(k-1) h_(m-k), and 1/f = d/N over n_0^order.
         """
-        form = self._form()
-        if form:
-            nums, d = form
-            if not nums or not nums[0]:
-                raise NonUnitConstantTerm("constant term is zero")
-            if nums[0] < 0:
-                nums, d = [-x for x in nums], -d
-            n0, top = nums[0], self.order - 1
-            terms = [(k, x * n0 ** (k - 1))
-                     for k, x in enumerate(nums) if k and x]
-            h = [1]
-            for m in range(1, self.order):
-                h.append(-sum(x * h[m - k] for k, x in terms if k <= m))
-            return PowerSeries._of(
-                *_lowest([d * x * n0 ** (top - m) for m, x in enumerate(h)],
-                         n0 ** self.order), self.order)
-        c0 = self.constant_term()
-        if _is_zero_coeff(c0):
+        nums, d = self._form()
+        if not nums or not nums[0]:
             raise NonUnitConstantTerm("constant term is zero")
-        try:
-            c0_inv = Fraction(1, c0) if isinstance(c0, int) else 1 / c0
-        except (ZeroDivisionError, ArithmeticError) as err:
-            raise NonUnitConstantTerm(str(err)) from err
-        out = [c0_inv]
+        if nums[0] < 0:
+            nums, d = [-x for x in nums], -d
+        n0, top = nums[0], self.order - 1
+        terms = [(k, x * n0 ** (k - 1)) for k, x in enumerate(nums) if k and x]
+        h = [1]
         for m in range(1, self.order):
-            acc = None
-            for k in range(1, min(m, len(self.coeffs) - 1) + 1):
-                ck = self.known(k)
-                if _is_zero_coeff(ck):
-                    continue
-                term = ck * out[m - k]
-                acc = term if acc is None else acc + term
-            out.append(-(c0_inv * acc) if acc is not None else 0)
-        return PowerSeries(out, self.order)
+            h.append(-sum(x * h[m - k] for k, x in terms if k <= m))
+        return PowerSeries._of(
+            *_lowest([d * x * n0 ** (top - m) for m, x in enumerate(h)],
+                     n0 ** self.order), self.order)
 
     def exp(self) -> "PowerSeries":
-        """exp of a series with constant term 0.
-
-        g = exp(f) satisfies theta(g) = theta(f) g, giving
-        m g_m = sum_k k f_k g_{m-k}.
-        """
-        if not _is_zero_coeff(self.constant_term()):
-            raise BadConstantTerm("exp needs constant term 0")
-        out = [1]
-        for m in range(1, self.order):
-            acc = None
-            for k in range(1, m + 1):
-                fk = self.known(k)
-                if _is_zero_coeff(fk):
-                    continue
-                term = (k * fk) * out[m - k]
-                acc = term if acc is None else acc + term
-            out.append(_exact_div(acc, m) if acc is not None else 0)
-        return PowerSeries(out, self.order)
+        """exp of a series with constant term 0 (_exp_coefficients)."""
+        return PowerSeries(_exp_coefficients(self.coeffs, self.order),
+                           self.order)
 
     def log(self) -> "PowerSeries":
         """log of a series with constant term 1 (theta(f)/f integrated)."""
-        if not _is_zero_coeff(self.constant_term() - 1):
+        if self.constant_term() != 1:
             raise BadConstantTerm("log needs constant term 1")
         ratio = self.theta() * self.invert()
-        out = [0]
-        for m in range(1, self.order):
-            out.append(_exact_div(ratio.known(m), m))
-        return PowerSeries(out, self.order)
+        return PowerSeries([0] + [_exact_div(ratio.known(m), m)
+                                  for m in range(1, self.order)], self.order)
 
     def theta(self) -> "PowerSeries":
         """t d/dt, which preserves the truncation order."""
@@ -356,15 +312,17 @@ class PowerSeries:
         return self._rebuilt(spread, self.order * p)
 
     def scale_argument(self, c) -> "PowerSeries":
-        """f(c t); an int c keeps the form."""
-        if isinstance(c, int):
-            return self._rebuilt(
-                lambda cs: [a * c ** k for k, a in enumerate(cs)], self.order)
-        out, power = [], 1
-        for k, a in enumerate(self.coeffs):
-            out.append(a * power)
-            power = power * c
-        return PowerSeries(out, self.order)
+        """f(c t) for an int or Fraction c = u/v: the numerator of t^k
+        gains u^k v^(top-k) over a denominator that gains v^top, top
+        the highest degree present."""
+        if type(c) not in _TYPES:
+            raise TypeError("scale_argument needs an int or a Fraction")
+        u, v = c.numerator, c.denominator
+        nums, d = self._form()
+        top = max(len(nums) - 1, 0)
+        return PowerSeries._of(
+            *_lowest([a * u ** k * v ** (top - k) for k, a in enumerate(nums)],
+                     d * v ** top), self.order)
 
     def shift(self, k: int) -> "PowerSeries":
         """Multiply by t^k."""
@@ -378,10 +336,7 @@ class PowerSeries:
         return self._rebuilt(lambda cs: cs[:order], order)
 
     def eq_mod(self, other: "PowerSeries", order: int) -> bool:
-        for k in range(order):
-            if not _is_zero_coeff(self.known(k) - other.known(k)):
-                return False
-        return True
+        return all(self.known(k) == other.known(k) for k in range(order))
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
@@ -393,10 +348,8 @@ class PowerSeries:
     __hash__ = None
 
     def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs[:8]):
-            if not _is_zero_coeff(c):
-                terms.append("%s*t^%d" % (c, k))
+        terms = ["%s*t^%d" % (c, k) for k, c in enumerate(self.coeffs[:8])
+                 if c]
         body = " + ".join(terms) if terms else "0"
         return "(%s + O(t^%d))" % (body, self.order)
 

@@ -47,7 +47,7 @@ from .padic_core import (
     _Record,
     _residue_of_rational,
 )
-from .qseries import PowerSeries
+from .qseries import _exp_coefficients
 
 # largest Bernoulli index the exact route will attempt
 EXACT_BERNOULLI_BOUND = 1600
@@ -450,10 +450,8 @@ def gammap_taylor(p: int, D: int, N: int) -> GammaExpansion:
         raise ValueError("need N >= 1")
     s = _node_scale(p, D, D, N)
     cs, _ = _gamma_log_solve(p, D, s)
-    logseries = PowerSeries([0] + list(cs), D + 1)
-    g = logseries.exp()
-    coeffs = [PadicNum.from_exact(1, p)] + [g.known(m)
-                                            for m in range(1, D + 1)]
+    g = _exp_coefficients([0] + list(cs), D + 1)
+    coeffs = [PadicNum.from_exact(1, p)] + g[1:]
     return GammaExpansion(p=p, degree=D, scale=s, log_coeffs=cs,
                           coeffs=coeffs)
 
@@ -562,9 +560,9 @@ def zetap(m: int, p: int, N: int) -> PadicNum:
 # -- symbolic expansions and the alpha constants -----------------------
 
 
-def log_ratio_expansion(bs: Sequence, D: int) -> PowerSeries:
-    """log(Gamma_p(a x) / prod_i Gamma_p(b_i x)), a = sum bs, as a
-    series over ZetaPoly, through degree D.
+def log_ratio_expansion(bs: Sequence, D: int) -> list:
+    """log(Gamma_p(a x) / prod_i Gamma_p(b_i x)), a = sum bs, through
+    degree D: the list of its D+1 ZetaPoly coefficients of x^0..x^D.
 
     The weights balance by construction, which kills the Gamma_p'(0)
     term; the x^m coefficient is then -(zeta_p(m)/m)(a^m - sum b_i^m),
@@ -579,7 +577,7 @@ def log_ratio_expansion(bs: Sequence, D: int) -> PowerSeries:
             continue
         gap = a ** m - sum(b ** m for b in bs)
         coeffs.append(ZetaPoly.gen(m) * (-Fraction(gap, m)))
-    return PowerSeries(coeffs[:D + 1], D + 1)
+    return coeffs[:D + 1]
 
 
 def alpha_simplicial(n: int) -> list:
@@ -588,8 +586,9 @@ def alpha_simplicial(n: int) -> list:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    ratio = log_ratio_expansion([Fraction(1, n + 1)] * (n + 1), n - 1).exp()
-    return [ZetaPoly._coerce(ratio.known(j)) for j in range(1, n)]
+    ratio = _exp_coefficients(
+        log_ratio_expansion([Fraction(1, n + 1)] * (n + 1), n - 1), n)
+    return [ZetaPoly._coerce(c) for c in ratio[1:]]
 
 
 def alpha_hyperoctahedral(J: int) -> list:
@@ -598,14 +597,14 @@ def alpha_hyperoctahedral(J: int) -> list:
     """
     if J < 1:
         raise ValueError("need J >= 1")
-    ratios = [PowerSeries.one(J + 1), PowerSeries.one(J + 1)]
-    for m in range(2, J + 1):
-        ratios.append(log_ratio_expansion([1] * m, J).exp())
+    one = [1] + [0] * J
+    ratios = [one, one] + [_exp_coefficients(log_ratio_expansion([1] * m, J),
+                                             J + 1) for m in range(2, J + 1)]
     out = []
     for j in range(1, J + 1):
         acc = ZetaPoly.zero()
         for m in range(0, j + 1):
-            top = ZetaPoly._coerce(ratios[m].known(j))
+            top = ZetaPoly._coerce(ratios[m][j])
             acc = acc + top * (Fraction((-1) ** (j - m) * math.comb(j, m)))
         out.append(acc * Fraction(1, math.factorial(j)))
     return out
@@ -640,8 +639,9 @@ def gamma_ratio_congruence_check(V: Sequence[int], s: int, p: int, n: int,
     cached product sweep per (p, s, n), which the node cap does not
     bound; the right side is the zeta-polynomial expansion with
     numeric zeta values, so the two routes share no code.  `_corrupt`,
-    a (degree, rational) pair, adds a perturbation to the log-series for
-    negative-control tests.
+    a (degree, rational) pair with 0 < degree <= n+1, adds a
+    perturbation to that log-series coefficient for negative-control
+    tests.
     """
     require_odd_prime(p)
     V = tuple(int(v) for v in V)
@@ -668,11 +668,10 @@ def gamma_ratio_congruence_check(V: Sequence[int], s: int, p: int, n: int,
     logratio = log_ratio_expansion(V, Dtr)
     if _corrupt is not None:
         deg, delta = _corrupt
-        bump = [ZetaPoly.zero()] * deg + [ZetaPoly.const(delta)]
-        logratio = logratio + PowerSeries(bump, Dtr + 1)
+        logratio[deg] = logratio[deg] + ZetaPoly.const(delta)
     w = PadicNum.from_exact(0, p)
     for m in range(1, Dtr + 1):
-        cm = ZetaPoly._coerce(logratio.known(m))
+        cm = logratio[m]
         if cm.is_zero():
             continue
         need = max(1, E - xval * m + guard)

@@ -441,7 +441,8 @@ def test_nonuniqueness_rejects_a_corrupted_solve(monkeypatch):
     # the witness makes, and no member of the family maps y_1(t^p) to a
     # solution
     L, p, M = simplicial_operator(2), 5, 30
-    assert all(nonuniqueness_witness(L, lam, p, M) for lam in (0, 1))
+    assert all(nonuniqueness_witness(L, lam, p, M)
+               for lam in (0, 1, Fraction(1, 2)))
     solve = frobenius.solve_A_series
 
     def corrupted(*args, **kwargs):
@@ -458,6 +459,14 @@ def test_nonuniqueness_rejects_a_corrupted_solve(monkeypatch):
 def test_nonuniqueness_needs_order_two():
     with pytest.raises(ValueError, match="order-2"):
         nonuniqueness_witness(simplicial_operator(3), 1, 5, 20)
+
+
+@pytest.mark.parametrize("lam", [0.5, PadicNum.from_exact(1, 5), True])
+def test_nonuniqueness_refuses_a_lam_it_cannot_use(lam, monkeypatch):
+    # refused before the solve runs
+    monkeypatch.setattr(frobenius, "solve_A_series", None)
+    with pytest.raises(TypeError, match="lam must be an int or a Fraction"):
+        nonuniqueness_witness(simplicial_operator(2), lam, 5, 20)
 
 
 def test_hyperoct_true_alpha_integral():
@@ -839,6 +848,16 @@ def test_solve_rejects_bad_prime():
         with pytest.raises(BadPrime):
             solve_A_series(simplicial_operator(4), p, 30)
     assert issubclass(BadPrime, ValueError)
+
+
+@pytest.mark.parametrize("name, p, M, digits", [
+    ("p", 5.0, 20, None), ("p", True, 20, None), ("M", 5, 20.0, None),
+    ("M", 5, True, None), ("digits", 5, 20, 2.5), ("digits", 5, 20, True)])
+def test_solve_checks_argument_types(name, p, M, digits):
+    # each is refused at the boundary, not deep in the ring or the basis
+    with pytest.raises(TypeError, match="^solve_A_series: %s must be an int"
+                       % name):
+        solve_A_series(simplicial_operator(2), p, M, digits)
 
 
 def _analytic_specs(dec, p, M, digits):

@@ -281,12 +281,14 @@ class TestGuessing:
             guess_operator(junk, 2, 3)
 
     def test_ambiguous_when_degree_too_generous(self):
-        # the geometric series satisfies a pencil of order-2 degree-2
-        # annihilators when too few equations pin it down
+        # the geometric series 1/(1-t) is killed by (1-t) theta - t, so
+        # by Q ((1-t) theta - t) for each Q in the span of 1, t, theta
+        # and t theta: a pencil of order-2 degree-2 annihilators, which
+        # no count of equations pins down
         geo = PowerSeries([1] * 40, 40)
         with pytest.raises(AmbiguousNullspace,
                            match="nullspace dimension 4"):
-            guess_operator(geo, 2, 2, M=10)
+            guess_operator(geo, 2, 2)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
 """Property tests of the ring laws of PowerSeries and LogSeries on
 random truncated series with rational coefficients, and differential
-tests of every operation against the same arithmetic done coefficient
-by coefficient: over Fractions for rational series, which compute on
-integer numerators over one denominator, and over the ring's own
-elements for PadicNum and ZetaPoly series."""
+tests of every operation, which computes on integer numerators over one
+denominator, against the same arithmetic done coefficient by
+coefficient over Fractions."""
 
 from fractions import Fraction
 from functools import reduce
+from math import factorial
 
 import pytest
 
@@ -14,13 +14,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from padicfrob.padic_core import PadicNum  # noqa: E402
 from padicfrob.qseries import (  # noqa: E402
     LogSeries,
     NonUnitConstantTerm,
     PowerSeries,
+    _exp_coefficients,
 )
-from padicfrob.zeta_gamma import ZetaPoly  # noqa: E402
 
 COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -277,57 +276,21 @@ def test_log_series_match_fraction_arithmetic(ab, c, p):
         assert (a - b).is_zero_mod(m) == a.eq_mod(b, m)
 
 
-def _padic(q):
-    return PadicNum.from_rational(q, 5, 6)
 
-
-def _zeta(q):
-    return ZetaPoly.const(q) + ZetaPoly.gen(3) * q
-
-
-NONZERO = st.fractions(min_value=-6, max_value=6,
-                       max_denominator=6).filter(bool)
-
-
-def _elements(s):
-    return [s.known(k) for k in range(s.order)]
-
-
-def _same_elements(got, want):
-    # a PadicNum compares by its value and its precision
-    key = [repr(v) if isinstance(v, PadicNum) else v for v in want]
-    assert [repr(v) if isinstance(v, PadicNum) else v
-            for v in _elements(got)] == key
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(lift=st.sampled_from([_padic, _zeta]),
-       qs=st.lists(NONZERO, min_size=1, max_size=6),
-       rs=st.lists(NONZERO, max_size=6), order=st.integers(1, 6),
-       c=st.integers(-5, 5).filter(bool), k=st.integers(1, 3))
-def test_other_rings_keep_per_coefficient_arithmetic(lift, qs, rs, order,
-                                                     c, k):
-    # a series over PadicNum or ZetaPoly, alone or against a rational
-    # one, gives what the same operations on its coefficients give
-    a = PowerSeries([lift(q) for q in qs], order)
-    b = PowerSeries(rs, order)
-    g = PowerSeries([lift(r) for r in rs], order)
-    x, y = _elements(a), _elements(b)
-    _same_elements(a + b, [u + v for u, v in zip(x, y)])
-    _same_elements(b + a, [v + u for u, v in zip(x, y)])
-    _same_elements(a - b, [u + (-v) for u, v in zip(x, y)])
-    _same_elements(-a, [-u for u in x])
-    for other in (b, g):
-        _same_elements(a * other,
-                       (_generic_product(a, other) + [0] * order)[:order])
-    _same_elements(a * c, [u * c for u in x])
-    _same_elements(c * a, [c * u for u in x])
-    _same_elements(a * Fraction(1, c), [u * Fraction(1, c) for u in x])
-    _same_elements(a / c, [u / c for u in x])
-    _same_elements(a.theta(), [m * u for m, u in enumerate(x)])
-    _same_elements(a.shift(k), [0] * k + x)
-    _same_elements(a.truncate(k), x[:k])
-    _same_elements(a.substitute_tp(k), [0 if m % k else x[m // k]
-                                        for m in range(order * k)])
-    _same_elements(a.scale_argument(c), [u * c ** m
-                                         for m, u in enumerate(x)])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(x=st.lists(SMALL, max_size=8), order=st.integers(1, 8))
+def test_list_exp_matches_series_exp(x, order):
+    # exp(f) = sum_k f^k / k!, and f^k vanishes below t^k
+    f = [Fraction(0)] + [Fraction(u) for u in x[1:order]]
+    f += [Fraction(0)] * (order - len(f))
+    want = [Fraction(0)] * order
+    power = [Fraction(1)] + [Fraction(0)] * (order - 1)
+    for k in range(order):
+        want = [w + u / factorial(k) for w, u in zip(want, power)]
+        power = _product(power, f)
+    got = _exp_coefficients(f, order)
+    assert got == want
+    assert all(type(c) in (int, Fraction) for c in got)
+    series = PowerSeries(f, order)
+    _check(series.exp(), want)
+    assert series.exp().log() == series

@@ -30,6 +30,7 @@ from padicfrob.zeta_gamma import (
     _node_schedule,
     _washington,
 )
+from padicfrob.qseries import _exp_coefficients
 
 F = Fraction
 
@@ -306,6 +307,22 @@ class TestGammaTaylor:
         with pytest.raises(PrecisionBudgetExceeded):
             gammap_taylor(5, 3, 50)
 
+    @pytest.mark.parametrize("p, D, N, want", [
+        (5, 3, 4, ["1 (exact, p=5)", "1020549*5 + O(5^10)",
+                   "1341638*5^2 + O(5^11)", "401 + O(5^4)"]),
+        (7, 5, 3, ["1 (exact, p=7)", "18724676592050 + O(7^16)",
+                   "4011497863081 + O(7^16)", "231385204 + O(7^10)",
+                   "9650741*7 + O(7^10)", "199 + O(7^4)"]),
+        (7, 3, 3, ["1 (exact, p=7)", "3404746 + O(7^8)", "3439221 + O(7^8)",
+                   "834 + O(7^4)"]),
+        (11, 4, 2, ["1 (exact, p=11)", "108956638 + O(11^8)",
+                    "6805816 + O(11^8)", "296*11 + O(11^4)",
+                    "3843 + O(11^4)"])])
+    def test_coefficients_keep_their_digits(self, p, D, N, want):
+        # the Taylor coefficients g_m, values and precisions, as the
+        # series exp over PadicNum coefficients gave them
+        assert [repr(c) for c in gammap_taylor(p, D, N).coeffs] == want
+
     def test_outside_radius_rejected(self):
         exp5 = gammap_taylor(5, 3, 3)
         with pytest.raises(ValueError):
@@ -344,22 +361,23 @@ class TestLogRatio:
         # log(Gamma_p(3x) / (Gamma_p(x) Gamma_p(2x))): the x^3 term is
         # -(zeta_p(3)/3)(27 - 1 - 8)
         L = log_ratio_expansion([1, 2], 3)
-        assert L.known(3) == ZetaPoly.gen(3) * -6
-        assert L.known(1).is_zero()
+        assert len(L) == 4
+        assert L[3] == ZetaPoly.gen(3) * -6
+        assert L[1].is_zero()
 
     def test_low_terms_vanish(self):
         L = log_ratio_expansion([F(1, 5)] * 5, 6)
-        assert L.known(0).is_zero()
-        assert L.known(1).is_zero()
-        assert L.known(2).is_zero() and L.known(4).is_zero()
+        assert L[0].is_zero()
+        assert L[1].is_zero()
+        assert L[2].is_zero() and L[4].is_zero()
 
     def test_displayed_expansions(self):
-        e4 = log_ratio_expansion([F(1, 5)] * 5, 3).exp()
-        assert e4.known(3) == ZetaPoly.gen(3) * F(-8, 25)
-        e6 = log_ratio_expansion([F(1, 7)] * 7, 5).exp()
-        assert e6.known(5) == ZetaPoly.gen(5) * F(-480, 2401)
-        e7 = log_ratio_expansion([F(1, 8)] * 8, 6).exp()
-        assert e7.known(6) == ZetaPoly.gen(3) * ZetaPoly.gen(3) * F(441, 8192)
+        e4 = _exp_coefficients(log_ratio_expansion([F(1, 5)] * 5, 3), 4)
+        assert e4[3] == ZetaPoly.gen(3) * F(-8, 25)
+        e6 = _exp_coefficients(log_ratio_expansion([F(1, 7)] * 7, 5), 6)
+        assert e6[5] == ZetaPoly.gen(5) * F(-480, 2401)
+        e7 = _exp_coefficients(log_ratio_expansion([F(1, 8)] * 8, 6), 7)
+        assert e7[6] == ZetaPoly.gen(3) * ZetaPoly.gen(3) * F(441, 8192)
 
 
 class TestAlphaConstants:
