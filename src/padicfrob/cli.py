@@ -26,7 +26,6 @@ configuration and seed produce byte-identical bytes on every run.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
@@ -35,6 +34,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 from typing import Callable
 
 from .expansion import (
@@ -238,6 +238,9 @@ def cmd_alpha(args) -> int:
         if J < 1:
             raise UsageError("need jmax >= 1")
         n = J + 1  # the order whose constants are alpha_1..alpha_J
+        if args.n is not None and args.n != n:
+            raise UsageError("--n %d and --jmax %d disagree: alpha_1..alpha_%d"
+                             " belong to n = %d" % (args.n, J, J, n))
         head = "family: hyperoctahedral, jmax = %d" % J
         payload = {"family": family, "jmax": J}
     polys = FAMILIES[family].alphas(n)
@@ -426,6 +429,8 @@ def cmd_guess(args) -> int:
         op, d = _guess_sweep(f, n, max(0, f.order // (n + 1) - 1))
         source = "file:%s" % args.operator_file
     else:
+        if args.operator_file is not None:
+            raise UsageError("--operator-file applies to --family file")
         n = _order(args.n)
         op, d = _guess_family(family, n)
         source = "%s period series" % family
@@ -707,24 +712,28 @@ OPTIONS = {
                        % DEFAULT_SEED},
     "--operator-file": {"help": "JSON file with a 'series' list and 'n'"},
     "--quick": {"action": "store_true", "help": "run the reduced check set"},
+    "--format": {"choices": ("table", "json")},
 }
 
 # (subcommand, help, handler, default --format, options in --help order)
 COMMANDS = (
     ("alpha", "closed-form structure constants", cmd_alpha, "table",
-     "--family --n --p --precision --jmax"),
+     "--family --n --p --precision --jmax --format"),
     ("verify", "coefficient integrality check", cmd_verify, "json",
-     "--family --n --p --t-order --precision --perturb"),
+     "--family --n --p --t-order --precision --perturb --format"),
     ("recover", "solve for the constants by integrality", cmd_recover,
-     "table", "--family --n --p --t-order --precision"),
+     "table", "--family --n --p --t-order --precision --format"),
     ("guess", "reconstruct the annihilating operator", cmd_guess, "table",
-     "--family --n --operator-file"),
+     "--family --n --operator-file --format"),
     ("selftest", "run the cross-validation suites", cmd_selftest, "table",
-     "--seed --quick"),
+     "--seed --quick --format"),
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse grammar of COMMANDS and OPTIONS: the one that prints
+    help and usage errors, and parses what _parse_fast declines."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="padicfrob",
         description="p-adic Frobenius structures of Calabi-Yau type "
@@ -734,14 +743,59 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=text)
         for option in options.split():
             sp.add_argument(option, **OPTIONS[option])
-        sp.add_argument("--format", choices=("table", "json"),
-                        default=default_format)
-        sp.set_defaults(func=handler)
+        sp.set_defaults(format=default_format, func=handler)
     return parser
 
 
+def _dest(option: str) -> str:
+    """The namespace attribute argparse gives a long option."""
+    return option[2:].replace("-", "_")
+
+
+def _parse_fast(argv: list):
+    """The namespace build_parser().parse_args(argv) gives, read from the
+    same tables, for argv of one strict form: a subcommand, then its
+    options spelled in full, each followed by one value that does not
+    start with '-' and that the option's type and choices accept
+    (--quick takes none).  None for any other argv, which argparse
+    parses, or answers with its help or usage error, instead; a valid
+    job so never loads argparse."""
+    command = next((c for c in COMMANDS if argv and c[0] == argv[0]), None)
+    if command is None:
+        return None
+    name, _, handler, default_format, options = command
+    known = {option: OPTIONS[option] for option in options.split()}
+    args = {}
+    for option, kwargs in known.items():
+        if kwargs.keys() - {"type", "choices", "help", "action"} \
+                or kwargs.get("action", "store_true") != "store_true":
+            return None   # keywords this path does not read
+        args[_dest(option)] = False if "action" in kwargs else None
+    args.update(command=name, format=default_format, func=handler)
+    rest = iter(argv[1:])
+    for option in rest:
+        kwargs = known.get(option)
+        if kwargs is None:
+            return None
+        if "action" in kwargs:
+            args[_dest(option)] = True
+            continue
+        text = next(rest, "-")   # a missing value is refused as a dash
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (TypeError, ValueError):   # argparse's usage error to print
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        args[_dest(option)] = value
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_fast(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PrecisionExhausted as exc:

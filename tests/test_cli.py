@@ -78,6 +78,20 @@ def test_alpha_checks_prime_at_order_of_constants(capsys, order, bound):
     assert err == "error: %s\n" % bound
 
 
+def test_alpha_refuses_n_that_disagrees_with_jmax(capsys):
+    # --n 5 --jmax 2 printed the jmax-2 constants and exited 0
+    code, out, err = run(capsys, "alpha", "--family", "hyperoctahedral",
+                         "--n", "5", "--jmax", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: --n 5 and --jmax 2 disagree: alpha_1..alpha_2 "
+                   "belong to n = 3\n")
+    both = run(capsys, "alpha", "--family", "hyperoctahedral", "--n", "3",
+               "--jmax", "2")
+    assert both == run(capsys, "alpha", "--family", "hyperoctahedral",
+                       "--jmax", "2")
+    assert both[0] == 0 and "alpha_2 = " in both[1]
+
+
 @pytest.mark.parametrize("n", ["2", "4"])
 def test_alpha_rejects_precision_below_one(capsys, n):
     # at n = 2 every alpha is 0, so no zeta value would catch it
@@ -381,6 +395,14 @@ def test_guess_missing_file_args(capsys):
     assert code == 2
 
 
+def test_guess_refuses_operator_file_of_a_built_in_family(capsys):
+    # the file was never opened: the job exited 0 on the family's series
+    code, out, err = run(capsys, "guess", "--family", "hyperoctahedral",
+                         "--n", "5", "--operator-file", "/nonexistent")
+    assert (code, out) == (2, "")
+    assert err == "error: --operator-file applies to --family file\n"
+
+
 @pytest.mark.parametrize("field, value", [
     ("n", "2"), ("n", 2.5), ("n", True), ("series", "1234567890" * 4),
     ("series", []), ("series", ["1/0"])])
@@ -622,11 +644,92 @@ def test_parser_rejects_option_of_another_command(capsys):
     assert "unrecognized arguments: --jmax 3" in capsys.readouterr().err
 
 
+# tokens of the option tables, and malformed ones argparse must answer
+ARGV_HEADS = [c[0] for c in cli.COMMANDS] + ["verif", "-h", "", "--n"]
+ARGV_VALUES = ["3", "5", "7", "12", "0", " 4", "table", "json", "simplicial",
+               "hyperoctahedral", "file", "alpha1", "alpha2=1/3", "s.json"]
+ARGV_MALFORMED = ["--prec", "--n=4", "--", "-h", "--help", "-3", "", "0x10",
+                  "4.5", "csv", "cubic", "verify"]
+
+
+def test_fast_path_agrees_with_argparse():
+    # wherever _parse_fast accepts an argv, argparse accepts it and gives
+    # the same namespace; it declines the rest, which argparse answers
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    options = sorted(cli.OPTIONS)
+    piece = st.one_of(
+        st.tuples(st.sampled_from(options),
+                  st.sampled_from(ARGV_VALUES + ARGV_MALFORMED)),
+        st.tuples(st.sampled_from(options + ARGV_MALFORMED + ARGV_VALUES)))
+    argvs = st.builds(lambda head, pieces: [head] + [t for p in pieces
+                                                    for t in p],
+                      st.sampled_from(ARGV_HEADS),
+                      st.lists(piece, max_size=6))
+    accepted = []
+
+    @hypothesis.settings(max_examples=1500, deadline=None, database=None)
+    @hypothesis.given(argvs)
+    def agree(argv):
+        fast = cli._parse_fast(argv)
+        if fast is not None:
+            accepted.append(argv)
+            assert vars(fast) == vars(cli.build_parser().parse_args(argv))
+
+    agree()
+    assert accepted
+
+
+def _readme_examples() -> list:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [line.split()[1:] for line in readme.splitlines()
+            if line.startswith("padicfrob ")]
+
+
+@pytest.mark.parametrize("argv", [job.split() for job in sorted(FROZEN)]
+                         + _readme_examples(), ids=" ".join)
+def test_jobs_take_the_fast_path(argv):
+    # the benchmark's frozen jobs and the README's examples parse without
+    # argparse, to the namespace argparse gives
+    fast = cli._parse_fast(argv)
+    assert fast is not None
+    assert vars(fast) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_fast_path_declines_keywords_it_does_not_read(capsys, monkeypatch):
+    # an option table entry only argparse understands sends the job there
+    monkeypatch.setitem(cli.OPTIONS, "--n", {"type": int, "default": 4})
+    argv = ["alpha", "--family", "simplicial"]
+    assert cli._parse_fast(argv) is None
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("family: simplicial, n = 4\n")
+
+
+FALLBACK = json.loads((Path(__file__).resolve().parent
+                       / "cli_fallback.json").read_text())
+
+
+@pytest.mark.parametrize("record", FALLBACK,
+                         ids=[" ".join(r["argv"]) or "[]" for r in FALLBACK])
+def test_fallback_keeps_argparse_bytes(record):
+    # help and usage errors, recorded from the CLI before the fast path
+    # (identical on Python 3.10 to 3.13), at a fixed terminal width
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "padicfrob",
+                           *record["argv"]],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        record["exit"], record["stdout"], record["stderr"])
+
+
 def test_cli_start_up_imports_no_dataclasses():
     # in an isolated interpreter, as the benchmark runs its jobs, the
-    # CLI and one verify load none of the dataclass decorator's chain
+    # CLI and one verify load none of the dataclass decorator's chain,
+    # and a valid command line parses without argparse or gettext
     src = str(Path(__file__).resolve().parents[1] / "src")
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+             "argparse", "gettext", "locale")
     script = "\n".join([
         "import sys",
         "before = set(sys.modules)",
