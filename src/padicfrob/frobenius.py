@@ -12,9 +12,10 @@ Numeric alpha values enter only where a condition reads a coefficient
 of A_j.  One traversal, _sweep, walks the recursion, with a ring fold
 for the solve, a bitmask fold for its support and a (min, +) fold for
 its loss bound, over only the t-degrees divisible by the operator's
-step g (MumOperator.step), where every series lives.  The matrix B is
-built once, by one formula over the values of the F_k (_combine).  The
-slot series are solved in one of two modes (solve_A_series):
+step g (MumOperator.step), where every series lives and is held: index
+c stands for t^(c g).  The matrix B is built once, by one formula over
+the values of the F_k (_combine).  The slot series are solved in one
+of two modes (solve_A_series):
 
 - exact, over Q: the oracle, and the mode the defining identity
   (verify_frobenius_property) and nonuniqueness_witness need.  It reads
@@ -38,7 +39,7 @@ coefficient through _reading, whose reader per mode (_exact_reading on
 the rationals, _stored_reading on the stored integers) gives one shape
 of reading, and each condition decides on that reading alone: it raises
 PrecisionExhausted, never other digits, where the slot digits fall
-short of the exact mode.
+short of the exact mode.  Readers name the t-degree c g only to report.
 """
 
 from __future__ import annotations
@@ -97,18 +98,18 @@ class FrobeniusDecomposition(_Record):
     """Alpha-linear decomposition of the Frobenius coefficients.
 
     slots[0][j] is the alpha-independent part of A_j; slots[k][j] for
-    k >= 1 multiplies alpha_k.  Every series is known mod t^order.
-    step is the lattice the series live on: every coefficient at a
-    t-degree off the multiples of step is an exact zero, and the readers
-    walk only the multiples.  solve_A_series records L.step there; the
-    default 1 reads every t-degree, as a hand-built decomposition needs.
+    k >= 1 multiplies alpha_k.  Every series is known mod t^order and
+    held on the lattice of step = operator.step (order without a t-term):
+    slots[k][j] has order ceil(order / step), its T^c coefficient that
+    of t^(c step), and off the lattice every coefficient is an exact
+    zero.  slot() is the one reader that takes a t-degree.
 
     With digits None the coefficients are exact rationals.  With digits
     N the decomposition is fixed-precision: a coefficient c is stored as
     the integer p^scale c mod p^(scale + N), so it is known mod p^N, and
-    support[k][j][m] says whether any term of the recursion reached it;
-    off the support c is an exact zero.  slot() reads one coefficient in
-    either mode.  At fixed precision _stored_reading, the reader of
+    the byte support[k][j][i] says whether any term of the recursion
+    reached the one at lattice index i; off the support c is an exact
+    zero.  At fixed precision _stored_reading, the reader of
     check_integrality and check_analytic, and the rows of recover_alpha
     read the stored integers and the support directly.
 
@@ -120,7 +121,7 @@ class FrobeniusDecomposition(_Record):
     def __init__(self, p: int, operator: MumOperator,
                  basis: StandardBasis | None, slots: list, order: int,
                  digits: int | None = None, scale: int = 0,
-                 support: list | None = None, step: int = 1):
+                 support: list | None = None):
         self.p = p
         self.operator = operator
         self.basis = basis
@@ -129,7 +130,7 @@ class FrobeniusDecomposition(_Record):
         self.digits = digits
         self.scale = scale
         self.support = support
-        self.step = step
+        self._step = operator.step or order
         # p^i for i <= scale + digits; the last is the stored modulus
         self._pows = None if digits is None else \
             [p ** i for i in range(scale + digits + 1)]
@@ -138,13 +139,17 @@ class FrobeniusDecomposition(_Record):
     def n(self) -> int:
         return self.operator.order
 
+    @property
+    def step(self) -> int:
+        return self._step
+
     def slot(self, k: int, j: int, m: int):
         """The t^m coefficient of A_j^(k).
 
-        Exact: a Fraction.  Fixed-precision: the exact 0 off the support,
-        else a PadicNum known mod p^digits, which is an inexact zero when
-        its residue is 0.  InsufficientOrder for m >= order, ValueError
-        for m < 0 or k, j outside 0..n-1.
+        Exact: a Fraction.  Fixed-precision: the exact 0 off the lattice
+        or the support, else a PadicNum known mod p^digits, which is an
+        inexact zero when its residue is 0.  InsufficientOrder for m >=
+        order, ValueError for m < 0 or k, j outside 0..n-1.
         """
         if m >= self.order:
             raise InsufficientOrder("t^%d is past the t-order %d"
@@ -152,10 +157,11 @@ class FrobeniusDecomposition(_Record):
         if m < 0 or not (0 <= k < self.n and 0 <= j < self.n):
             raise ValueError("no coefficient (k, j, m) = (%d, %d, %d)"
                              % (k, j, m))
-        x = self.slots[k][j].known(m)
+        c, off = divmod(m, self.step)
+        x = 0 if off else self.slots[k][j].known(c)
         if self.digits is None:
             return Fraction(x)
-        if not self.support[k][j][m]:
+        if off or not self.support[k][j][c]:
             return 0
         if x == 0:
             return PadicNum.inexact_zero(self.p, self.digits)
@@ -327,9 +333,9 @@ def solve_A_series(L: MumOperator, p: int, M: int,
     An operator in t^g, g = L.step (n + 1 simplicial, 2
     hyperoctahedral), has its F_k, B and every slot series in t^g, so
     the solve runs in lattice units: unknown c stands for the t-degree
-    c g, c < ceil(M / g), and B steps by p (_combine).  Only the
-    returned series are expanded to t-degrees, with exact zeros off the
-    multiples of g.  An operator with no t-term has only t^0 live.
+    c g, c < ceil(M / g), and B steps by p (_combine).  The returned
+    slots and support rows stay on that lattice (FrobeniusDecomposition).
+    An operator with no t-term has only t^0 live.
 
     Every pass is a _sweep over B with its own fold.  A bitmask sweep
     marks the coefficients a term of each slot reaches; the rest are
@@ -409,12 +415,6 @@ def solve_A_series(L: MumOperator, p: int, M: int,
         return [[[p ** i * x for x in fv[i - s]] if i >= s else [0] * Mg
                  for i in range(n)] for s in range(n)]
 
-    def expand(xs):
-        # a lattice table as the t-degree one, exact zeros off the lattice
-        full = [0] * M
-        full[::g] = xs
-        return full
-
     def reached(fpat, bpat):
         # bit s of reach[i][c]: a term of slot s reaches a_i[c], from the
         # zero patterns (truth values) of the F_k and of B; the sweep
@@ -443,8 +443,8 @@ def solve_A_series(L: MumOperator, p: int, M: int,
                       lambda acc, i, c: Fraction(acc, p ** i), 0)
                for s, init in enumerate(rhs(fvals))]
         return FrobeniusDecomposition(
-            p=p, operator=L, basis=basis, order=M, step=g,
-            slots=[[PowerSeries(expand(a), M) for a in s] for s in sol])
+            p=p, operator=L, basis=basis, order=M,
+            slots=[[PowerSeries(a, Mg) for a in s] for s in sol])
 
     def build(known):
         # (S_b, X_k, Y = p^S_b B, reached), integers reduced mod p^known
@@ -558,9 +558,7 @@ def solve_A_series(L: MumOperator, p: int, M: int,
                 sol[s][i][r::p] = row if lift == 1 else [x * lift for x in row]
     return FrobeniusDecomposition(
         p=p, operator=L, basis=None, order=M, digits=digits, scale=scale,
-        slots=[[PowerSeries(expand(a[:Mg]), M) for a in s] for s in sol],
-        support=[[bytes(expand(row)) for row in slot] for slot in live],
-        step=g)
+        slots=[[PowerSeries(a, Mg) for a in s] for s in sol], support=live)
 
 
 def _combine(tables: list, p: int, g: int, top: int) -> list:
@@ -620,13 +618,14 @@ def _verify_frobenius_detail(dec: FrobeniusDecomposition,
                          "decomposition (digits=None)")
     _check_alphas(dec, alphas)
     L, n, p = dec.operator, dec.n, dec.p
+    slots = [[s.substitute_tp(dec.step) for s in row] for row in dec.slots]
     for i in range(n):
         yi_p = dec.basis.y(i).substitute_tp(p)
         thetas = [LogSeries([s.truncate(M) for s in yi_p.coeffs])]
         for _ in range(n - 1):
             thetas.append(thetas[-1].theta())
         images = [reduce(add, (s * th for s, th in zip(row, thetas)))
-                  for row in dec.slots]
+                  for row in slots]
         brackets = [img - dec.basis.y(i - k) * p ** i if k <= i else img
                     for k, img in enumerate(images)]
         where = _first_nonzero(brackets, alphas, M)
@@ -670,8 +669,8 @@ class IntegralityReport(_Record):
 def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
                       M: int) -> IntegralityReport:
     """Decide whether every assembled A_j coefficient below t^M lies
-    in Z_p.  Only the t-degrees divisible by dec.step are read; the
-    others are exact zeros, which report no entry.
+    in Z_p.  Only the lattice coefficients, at t^(c dec.step), are
+    read; the others are exact zeros, which report no entry.
 
     A coefficient decides as integral when its valuation is provably
     >= 0 (exact value, nonzero residue, or an inexact zero with at
@@ -689,13 +688,11 @@ def check_integrality(dec: FrobeniusDecomposition, alphas: Sequence,
     verdict at any t-order.  The rows of check_analytic pin those.
     """
     _check_order(dec, M)
-    read = _reading(dec, alphas)
-    entries = []
-    min_val = None
-    first_bad = None
+    read, g = _reading(dec, alphas), dec.step
+    entries, min_val, first_bad = [], None, None
     for j in range(dec.n):
-        for m in range(0, M, dec.step):
-            entry = _integral_entry(read, j, m)
+        for m in range(0, M, g):
+            entry = _integral_entry(read(j, m // g), j, m)
             if entry is None:
                 continue
             val, prec = entry
@@ -747,19 +744,19 @@ def _check_alphas(dec: FrobeniusDecomposition, alphas: Sequence):
 
 
 def _reading(dec: FrobeniusDecomposition, alphas: Sequence):
-    """The reader (j, m) -> None or (val, prec, target) of dec's mode at
-    checked alphas: _exact_reading on exact slots, _stored_reading on
-    the stored integers of a fixed-precision dec."""
+    """The reader (j, c) -> None or (val, prec, target) at t^(c dec.step)
+    of dec's mode at checked alphas: _exact_reading on exact slots,
+    _stored_reading on the stored integers of a fixed-precision dec."""
     _check_alphas(dec, alphas)
     reader = _exact_reading if dec.digits is None else _stored_reading
     return reader(dec, alphas)
 
 
 def _exact_reading(dec: FrobeniusDecomposition, alphas: Sequence):
-    """(j, m) -> None, for an exact zero (a cancellation included), or
+    """(j, c) -> None, for an exact zero (a cancellation included), or
     the (val, prec, target) _stored_reading gives of sum_k alpha_k c_k,
-    alpha_0 = 1, c_k the rational t^m coefficient of A_j^(k) in an exact
-    dec.
+    alpha_0 = 1, c_k the rational lattice coefficient c of A_j^(k) in an
+    exact dec.
 
     The sum is formed by PadicNum's rules (_alpha_linear): exact, with
     prec = target = INFINITY, unless an inexact alpha_k meets c_k != 0;
@@ -768,9 +765,8 @@ def _exact_reading(dec: FrobeniusDecomposition, alphas: Sequence):
     an inexact zero."""
     p = dec.p
 
-    def read(j: int, m: int):
-        value = _alpha_linear([dec.slot(k, j, m) for k in range(dec.n)],
-                              alphas)
+    def read(j: int, c: int):
+        value = _alpha_linear([row[j].known(c) for row in dec.slots], alphas)
         if isinstance(value, PadicNum) and not value.is_exact:
             prec = int(value.abs_precision)
             return (None if value.is_zero() else int(value.valuation),
@@ -782,10 +778,10 @@ def _exact_reading(dec: FrobeniusDecomposition, alphas: Sequence):
 
 
 def _stored_reading(dec: FrobeniusDecomposition, alphas: Sequence):
-    """(j, m) -> None, for no term on the support, or (val, prec,
-    target) of sum_k alpha_k c_k, alpha_0 = 1, c_k the t^m coefficient
-    of A_j^(k) in a fixed-precision dec, stored as X_k = p^scale c_k mod
-    p^(scale + D), D = dec.digits.
+    """(j, c) -> None, for no term on the support, or (val, prec,
+    target) of sum_k alpha_k c_k, alpha_0 = 1, c_k the lattice
+    coefficient c of A_j^(k) in a fixed-precision dec, stored as X_k =
+    p^scale c_k mod p^(scale + D), D = dec.digits.
 
     Each alpha_k is prepared once as its valuation a_k, absolute
     precision A_k (infinite when exact) and a residue of alpha_k / p^e,
@@ -807,18 +803,18 @@ def _stored_reading(dec: FrobeniusDecomposition, alphas: Sequence):
     top = scale + digits - e + max(al.valuation for _, al in padics)
     pows = [p ** i for i in range(top + 1)]
     stored = pows[scale + digits]
-    # per j: (support, t^m coefficient, a_k + D, A_k, alpha_k / p^e)
+    # per j: (support, coefficient reader, a_k + D, A_k, alpha_k / p^e)
     terms = [[(dec.support[k][j], dec.slots[k][j].known,
                al.valuation + digits, al.abs_precision,
                al._scaled_residue(e, top)) for k, al in padics]
              for j in range(dec.n)]
 
-    def read(j: int, m: int):
+    def read(j: int, c: int):
         acc, prec, target, known = 0, INFINITY, INFINITY, True
         for live, coeff, kept, A, r in terms[j]:
-            if not live[m]:
+            if not live[c]:
                 continue
-            x = coeff(m)
+            x = coeff(c)
             if kept < prec:
                 prec = kept
             acc += r * x
@@ -841,13 +837,12 @@ def _stored_reading(dec: FrobeniusDecomposition, alphas: Sequence):
     return read
 
 
-def _integral_entry(read, j: int, m: int):
-    """The entry check_integrality reports at (j, m), decided on read =
-    _reading(dec, alphas): None for an exact zero, (val, None) for a
-    value known exactly, else (val, prec) as exact slots give it; and
+def _integral_entry(reading, j: int, m: int):
+    """The entry check_integrality reports at (j, m), decided on its
+    reading by _reading: None for an exact zero, (val, None) for a value
+    known exactly, else (val, prec) as exact slots give it; and
     PrecisionExhausted where prec falls short of that target, or the
     target is unknown, or an inexact zero is known to no digit."""
-    reading = read(j, m)
     if reading is None:
         return None
     val, prec, target = reading
@@ -968,16 +963,17 @@ def _analytic_bounds(L: MumOperator, p: int, digits: int) -> list:
 def _analytic_rows(dec: FrobeniusDecomposition, M: int, digits: int):
     """Iterate (s, lo, weighted) for each s = 1..digits with rows: [t^m]
     D^e(s) A_j must vanish mod p^s for lo = max(deg(s) + 1, 0) <= m < M.
-    weighted is dec with slots D^e(s) A_j^(k) in that window and exact
-    zeros elsewhere, reduced mod p^(scale + digits) at fixed precision,
+    weighted is dec mod t^M with slots D^e(s) A_j^(k) in that window and
+    exact zeros below, reduced mod p^(scale + digits) at fixed precision,
     where a term of D^e(s) meeting a live coefficient makes one live.
     ValueError for negative digits, before any block.
 
-    A block is the last (dec before the first) times D^(e(s) - e(s')),
-    formed on dec.step's lattice.  Its t^m reads t^(m - i), i <= (e(s) -
-    e(s')) deg D = deg(s) - deg(s'): only the last window, for any
-    nondecreasing e(s).  The support spreads dec's over D^e(s) itself,
-    as (1 + 2t - 10t^2)^6 lacks t^10, which two terms of its cube reach.
+    A block is the last (dec before the first) times D(T)^(e(s) - e(s')),
+    T = t^g, g = dec.step, on the lattice lists.  Its index c reads c -
+    i, i g <= (e(s) - e(s')) deg D = deg(s) - deg(s'): only the last
+    window, for any nondecreasing e(s).  The support spreads dec's over
+    D^e(s) itself, as (1 + 2t - 10t^2)^6 lacks t^10, which two terms of
+    its cube reach.
     """
     _check_order(dec, M)
     if digits < 0:
@@ -997,26 +993,22 @@ def _analytic_rows(dec: FrobeniusDecomposition, M: int, digits: int):
             power = power * factor
 
             def product(a: PowerSeries) -> list:
-                src, out, full = a.coeffs[:M:g], [0] * Mg, [0] * M
+                src, out = a.coeffs, [0] * Mg
                 for i, c in enumerate(factor.coeffs):
                     part, r = src[max(first - i, 0):Mg - i], max(first, i)
                     out[r:r + len(part)] = [x + c * y for x, y in
                                             zip(out[r:], part)]
-                full[first * g::g] = [x % mod for x in out[first:]] \
-                    if mod else out[first:]
-                return full
+                return [x % mod for x in out] if mod else out
 
             def spread(live: bytes) -> bytes:
-                mask = int.from_bytes(live[:M:g], "little")
+                mask = int.from_bytes(live[:Mg], "little")
                 hit = reduce(or_, (mask << 8 * i for i, c in
                                    enumerate(power.coeffs) if c), 0)
-                full = bytearray(M)
-                full[first * g::g] = hit.to_bytes(2 * Mg, "little")[first:Mg]
-                return bytes(full)
+                return bytes(first) + hit.to_bytes(2 * Mg, "little")[first:Mg]
 
             block, done = block.replace(
                 order=M,
-                slots=[[PowerSeries(product(a), M) for a in row]
+                slots=[[PowerSeries(product(a), Mg) for a in row]
                        for row in block.slots],
                 support=None if mod is None else
                 [[spread(live) for live in row] for row in dec.support]), e
@@ -1047,9 +1039,9 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
     an inexact zero known to fewer than s digits, for want of alpha
     digits or of slot digits, raises PrecisionExhausted.
 
-    Rows are read from the blocks of _analytic_rows, at the multiples
-    of dec.step (``rows`` counts the exact zeros between), through
-    _reading built once per s.  Only the decision differs.
+    Rows are read from the blocks of _analytic_rows on the lattice of
+    dec.step (``rows`` counts the exact zeros between), through _reading
+    built once per s.  Only the decision differs.
     """
     # checked before any row, so a report with no rows checks them too
     _check_alphas(dec, alphas)
@@ -1058,7 +1050,7 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
         read = _reading(weighted, alphas)
         for j in range(dec.n):
             for m in range(-(-lo // g) * g, M, g):
-                reading = read(j, m)
+                reading = read(j, m // g)
                 if reading is None:
                     continue
                 val, prec, _ = reading
@@ -1073,12 +1065,12 @@ def check_analytic(dec: FrobeniusDecomposition, alphas: Sequence,
     return AnalyticReport(dec.p, M, digits, "analytic", rows)
 
 
-def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int):
+def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, c: int):
     """The condition vp(sum_k alpha_k x_k) >= 0, alpha_0 = 1, where x_k
-    is [t^m] A_j^(k) / p^s in dec (for an analytic row, dec holds the
-    products D^e(s) A_j^(k)), as a reduced row (a, b, e) of
-    CongruenceSystem; None for a row that cannot bind: no alpha term,
-    and x_0 in Z_p.
+    is lattice coefficient c of A_j^(k), at t^(c dec.step), over p^s in
+    dec (for an analytic row, dec holds the products D^e(s) A_j^(k)), as
+    a reduced row (a, b, e) of CongruenceSystem; None for a row that
+    cannot bind: no alpha term, and x_0 in Z_p.
 
     The condition sees the x_k only modulo Z_p.  An exact row reduces
     its rationals (padic_core._reduced_condition).  A fixed-precision
@@ -1088,36 +1080,35 @@ def _congruence_row(dec: FrobeniusDecomposition, s: int, j: int, m: int):
     known to fewer than s digits, or when residues 0 leave open whether
     an alpha term exists.
     """
+    xs = [row[j].known(c) for row in dec.slots]
     if dec.digits is None:
-        vals = [dec.slot(k, j, m) for k in range(dec.n)]
-        if any(vals[1:]) or vp(vals[0], dec.p) < s:
-            return _reduced_condition(vals[0], vals[1:], dec.p, -s)
+        if any(xs[1:]) or vp(xs[0], dec.p) < s:
+            return _reduced_condition(xs[0], xs[1:], dec.p, -s)
         return None
-    xs = [row[j].known(m) for row in dec.slots]
-    live = [row[j][m] for row in dec.support]
+    live = [row[j][c] for row in dec.support]
     if not any(live):
         return None
     if s > dec.digits:
-        raise PrecisionExhausted(j, m)
+        raise PrecisionExhausted(j, c * dec.step)
     pows = dec._pows
     top = pows[dec.scale + s]
     ys = [x % top for x in xs]
     if not (any(xs[1:]) or ys[0]):
         if any(live[1:]):
-            raise PrecisionExhausted(j, m)
+            raise PrecisionExhausted(j, c * dec.step)
         return None
-    g = math.gcd(top, *ys)
-    mod = top // g
-    return (tuple(y // g for y in ys[1:]), -(ys[0] // g) % mod,
+    common = math.gcd(top, *ys)
+    mod = top // common
+    return (tuple(y // common for y in ys[1:]), -(ys[0] // common) % mod,
             bisect_left(pows, mod))
 
 
 def recover_alpha(dec: FrobeniusDecomposition, M: int,
                   analytic_digits: int = 0):
     """Impose vp(assembled A_j coefficient) >= 0 for every j and every
-    t-degree below M divisible by dec.step (the others are exact zeros,
-    which bind nothing) and solve the resulting affine congruence system
-    for alpha_1..alpha_{n-1}.
+    lattice coefficient below t^M, at the t-degrees divisible by
+    dec.step (the others are exact zeros, which bind nothing), and solve
+    the resulting affine congruence system for alpha_1..alpha_{n-1}.
 
     Integrality alone leaves alpha_k for k >= n-2 undetermined: those
     slot series are p-integral (see check_integrality).  With
@@ -1134,9 +1125,9 @@ def recover_alpha(dec: FrobeniusDecomposition, M: int,
     """
     g = dec.step
     blocks = chain([(0, 0, dec)], _analytic_rows(dec, M, analytic_digits))
-    rows = filter(None, (_congruence_row(block, s, j, m)
+    rows = filter(None, (_congruence_row(block, s, j, c)
                          for s, lo, block in blocks for j in range(dec.n)
-                         for m in range(-(-lo // g) * g, M, g)))
+                         for c in range(-(-lo // g), -(-M // g))))
     return solve_affine_congruences(
         CongruenceSystem(dec.p, dec.n - 1, tuple(rows)))
 
@@ -1157,15 +1148,12 @@ def nonuniqueness_witness(L: MumOperator, lam, p: int, M: int) -> bool:
     if L.order != 2:
         raise ValueError("witness construction needs an order-2 operator")
     dec = solve_A_series(L, p, M)
+    a0, a1 = (s.substitute_tp(dec.step) for s in dec.slots[0])
     f0, f1 = dec.basis.fs
     wronskian = f0 * f0 + f0 * f1.theta() - f1 * f0.theta()
-    y0_p = f0.substitute_tp(p).truncate(M)
     winv_p = wronskian.substitute_tp(p).truncate(M).invert()
-    extra1 = f0 * winv_p * y0_p * lam
-    extra0 = f0 * winv_p * \
-        f0.theta().substitute_tp(p).truncate(M) * (-p) * lam
-    a0 = dec.slots[0][0] + extra0
-    a1 = dec.slots[0][1] + extra1
+    a1 = a1 + f0 * winv_p * f0.substitute_tp(p).truncate(M) * lam
+    a0 = a0 - f0 * winv_p * f0.theta().substitute_tp(p).truncate(M) * p * lam
     for i in range(2):
         yi_p = dec.basis.y(i).substitute_tp(p)
         image = a0 * yi_p + a1 * yi_p.theta()

@@ -46,9 +46,11 @@ def _strip(poly: Sequence[int]) -> list:
 
 
 class MumOperator(_Record):
-    """L = sum_i coeffs[i](t) theta^i; coeffs[i] lists t-powers low first."""
+    """L = sum_i coeffs[i](t) theta^i, coeffs[i] the ints of t^0, t^1, ..."""
 
     def __init__(self, coeffs: list):
+        if any(type(x) is not int for c in coeffs for x in c):
+            raise TypeError("MumOperator coefficients must be ints")
         self.coeffs = [_strip(c) for c in coeffs]
         if not self.coeffs or not self.coeffs[-1]:
             raise ValueError("leading coefficient must be nonzero")

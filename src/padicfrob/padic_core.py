@@ -24,15 +24,19 @@ from itertools import count, takewhile
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
+# the exact scalar types, matched exactly, so a bool is refused
+_RATIONALS = frozenset((int, Fraction))
 
 INFINITY = math.inf
 
 
 def vp(x: RationalLike, p: int) -> int | float:
-    """p-adic valuation of an integer or fraction; +inf for 0."""
+    """p-adic valuation of an int or Fraction (else TypeError); +inf for 0."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    if isinstance(x, Fraction):
+    if type(x) is not int:
+        if type(x) not in _RATIONALS:
+            raise TypeError("need an int or a Fraction, not %r" % (x,))
         if x == 0:
             return INFINITY
         return vp(x.numerator, p) - vp(x.denominator, p)
@@ -177,6 +181,9 @@ class PadicNum:
 
     @classmethod
     def from_exact(cls, q: RationalLike, p: int) -> "PadicNum":
+        """q exactly; TypeError unless q is an int or a Fraction."""
+        if type(q) not in _RATIONALS:
+            raise TypeError("need an int or a Fraction, not %r" % (q,))
         return cls(p, exact=Fraction(q))
 
     @classmethod
@@ -184,14 +191,13 @@ class PadicNum:
         """q as an inexact p-adic with relative precision N.
 
         The result is known modulo p^(N + vp(q)); an exact rational zero
-        maps to the exact zero.
+        maps to the exact zero.  TypeError unless q is an int or a Fraction.
         """
-        q = Fraction(q)
-        if q == 0:
+        v = vp(q, p)
+        if v == INFINITY:
             return cls(p, exact=Fraction(0))
         if N <= 0:
             raise ValueError("relative precision must be positive")
-        v = vp(q, p)
         unit = _residue_of_rational(q, p, p ** N, -v)
         return cls(p, val=v, unit=unit, prec=v + N)
 
@@ -258,7 +264,7 @@ class PadicNum:
             if other.p != self.p:
                 raise ValueError("mixed primes %d and %d" % (self.p, other.p))
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) in _RATIONALS:
             return PadicNum.from_exact(other, self.p)
         return None
 
@@ -514,7 +520,10 @@ def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n with the convention B_1 = -1/2.
 
     Even n below ZETA_BERNOULLI_FROM read the tangent-number triangle,
-    larger ones zeta(n) (_bernoulli_by_zeta)."""
+    larger ones zeta(n) (_bernoulli_by_zeta).  TypeError unless n is an
+    int, not a bool."""
+    if type(n) is not int:
+        raise TypeError("bernoulli needs an int index, not %r" % (n,))
     if n < 0:
         raise ValueError("negative index")
     if n == 0:

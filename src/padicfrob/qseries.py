@@ -30,9 +30,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .padic_core import _RATIONALS
+
 _SCALARS = (int, Fraction)
-# the coefficient types, matched exactly, so a bool is refused
-_TYPES = frozenset(_SCALARS)
 
 
 class NonUnitConstantTerm(ArithmeticError):
@@ -112,7 +112,7 @@ class PowerSeries:
         if order < 1:
             raise ValueError("order must be positive")
         self._coeffs = list(coeffs[:order])
-        if not _TYPES.issuperset(map(type, self._coeffs)):
+        if not _RATIONALS.issuperset(map(type, self._coeffs)):
             raise TypeError("PowerSeries coefficients must be int or "
                             "Fraction")
         while self._coeffs and isinstance(self._coeffs[-1], int) \
@@ -315,7 +315,7 @@ class PowerSeries:
         """f(c t) for an int or Fraction c = u/v: the numerator of t^k
         gains u^k v^(top-k) over a denominator that gains v^top, top
         the highest degree present."""
-        if type(c) not in _TYPES:
+        if type(c) not in _RATIONALS:
             raise TypeError("scale_argument needs an int or a Fraction")
         u, v = c.numerator, c.denominator
         nums, d = self._form()

@@ -5,9 +5,10 @@ divisibility of expansion coefficients, an enumerate-then-filter
 expansion of t^a x^w / f^m, the t -> 0 limits of the simplicial
 coefficients, the Cartier re-indexing of a coefficient map, the
 hyperoctahedral constant-term series F_u, the operator JSON reader
-that inverts MumOperator.to_json, and _integrality_entry, the
-per-entry integrality readout in PadicNum arithmetic that marks where a
-fixed-precision reading must raise."""
+that inverts MumOperator.to_json, _integrality_entry, the per-entry
+integrality readout in PadicNum arithmetic that marks where a
+fixed-precision reading must raise, and stored_at, which reads a
+decomposition's lattice storage at a t-degree."""
 
 import json
 import math
@@ -259,6 +260,19 @@ def operator_from_json(text: str) -> MumOperator:
     if len(coeffs) != _json_int(payload.get("n"), "n") + 1:
         raise ValueError("coefficient count does not match order")
     return MumOperator(coeffs)
+
+
+def stored_at(dec: FrobeniusDecomposition, k: int, j: int, m: int):
+    """(x, live) at t^m of A_j^(k) as dec stores it on its lattice of
+    step g, index m / g: x the exact coefficient, or the stored integer
+    p^scale c mod p^(scale + digits) at fixed precision, and live whether
+    the support holds it (every lattice index of an exact dec).  Off the
+    lattice nothing is stored: (0, False)."""
+    c, off = divmod(m, dec.step)
+    if off:
+        return 0, False
+    return dec.slots[k][j].known(c), \
+        dec.digits is None or bool(dec.support[k][j][c])
 
 
 def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,

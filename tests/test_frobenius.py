@@ -11,6 +11,7 @@ from padicfrob.frobenius import (
     BadPrime,
     FrobeniusDecomposition,
     InsufficientOrder,
+    IntegralityReport,
     PrecisionExhausted,
     analytic_bound,
     check_analytic,
@@ -42,7 +43,7 @@ from padicfrob.zeta_gamma import (
     evaluate_zeta_poly,
 )
 
-from combinatorics import _integrality_entry
+from combinatorics import _integrality_entry, stored_at
 
 GEOM_L = MumOperator([[0, -1], [1, -1]])  # (1-t)theta - t, F_0 = 1/(1-t)
 
@@ -118,13 +119,15 @@ def test_verify_with_padic_alphas():
 
 
 def test_verify_detects_corruption():
+    # the slots live on the t^4 lattice; index 2 is t^8
     p, M = 5, 20
     dec = solve_A_series(simplicial_operator(3), p, M)
-    bad = [[s.known(c) for c in range(M)] for s in dec.slots[0]]
-    bad[1][7] = bad[1][7] + Fraction(1, 5)
+    Mg = dec.slots[0][0].order
+    bad = [[s.known(c) for c in range(Mg)] for s in dec.slots[0]]
+    bad[1][2] = bad[1][2] + Fraction(1, 5)
     broken = FrobeniusDecomposition(
         p=p, operator=dec.operator, basis=dec.basis,
-        slots=[[PowerSeries(c, M) for c in bad]] + dec.slots[1:],
+        slots=[[PowerSeries(c, Mg) for c in bad]] + dec.slots[1:],
         order=M)
     where = _verify_frobenius_detail(broken, [Fraction(0)] * 2, M)
     assert where is not None
@@ -137,11 +140,12 @@ def test_verify_detects_corruption_in_alpha_slots():
     dec = solve_A_series(simplicial_operator(3), p, M)
     alphas = [Fraction(2, 3), Fraction(-5, 7)]
     assert verify_frobenius_property(dec, alphas, M)
+    Mg = dec.slots[0][0].order
     for k in (1, 2):
         slots = [list(row) for row in dec.slots]
-        bad = [slots[k][1].known(c) for c in range(M)]
-        bad[7] = bad[7] + Fraction(1, 5)
-        slots[k][1] = PowerSeries(bad, M)
+        bad = [slots[k][1].known(c) for c in range(Mg)]
+        bad[2] = bad[2] + Fraction(1, 5)     # t^8 on the t^4 lattice
+        slots[k][1] = PowerSeries(bad, Mg)
         broken = FrobeniusDecomposition(p=p, operator=dec.operator,
                                         basis=dec.basis, slots=slots,
                                         order=M)
@@ -173,14 +177,15 @@ def test_verify_readout_precision():
     assert frobenius._alpha_linear(values[:2] + [0, 0], alphas) \
         .abs_precision == 4
     # end to end: the closed forms pass on the exact decomposition; with
-    # slot 3 broken, alpha_3 = O(7^10) hides the break, 7^9 + O(7^10)
-    # shows it
+    # slot 3 broken at t^5, alpha_3 = O(7^10) hides the break, 7^9 +
+    # O(7^10) shows it
     M, N = 30, 8
     dec = solve_A_series(simplicial_operator(4), p, M)
     alphas = [evaluate_zeta_poly(q, p, N) for q in alpha_simplicial(4)]
     assert verify_frobenius_property(dec, alphas, M)
     slots = [list(row) for row in dec.slots]
-    slots[3][0] = slots[3][0] + PowerSeries([0] * 5 + [Fraction(1, 7)], M)
+    slots[3][0] = slots[3][0] + PowerSeries([0, Fraction(1, 7)],
+                                            slots[3][0].order)
     broken = FrobeniusDecomposition(p=p, operator=dec.operator,
                                     basis=dec.basis, slots=slots, order=M)
     hidden = alphas[:2] + [PadicNum.inexact_zero(p, 10)]
@@ -350,16 +355,17 @@ def test_recover_alpha_hyperoct():
 
 
 def test_recover_alpha_inconsistent_constant_row():
-    # a non-integral coefficient that no alpha reaches (t^1 carries no
-    # alpha-slot term for the simplicial operator, a series in t^3)
+    # a non-integral coefficient that no alpha reaches (t^0 of A_0
+    # carries no alpha-slot term: slot k starts at delta_kj)
     p, M = 5, 10
     dec = solve_A_series(simplicial_operator(2), p, M)
-    assert all(dec.slots[k][0].known(1) == 0 for k in range(2))
-    bad = [dec.slots[0][0].known(c) for c in range(M)]
-    bad[1] = Fraction(1, p)
+    assert dec.slots[1][0].known(0) == 0
+    Mg = dec.slots[0][0].order
+    bad = [dec.slots[0][0].known(c) for c in range(Mg)]
+    bad[0] = Fraction(1, p)
     broken = FrobeniusDecomposition(
         p=p, operator=dec.operator, basis=dec.basis,
-        slots=[[PowerSeries(bad, M)] + dec.slots[0][1:]] + dec.slots[1:],
+        slots=[[PowerSeries(bad, Mg)] + dec.slots[0][1:]] + dec.slots[1:],
         order=M)
     with pytest.raises(InconsistentSystem):
         recover_alpha(broken, M)
@@ -448,7 +454,8 @@ def test_nonuniqueness_rejects_a_corrupted_solve(monkeypatch):
     def corrupted(*args, **kwargs):
         dec = solve(*args, **kwargs)
         slots = [list(row) for row in dec.slots]
-        slots[0][1] = slots[0][1] + PowerSeries([0, 0, 0, 1], M)
+        # t^3 is index 1 of the t^3 lattice the slots are held on
+        slots[0][1] = slots[0][1] + PowerSeries([0, 1], slots[0][1].order)
         return dec.replace(slots=slots)
 
     monkeypatch.setattr(frobenius, "solve_A_series", corrupted)
@@ -556,7 +563,7 @@ def test_fixed_precision_coefficients_and_zeros():
                 for m in range(M):
                     want = exact.slot(k, j, m)
                     got = fixed.slot(k, j, m)
-                    assert fixed.support[k][j][m] == (want != 0)
+                    assert stored_at(fixed, k, j, m)[1] == (want != 0)
                     if want == 0:
                         assert got == 0 and not isinstance(got, PadicNum)
                     else:
@@ -634,7 +641,8 @@ def _assert_slots_agree(fixed, exact, M, digits):
             for m in range(M):
                 want = exact.slot(k, j, m)
                 got = fixed.slot(k, j, m)
-                assert fixed.support[k][j][m] == (want != 0), (k, j, m)
+                assert stored_at(fixed, k, j, m)[1] == (want != 0), \
+                    (k, j, m)
                 if want == 0:
                     assert got == 0 and not isinstance(got, PadicNum)
                 else:
@@ -647,8 +655,9 @@ def test_fixed_precision_lanes_match_exact(L, p, M, digits):
     fixed = solve_A_series(L, p, M, digits=digits)
     _assert_slots_agree(fixed, exact, M, digits)
     if L == KNOWN_HYPEROCT_OPERATORS[4]:
-        assert not any(row[m] for slot in fixed.support for row in slot
-                       for m in range(1, M, 2))
+        n = L.order
+        assert not any(stored_at(fixed, k, j, m)[1] for k in range(n)
+                       for j in range(n) for m in range(1, M, 2))
 
 
 def _first_scale(L, p, M):
@@ -877,11 +886,12 @@ def _stored_sum(dec, k, j, m, weights):
     """(x, live): the weighted sum of stored coefficients of A_j^(k),
     reduced mod p^(scale + digits) at fixed precision, and whether any
     of its terms is on the support, summed row by row."""
-    x = sum(c * dec.slots[k][j].known(m - i) for i, c in weights if i <= m)
+    terms = [(c, *stored_at(dec, k, j, m - i)) for i, c in weights if i <= m]
+    x = sum(c * y for c, y, _ in terms)
     if dec.digits is None:
         return x, True
     return (x % dec.p ** (dec.scale + dec.digits),
-            any(dec.support[k][j][m - i] for i, _ in weights if i <= m))
+            any(live for _, _, live in terms))
 
 
 def _rational_rows(dec, p, M, analytic_digits):
@@ -929,8 +939,10 @@ def _blocks_from_scratch(dec, M, digits):
     """The blocks (s, lo, weighted) of frobenius._analytic_rows, each
     summed row by row (_stored_sum) at every t-degree from dec and a
     fresh power D^e(s): the reference for the blocks built one from the
-    last on the lattice."""
-    lead = PowerSeries(dec.operator.leading(), M)
+    last on the lattice.  Every sum off the lattice of dec.step is
+    asserted to be an exact zero off the support, and the block holds
+    the sums on it."""
+    lead, g = PowerSeries(dec.operator.leading(), M), dec.step
     for s in range(1, digits + 1):
         e, deg = analytic_bound(dec.operator, dec.p, s)
         lo = max(deg + 1, 0)
@@ -940,12 +952,14 @@ def _blocks_from_scratch(dec, M, digits):
         sums = [[[_stored_sum(dec, k, j, m, weights) if m >= lo
                   else (0, False) for m in range(M)]
                  for j in range(dec.n)] for k in range(dec.n)]
+        assert all(row[m] == (0, dec.digits is None) for slot in sums
+                   for row in slot for m in range(lo, M) if m % g)
         yield s, lo, dec.replace(
             order=M,
-            slots=[[PowerSeries([x for x, _ in row], M) for row in slot]
-                   for slot in sums],
+            slots=[[PowerSeries([x for x, _ in row[::g]], -(-M // g))
+                    for row in slot] for slot in sums],
             support=None if dec.digits is None else
-            [[bytes(live for _, live in row) for row in slot]
+            [[bytes(live for _, live in row[::g]) for row in slot]
              for slot in sums])
 
 
@@ -958,6 +972,7 @@ def test_products_match_row_by_row_sums():
     fixed = solve_A_series(simplicial_operator(4), 7, 110, digits=3)
     hyperoct = solve_A_series(KNOWN_HYPEROCT_OPERATORS[4], 7, 90)
     theta2 = solve_A_series(MumOperator([[], [], [1]]), 7, 20)
+    # a hand-built decomposition takes its step from the operator
     hand_built = FrobeniusDecomposition(
         p=7, operator=fixed.operator, basis=fixed.basis, slots=fixed.slots,
         order=110, digits=3, scale=fixed.scale, support=fixed.support)
@@ -971,7 +986,7 @@ def test_products_match_row_by_row_sums():
              (hyperoct, 3), (solve_A_series(
                  KNOWN_HYPEROCT_OPERATORS[4], 7, 90, digits=N_CLI), 3),
              (cancel, 3)]
-    assert [dec.step for dec, _ in cases] == [5, 5, 1, 20, 2, 2, 1]
+    assert [dec.step for dec, _ in cases] == [5, 5, 5, 20, 2, 2, 1]
     for dec, digits in cases:
         M = dec.order
         got = list(frobenius._analytic_rows(dec, M, digits))
@@ -1316,12 +1331,13 @@ def test_solve_lives_on_the_operator_lattice(L, g, digits):
         for j in range(L.order):
             for m in range(M):
                 got = dec.slot(k, j, m)
+                x, live = stored_at(dec, k, j, m)
                 if m % g:
-                    assert dec.slots[k][j].known(m) == 0 and got == 0
+                    assert x == 0 and got == 0
                     assert not isinstance(got, PadicNum)
                     if digits is not None:
-                        assert dec.support[k][j][m] == 0
-                elif digits is not None and dec.support[k][j][m]:
+                        assert not live
+                elif digits is not None and live:
                     assert got.agrees(exact.slot(k, j, m), digits)
                 elif digits is not None:
                     assert exact.slot(k, j, m) == 0
@@ -1333,13 +1349,93 @@ def test_solve_lives_on_the_operator_lattice(L, g, digits):
 
 
 @pytest.mark.parametrize("L, g", LATTICE_CASES)
+@pytest.mark.parametrize("digits", [None, 6])
+def test_decomposition_holds_its_lattice(L, g, digits):
+    # the storage format: each slot a series of order ceil(M / g) in
+    # t^g, each support row ceil(M / g) bytes, an exact 0 from slot()
+    # off the lattice, and the step derived from the operator, never
+    # passed in
+    p, M = 7, 61
+    g = g or M
+    dec = solve_A_series(L, p, M, digits=digits)
+    n, Mg = L.order, -(-M // g)
+    assert len(dec.slots) == n and all(len(row) == n for row in dec.slots)
+    assert all(s.order == Mg for row in dec.slots for s in row)
+    if digits is None:
+        assert dec.support is None
+    else:
+        assert all(type(row) is bytes and len(row) == Mg
+                   for slot in dec.support for row in slot)
+    for k in range(n):
+        for j in range(n):
+            for m in range(M):
+                if m % g:
+                    got = dec.slot(k, j, m)
+                    assert got == 0 and type(got) in (int, Fraction)
+    assert len(FrobeniusDecomposition._fields) == 8
+    with pytest.raises(TypeError):
+        FrobeniusDecomposition(p=p, operator=L, basis=dec.basis,
+                               slots=dec.slots, order=M, step=g)
+
+
+def _integrality_at_every_degree(dec, alphas, M):
+    """check_integrality's JSON, or the raised (j, m), from
+    _integrality_entry on dec.slot() at every t-degree below M."""
+    entries = []
+    try:
+        for j in range(dec.n):
+            for m in range(M):
+                entry = _integrality_entry(dec, j, m, alphas)
+                if entry is not None:
+                    entries.append({"j": j, "m": m, "val": entry[0],
+                                    "prec": entry[1]})
+    except PrecisionExhausted as exc:
+        return exc.j, exc.m
+    vals = [e["val"] for e in entries if e["val"] is not None]
+    first = next(((e["j"], e["m"], e["val"]) for e in entries
+                  if e["val"] is not None and e["val"] < 0), None)
+    return IntegralityReport(
+        p=dec.p, M=M, verdict="integral" if first is None else
+        "non-integral", min_valuation=min(vals, default=None),
+        entries=entries, first_failing=first).to_json()
+
+
+def _rational(x):
+    """A slot() value as a rational: a PadicNum as the rational its
+    digits store, an inexact zero as 0."""
+    if not isinstance(x, PadicNum):
+        return Fraction(x)
+    return Fraction(x.unit) * Fraction(x.p) ** x.val if x.unit else 0
+
+
+def _recovered_at_every_degree(dec, M):
+    """recover_alpha's coset, from CongruenceSystem.build on rows read by
+    dec.slot() at every t-degree below M.  A fixed-precision row with no
+    alpha term known nonzero and an integral constant raises where an
+    alpha slot on it reads an inexact zero, as its residues leave open
+    whether it binds."""
+    rows = []
+    for j in range(dec.n):
+        for m in range(M):
+            xs = [dec.slot(k, j, m) for k in range(dec.n)]
+            vals = [_rational(x) for x in xs]
+            if any(vals[1:]) or vp(vals[0], dec.p) < 0:
+                rows.append((vals[0], vals[1:]))
+            elif any(isinstance(x, PadicNum) for x in xs[1:]):
+                raise PrecisionExhausted(j, m)
+    return frobenius.solve_affine_congruences(
+        CongruenceSystem.build(dec.p, rows) if rows else
+        CongruenceSystem(dec.p, dec.n - 1, ()))
+
+
+@pytest.mark.parametrize("L, g", LATTICE_CASES)
 @pytest.mark.parametrize("digits", [None, 3, 8])
 def test_readers_on_the_lattice_match_every_degree(L, g, digits):
-    # the readers walk the multiples of dec.step; the same decomposition
-    # read at every t-degree gives the same entries, coset or raise
+    # the readers walk the lattice of dec.step; the same decomposition
+    # read through slot() at every t-degree gives the same entries,
+    # coset or raise
     p, M = 7, 61
     dec = solve_A_series(L, p, M, digits=digits)
-    every = dec.replace(step=1)
     assert dec.step == (g or M)
     families = [simplicial_operator(n) for n in (2, 3, 4, 5)] + \
         [KNOWN_HYPEROCT_OPERATORS[4]]
@@ -1347,6 +1443,6 @@ def test_readers_on_the_lattice_match_every_degree(L, g, digits):
         [Fraction(2, 7)] * (L.order - 1)
     for alph in (alphas, [a + 1 for a in alphas]):
         assert _outcome(_integrality, dec, alph, M) == \
-            _outcome(_integrality, every, alph, M)
+            _outcome(_integrality_at_every_degree, dec, alph, M)
     assert _outcome(recover_alpha, dec, M) == \
-        _outcome(recover_alpha, every, M)
+        _outcome(_recovered_at_every_degree, dec, M)

@@ -37,7 +37,7 @@ from padicfrob.mum import (  # noqa: E402
 )
 from padicfrob.padic_core import InconsistentSystem, PadicNum  # noqa: E402
 
-from combinatorics import _integrality_entry  # noqa: E402
+from combinatorics import _integrality_entry, stored_at  # noqa: E402
 from test_frobenius import (  # noqa: E402
     N_CLI,
     _analytic,
@@ -238,7 +238,7 @@ def _fixed_agrees_with_exact(L, M, digits):
                 for m in range(M):
                     want = exact.slot(k, j, m)
                     got = fixed.slot(k, j, m)
-                    if not fixed.support[k][j][m]:
+                    if not stored_at(fixed, k, j, m)[1]:
                         assert want == 0
                         assert got == 0 and not isinstance(got, PadicNum)
                     else:
@@ -396,16 +396,21 @@ def _decided(entry, *args):
 @given(case=st.integers(0, len(ANALYTIC_OPERATORS) - 1),
        alphas=st.lists(ALPHAS, min_size=3, max_size=3))
 def test_exact_reading_decides_as_integrality_entry(case, alphas):
-    # on the exact solve, every entry decided on _exact_reading is the
-    # one _integrality_entry gives: the same value, or a raise at the
-    # same (j, m)
+    # on the exact solve, every entry decided on _exact_reading, at the
+    # lattice index m / g, is the one _integrality_entry gives: the same
+    # value, or a raise at the same (j, m); off the lattice of g =
+    # dec.step every entry is an exact zero
     dec = _analytic_solve(case, None)
     alphas = alphas[:dec.n - 1]
-    read = frobenius._exact_reading(dec, alphas)
+    read, g = frobenius._exact_reading(dec, alphas), dec.step
     for j in range(dec.n):
         for m in range(ANALYTIC_M):
-            assert _decided(frobenius._integral_entry, read, j, m) == \
-                _decided(_integrality_entry, dec, j, m, alphas)
+            want = _decided(_integrality_entry, dec, j, m, alphas)
+            if m % g:
+                assert want is None
+            else:
+                assert _decided(frobenius._integral_entry, read(j, m // g),
+                                j, m) == want
 
 
 def test_check_analytic_live_zero_under_inexact_alpha(monkeypatch):

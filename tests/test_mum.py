@@ -48,6 +48,15 @@ class TestOperatorType:
         with pytest.raises(NotMUM):
             standard_basis(bad, 5)
 
+    @pytest.mark.parametrize("bad", [F(1, 2), 0.5, True, "1"])
+    def test_refuses_coefficients_not_ints(self, bad):
+        # the solve reads integer coefficients: a Fraction, a float, a
+        # bool or a string is refused when the operator is built
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            MumOperator([[0, bad], [0, 1], [1, 1]])
+        with pytest.raises(TypeError, match="coefficients must be ints"):
+            MumOperator([[0, -1], [1, -1]]).replace(coeffs=[[0, bad], [1]])
+
     def test_replace_runs_the_operator_checks(self):
         L = MumOperator([[0, -1], [1, -1]])
         assert L.replace(coeffs=[[0, -1, 0], [1, -1, 0]]).coeffs == L.coeffs

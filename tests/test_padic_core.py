@@ -34,6 +34,20 @@ from padicfrob.zeta_gamma import EXACT_BERNOULLI_BOUND
 from combinatorics import falling_factorial, stirling2
 
 
+@pytest.mark.parametrize("entry, value", [
+    (entry, value)
+    for entry in (lambda x: vp(x, 5), lambda x: PadicNum.from_exact(x, 5),
+                  lambda x: PadicNum.from_rational(x, 5, 3),
+                  lambda x: PadicNum.from_exact(1, 5) + x)
+    for value in (0.04, 0.1, "1/3", True, None)
+] + [(bernoulli, value) for value in (2.0, F(2), "2", True)])
+def test_exact_entry_points_refuse_other_scalars(entry, value):
+    # a binary float is no exact rational (vp(0.04, 5) would read 0, not
+    # -2), and a string or a bool is no number at all
+    with pytest.raises(TypeError):
+        entry(value)
+
+
 def test_vp_basics():
     assert vp(625, 5) == 4
     assert vp(F(1, 50), 5) == -2

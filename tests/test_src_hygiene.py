@@ -7,7 +7,8 @@ name assigned there (a constant such as a cap or a bound) is read
 somewhere in src/padicfrob outside its assignment.  Every private name
 the README quotes as a code span is defined in src/padicfrob.  No module
 there imports dataclasses.  No module there but qseries reads a private
-field or method of PowerSeries, which hold its integer form."""
+field or method of PowerSeries, which hold its integer form.  No module
+there has an assert statement, which python -O strips."""
 
 import ast
 import re
@@ -138,3 +139,12 @@ def test_power_series_form_stays_in_qseries():
                      if isinstance(node, ast.Attribute)
                      and node.attr in private)
     assert {"_num", "_den", "_form"} <= private and outside == []
+
+
+def test_no_assert_statements():
+    # a check that python -O would strip is no check: a condition the
+    # package relies on raises its own exception
+    found = sorted("%s:%d" % (module, node.lineno)
+                   for module, tree in _trees().items()
+                   for node in ast.walk(tree) if isinstance(node, ast.Assert))
+    assert found == []
