@@ -59,6 +59,7 @@ from .mum import (
     GUESS_GUARD,
     KNOWN_HYPEROCT_OPERATORS,
     AmbiguousNullspace,
+    MumOperator,
     NoOperatorFound,
     apply_operator,
     guess_operator,
@@ -102,13 +103,15 @@ class UsageError(Exception):
 
 class Family(_Record):
     """What the CLI knows of a family, each entry a function of the
-    order n: the MUM operator, the period series mod t^M, the symbolic
-    closed-form alpha_1..alpha_{n-1}, and the bound p must exceed."""
+    order n: the MUM operator, the period series mod t^M, the step g of
+    the lattice t^g it lives on, the symbolic closed-form
+    alpha_1..alpha_{n-1}, and the bound p must exceed."""
 
     def __init__(self, operator: Callable, series: Callable,
-                 alphas: Callable, bound: Callable):
+                 step: Callable, alphas: Callable, bound: Callable):
         self.operator = operator
         self.series = series
+        self.step = step
         self.alphas = alphas
         self.bound = bound
 
@@ -119,12 +122,14 @@ FAMILIES = {
     "simplicial": Family(
         operator=lambda n: simplicial_operator(n),
         series=lambda n, M: period_series_simplicial(n, M),
+        step=lambda n: n + 1,
         alphas=lambda n: alpha_simplicial(n),
         bound=lambda n: n + 1),
     "hyperoctahedral": Family(
         operator=lambda n: KNOWN_HYPEROCT_OPERATORS.get(n)
         or _guess_family("hyperoctahedral", n)[0],
         series=lambda n, M: period_series_hyperoctahedral(n, M),
+        step=lambda n: 2,
         alphas=lambda n: alpha_hyperoctahedral(n - 1),
         bound=lambda n: n),
 }
@@ -162,45 +167,61 @@ def _closed_forms(polys: list, p: int, N: int) -> list:
 
 
 def _guess_family(family: str, n: int):
-    """(operator, degree) guessed from the family's period series."""
-    dmax = 2 * n + 2
-    need = (n + 1) * (dmax + 1) + GUESS_GUARD
-    return _guess_sweep(FAMILIES[family].series(n, need), n, dmax)
+    """(operator, degree) guessed from the family's period series, known
+    far enough for the sweep to reach coefficient degree 2n + 2."""
+    fam = FAMILIES[family]
+    g = fam.step(n)
+    need = (n + 1) * ((2 * n + 2) // g + 1) + GUESS_GUARD
+    return _guess_sweep(fam.series(n, g * need), n)
 
 
-def _guess_sweep(f: PowerSeries, n: int, dmax: int):
-    """Smallest coefficient degree whose annihilator nullspace is
-    one-dimensional.  The operator fitted there must annihilate every
-    known coefficient of f, since mod t^need a series in t^g gives only
-    about need/g equations per residue class; raises NoOperatorFound
-    when it does not or when the sweep exhausts, and AmbiguousNullspace,
-    naming the degree, when a fit leaves more than one candidate."""
-    tried = False
-    for d in range(dmax + 1):
-        need = (n + 1) * (d + 1) + GUESS_GUARD
-        if f.order < need:
-            break
-        tried = True
+def _guess_sweep(f: PowerSeries, n: int):
+    """(operator, coefficient degree) of the least-degree order-n
+    annihilator of f, fitted on the lattice t^g that f lives on: g is
+    the gcd of f's nonzero degrees (1 when there is none but 0), and
+    G(T) = f(T^(1/g)) is fitted at T-degree d = 0, 1, ... on need(d)
+    terms while it is known that far.  The operator must then kill
+    every known coefficient of f.  Raises NoOperatorFound when it does
+    not or when no fit answers, AmbiguousNullspace when a fit leaves
+    more than one candidate, and UsageError when f is too short for
+    the fit at T-degree 1, since one of degree 0 kills only polynomials.
+    """
+    def need(d):
+        return (n + 1) * (d + 1) + GUESS_GUARD
+
+    g = math.gcd(*(m for m, x in enumerate(f.coeffs) if x)) or 1
+    G = PowerSeries(f.coeffs[::g], -(-f.order // g))
+    d = 0
+    while G.order >= need(d):
         try:
-            op = guess_operator(f, n, d)
+            op = guess_operator(G, n, d)
         except NoOperatorFound:
+            d += 1
             continue
         except AmbiguousNullspace as exc:
             raise AmbiguousNullspace(
                 "no unique order-%d annihilator: at coefficient degree %d, "
-                "%d equations leave %s" % (n, d, need, exc))
+                "%d equations leave %s" % (n, g * d, need(d), exc))
+        # theta_t = g theta_T, so a_{i,k} theta_T^i T^k is
+        # g^(n-i) a_{i,k} theta_t^i t^(gk); D(0) = 1 keeps the content 1
+        coeffs = [[0] * (g * len(c)) for c in op.coeffs]
+        for i, c in enumerate(op.coeffs):
+            coeffs[i][::g] = [g ** (n - i) * x for x in c]
+        op = MumOperator(coeffs)
         image = apply_operator(op, f).coeffs
         bad = next((m for m, x in enumerate(image) if x), None)
         if bad is not None:
             raise NoOperatorFound(
                 "no annihilator: the degree-%d operator fitted mod t^%d "
-                "leaves a nonzero t^%d term" % (d, need, bad))
-        return op, d
-    if not tried:
-        raise UsageError("series known mod t^%d is too short to guess an "
-                         "order-%d operator" % (f.order, n))
+                "leaves a nonzero t^%d term" % (g * d, g * need(d), bad))
+        return op, g * d
+    if d < 2:
+        raise UsageError(
+            "series known mod t^%d is too short to guess an order-%d "
+            "operator: the fit at coefficient degree %d needs t^%d"
+            % (f.order, n, g, g * need(1)))
     raise NoOperatorFound("no order-%d annihilator with coefficient degree "
-                          "<= %d" % (n, dmax))
+                          "<= %d" % (n, g * (d - 1)))
 
 
 def _padic_view(v: PadicNum):
@@ -426,7 +447,7 @@ def cmd_guess(args) -> int:
         f, n_file = _series_from_file(args.operator_file)
         n = _order(args.n if args.n is not None else n_file,
                    "operator file lacks 'n'; pass --n", 1)
-        op, d = _guess_sweep(f, n, max(0, f.order // (n + 1) - 1))
+        op, d = _guess_sweep(f, n)
         source = "file:%s" % args.operator_file
     else:
         if args.operator_file is not None:
@@ -639,8 +660,8 @@ SELFTEST_CHECKS = [
 # cmd_selftest runs SELFTEST_CHECKS[:SELFTEST_SPLIT] and the rest as two
 # halves, split where they take about the same time.  Cold full-mode
 # halves, each alone in a process (medians of 5, in the benchmark's
-# reference-task units; 2-vCPU host, Python 3.11.7): 5.6 and 5.9 split
-# here, 6.7 and 5.4 split at 6
+# reference-task units; 2-vCPU host, Python 3.11.7): 5.5 and 5.1 split
+# here, 4.0 and 6.6 split at 4, 6.3 and 4.1 split at 6
 SELFTEST_SPLIT = 5
 
 

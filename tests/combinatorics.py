@@ -8,7 +8,8 @@ hyperoctahedral constant-term series F_u, the operator JSON reader
 that inverts MumOperator.to_json, _integrality_entry, the per-entry
 integrality readout in PadicNum arithmetic that marks where a
 fixed-precision reading must raise, and stored_at, which reads a
-decomposition's lattice storage at a t-degree."""
+decomposition's lattice storage at a t-degree, and the guess swept
+in t, the oracle of the guess on the lattice."""
 
 import json
 import math
@@ -25,7 +26,7 @@ from padicfrob.expansion import (
     normalize_shift,
 )
 from padicfrob.frobenius import FrobeniusDecomposition, PrecisionExhausted
-from padicfrob.mum import MumOperator
+from padicfrob.mum import MumOperator, NoOperatorFound, guess_operator
 from padicfrob.padic_core import INFINITY, PadicNum, multinomial, vp
 from padicfrob.qseries import PowerSeries
 
@@ -318,3 +319,17 @@ def _integrality_entry(dec: FrobeniusDecomposition, j: int, m: int,
             raise PrecisionExhausted(j, m)
         return None, int(value.abs_precision)
     return int(value.valuation), int(value.abs_precision)
+
+
+def guess_sweep_in_t(f: PowerSeries, n: int, dmax: int) -> tuple:
+    """(operator, degree) from guess_operator on f itself at the least
+    t-degree d <= dmax that has an annihilator, blind to the lattice f
+    lives on: where its nullspace is one-dimensional the lattice guess
+    must give the same."""
+    for d in range(dmax + 1):
+        try:
+            return guess_operator(f, n, d), d
+        except NoOperatorFound:
+            continue
+    raise NoOperatorFound("no order-%d annihilator with degree <= %d"
+                          % (n, dmax))

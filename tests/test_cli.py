@@ -18,12 +18,16 @@ from padicfrob.frobenius import PrecisionExhausted
 from padicfrob.mum import (
     GUESS_GUARD,
     KNOWN_HYPEROCT_OPERATORS,
+    NoOperatorFound,
     apply_operator,
     period_series_hyperoctahedral,
+    period_series_simplicial,
+    simplicial_operator,
 )
 from padicfrob.padic_core import InconsistentSystem
+from padicfrob.qseries import PowerSeries
 
-from combinatorics import operator_from_json
+from combinatorics import guess_sweep_in_t, operator_from_json
 from test_frobenius_two_core import (
     PLUMBING_FAILURES,
     _assert_no_child,
@@ -317,7 +321,7 @@ def test_guess_hyperoct_matches_printed(capsys):
 @pytest.mark.parametrize("n", [6, 7])
 def test_guess_hyperoct_beyond_printed(capsys, n):
     # no printed operator: the guess must annihilate the period series
-    # 20 terms past the mod t^need the guess saw
+    # 20 terms past the mod t^(2 need) the guess saw
     code, out, _ = run(capsys, "guess", "--family", "hyperoctahedral",
                        "--n", str(n), "--format", "json")
     assert code == 0
@@ -325,69 +329,163 @@ def test_guess_hyperoct_beyond_printed(capsys, n):
     assert payload["matches_printed"] is None
     op = operator_from_json(json.dumps(payload["operator"]))
     assert op.order == n and op.is_mum_normalized()
-    M = (n + 1) * (2 * n + 3) + GUESS_GUARD + 20
+    M = 2 * ((n + 1) * (n + 2) + GUESS_GUARD) + 20
     image = apply_operator(op, period_series_hyperoctahedral(n, M))
     assert all(image.known(c) == 0 for c in range(M))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_guess_hyperoct_annihilates_its_full_series(capsys, n):
-    # the sweep fits mod t^((n+1)(d+1) + GUESS_GUARD) but has the series
-    # mod t^((n+1)(2n+3) + GUESS_GUARD); what it prints kills all of it
+    # the sweep fits T = t^2 mod T^((n+1)(d+1) + GUESS_GUARD) but has the
+    # series mod t^(2((n+1)(n+2) + GUESS_GUARD)); what it prints kills all
+    # of it
     code, out, _ = run(capsys, "guess", "--family", "hyperoctahedral",
                        "--n", str(n), "--format", "json")
     assert code == 0
     op = operator_from_json(json.dumps(json.loads(out)["operator"]))
-    M = (n + 1) * (2 * n + 3) + GUESS_GUARD
+    M = 2 * ((n + 1) * (n + 2) + GUESS_GUARD)
     assert apply_operator(op, period_series_hyperoctahedral(n, M)).is_zero()
 
 
-def test_guess_refuses_an_operator_fitted_on_too_few_terms(capsys):
-    # at n = 11 the degree-0 nullspace mod t^22 is one-dimensional, but
-    # prod_{k<11} (theta - 2k) fits only the first 11 even degrees
-    code, out, err = run(capsys, "guess", "--family", "hyperoctahedral",
-                         "--n", "11")
-    assert (code, out) == (5, "")
-    assert ("no annihilator: the degree-0 operator fitted mod t^22 leaves "
-            "a nonzero t^22 term") in err
+@pytest.mark.parametrize("n", range(2, 11))
+def test_guess_lattice_matches_the_t_sweep(n):
+    # wherever the sweep in t has a one-dimensional nullspace, the fit
+    # on the lattice finds the same operator at the same degree
+    f = period_series_hyperoctahedral(n, (n + 1) * (2 * n + 3) + GUESS_GUARD)
+    assert cli._guess_family("hyperoctahedral", n) == \
+        guess_sweep_in_t(f, n, 2 * n + 2)
 
 
-@pytest.mark.parametrize("n, dim", [(4, 2), (5, 3), (6, 4)])
-def test_guess_names_an_ambiguous_fit(capsys, n, dim):
-    # the simplicial series live in t^(n+1), so mod t^need the degree-0
-    # fit has too few equations per residue class to pin one operator
-    code, out, err = run(capsys, "guess", "--family", "simplicial",
-                         "--n", str(n))
+@pytest.mark.parametrize("n", range(2, 8))
+def test_guess_simplicial_gives_its_operator(capsys, n):
+    # in t the degree-0 fit on a series in t^(n+1) is ambiguous from
+    # n = 4 on; on the lattice it is unique at T-degree 1
+    code, out, _ = run(capsys, "guess", "--family", "simplicial",
+                       "--n", str(n), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degree"] == n + 1
+    op = operator_from_json(json.dumps(payload["operator"]))
+    assert op == simplicial_operator(n)
+
+
+@pytest.mark.parametrize("n, degree", [(11, 12), (12, 12), (13, 14)])
+def test_guess_hyperoct_answers_past_the_t_sweep(capsys, n, degree):
+    # the sweep in t exits 5 here; on the lattice the guess answers, and
+    # its operator kills the series far past the fit's window
+    code, out, _ = run(capsys, "guess", "--family", "hyperoctahedral",
+                       "--n", str(n), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["degree"] == degree
+    op = operator_from_json(json.dumps(payload["operator"]))
+    assert apply_operator(op, period_series_hyperoctahedral(n, 600)).is_zero()
+
+
+@pytest.mark.parametrize("family", ["simplicial", "hyperoctahedral"])
+def test_guess_family_sweeps_to_degree_2n_plus_2(monkeypatch, family):
+    # a family series with no annihilator, on the family's lattice: the
+    # sweep fits every T-degree up to coefficient degree 2n + 2 = 8
+    g = cli.FAMILIES[family].step(3)
+    junk = cli.FAMILIES[family].replace(series=lambda n, M: PowerSeries(
+        [(7 * m * m + 3) % 97 + 1 if m % g == 0 else 0 for m in range(M)],
+        M))
+    monkeypatch.setitem(cli.FAMILIES, family, junk)
+    with pytest.raises(NoOperatorFound,
+                       match="^no order-3 annihilator with coefficient "
+                             "degree <= 8$"):
+        cli._guess_family(family, 3)
+
+
+@pytest.mark.parametrize("n, p", [(6, 7), (11, 13)])
+def test_verify_runs_on_a_guessed_hyperoct_operator(capsys, n, p):
+    code, out, _ = run(capsys, "verify", "--family", "hyperoctahedral",
+                       "--n", str(n), "--p", str(p), "--t-order", "60")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "integral"
+
+
+def test_recover_runs_on_a_guessed_hyperoct_operator(capsys):
+    code, out, _ = run(capsys, "recover", "--family", "hyperoctahedral",
+                       "--n", "6", "--p", "7", "--t-order", "60",
+                       "--format", "json")
+    assert code == 0
+    rows = [r for r in json.loads(out)["closed_form"] if r["exponent"]]
+    assert rows and all(r["match"] is True for r in rows)
+
+
+def _series_file(tmp_path, series: list, n: int = 2) -> str:
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"n": n, "series": series}))
+    return str(path)
+
+
+def _simplicial_2_terms(count: int) -> list:
+    f = period_series_simplicial(2, count)
+    return [str(f.known(c)) for c in range(count)]
+
+
+def test_guess_refuses_an_operator_fitted_on_too_few_terms(capsys, tmp_path):
+    # a nonzero t^46 puts the series off any lattice (g = 1): the sweep
+    # in t fits simplicial_operator(2) mod t^22, and only the check on
+    # every known coefficient sees the t^46 term it leaves
+    series = _simplicial_2_terms(48)
+    series[46] = "1"
+    code, out, err = run(capsys, "guess", "--family", "file",
+                         "--operator-file", _series_file(tmp_path, series))
     assert (code, out) == (5, "")
-    assert err == ("error: no unique order-%d annihilator: at coefficient "
-                   "degree 0, %d equations leave nullspace dimension %d\n"
-                   % (n, n + 1 + GUESS_GUARD, dim))
+    assert err == ("error: no annihilator: the degree-3 operator fitted mod "
+                   "t^22 leaves a nonzero t^46 term\n")
+
+
+def test_guess_names_an_ambiguous_fit(capsys, tmp_path):
+    # theta and theta^2 both kill 1; its only nonzero degree is 0, which
+    # fits in t (g = 1), and the degree-0 nullspace is a pencil
+    path = _series_file(tmp_path, [1] + [0] * 39)
+    code, out, err = run(capsys, "guess", "--family", "file",
+                         "--operator-file", path)
+    assert (code, out) == (5, "")
+    assert err == ("error: no unique order-2 annihilator: at coefficient "
+                   "degree 0, 13 equations leave nullspace dimension 2\n")
 
 
 def test_guess_junk_series(capsys, tmp_path):
-    path = tmp_path / "junk.json"
-    path.write_text(json.dumps(
-        {"n": 2, "series": [1, 3, 7, 19, 2, 5, 11, 4, 9, 6, 13, 8, 1, 2,
-                            17, 3, 5, 21, 7, 1, 4, 9, 2, 6, 8, 3, 1, 5]}))
-    code, _, err = run(capsys, "guess", "--family", "file",
-                       "--operator-file", str(path))
-    assert code == 5
-    assert "annihilator" in err
+    # off any lattice; need(d) = 3(d+1) + 10 reaches 28 terms at d = 5
+    path = _series_file(tmp_path, [1, 3, 7, 19, 2, 5, 11, 4, 9, 6, 13, 8, 1,
+                                   2, 17, 3, 5, 21, 7, 1, 4, 9, 2, 6, 8, 3, 1,
+                                   5])
+    code, out, err = run(capsys, "guess", "--family", "file",
+                         "--operator-file", path)
+    assert (code, out) == (5, "")
+    assert err == ("error: no order-2 annihilator with coefficient degree "
+                   "<= 5\n")
 
 
 def test_guess_from_series_file(capsys, tmp_path):
-    from padicfrob.mum import period_series_simplicial
-    f = period_series_simplicial(2, 40)
-    path = tmp_path / "period.json"
-    path.write_text(json.dumps(
-        {"n": 2, "series": [str(f.known(c)) for c in range(40)]}))
+    # 48 terms in t^3: 16 lattice terms, the T-degree-1 fit's need
+    path = _series_file(tmp_path, _simplicial_2_terms(48))
     code, out, _ = run(capsys, "guess", "--family", "file",
-                       "--operator-file", str(path), "--format", "json")
+                       "--operator-file", path, "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["matches_printed"] is None
+    assert payload["degree"] == 3
     got = payload["operator"]["coeffs"]
     assert got[-1][0] == "1"  # normalized leading coefficient
+    assert operator_from_json(json.dumps(payload["operator"])) == \
+        simplicial_operator(2)
+
+
+def test_guess_names_the_t_order_a_short_series_needs(capsys, tmp_path):
+    # 40 terms hold 14 lattice terms: the T-degree-0 fit runs, the
+    # degree-1 fit needs 16 of them, t^48
+    path = _series_file(tmp_path, _simplicial_2_terms(40))
+    code, out, err = run(capsys, "guess", "--family", "file",
+                         "--operator-file", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: series known mod t^40 is too short to guess an "
+                   "order-2 operator: the fit at coefficient degree 3 needs "
+                   "t^48\n")
 
 
 def test_guess_missing_file_args(capsys):
