@@ -438,7 +438,7 @@ def test_guess_refuses_an_operator_fitted_on_too_few_terms(capsys, tmp_path):
                    "t^22 leaves a nonzero t^46 term\n")
 
 
-def test_guess_names_an_ambiguous_fit(capsys, tmp_path):
+def test_guess_names_an_ambiguous_constant_fit(capsys, tmp_path):
     # theta and theta^2 both kill 1; its only nonzero degree is 0, which
     # fits in t (g = 1), and the degree-0 nullspace is a pencil
     path = _series_file(tmp_path, [1] + [0] * 39)
@@ -447,6 +447,20 @@ def test_guess_names_an_ambiguous_fit(capsys, tmp_path):
     assert (code, out) == (5, "")
     assert err == ("error: no unique order-2 annihilator: at coefficient "
                    "degree 0, 13 equations leave nullspace dimension 2\n")
+
+
+@pytest.mark.parametrize("n, dim", [(4, 2), (5, 3), (6, 4)])
+def test_guess_names_an_ambiguous_fit(capsys, tmp_path, n, dim):
+    # a constant-coefficient operator kills 1 + t + t^2 iff its symbol
+    # vanishes at 0, 1, 2: of the n + 1 symbol coefficients, three are
+    # pinned and the degree-0 nullspace keeps dimension n - 2
+    path = _series_file(tmp_path, [1, 1, 1] + [0] * 60, n=n)
+    code, out, err = run(capsys, "guess", "--family", "file",
+                         "--operator-file", path)
+    assert (code, out) == (5, "")
+    assert err == ("error: no unique order-%d annihilator: at coefficient "
+                   "degree 0, %d equations leave nullspace dimension %d\n"
+                   % (n, n + 1 + GUESS_GUARD, dim))
 
 
 def test_guess_junk_series(capsys, tmp_path):
